@@ -14,10 +14,17 @@ Usage:
       --fig8a BENCH_fig8a_run*.json \
       --fig8d BENCH_fig8d_run*.json \
       --throughput BENCH_throughput_run*.json \
-      --storage BENCH_storage_run*.json
+      --storage BENCH_storage_run*.json \
+      --perfbench distill_query=dq_runs.jsonl crawl_pipeline=cp_runs.jsonl
 
-Any of --fig8a / --fig8d / --throughput / --storage may be omitted; the
-point records whichever benches ran.
+Any of --fig8a / --fig8d / --throughput / --storage / --perfbench may be
+omitted; the point records whichever benches ran.
+
+--perfbench takes WORKLOAD=PATH pairs. PATH holds one JSON line per run:
+the last stdout line of `python3 perfbench/run.py --workload WORKLOAD
+--seed S ...`. Each workload needs at least five runs (different seeds);
+the point records every metric's median, min and max over them, since one
+run of the end-to-end benchmark is noise.
 """
 
 import argparse
@@ -27,6 +34,7 @@ import statistics
 import sys
 
 SCHEMA = 1
+MIN_PERFBENCH_RUNS = 5
 
 
 def load_all(paths):
@@ -111,6 +119,40 @@ def storage_point(runs):
     }
 
 
+def perfbench_point(pairs):
+    """workload -> metric -> {median, min, max, unit, runs}.
+
+    `pairs` are "WORKLOAD=PATH" strings; PATH holds perfbench/run.py JSON
+    lines, one per run.
+    """
+    runs_by_workload = {}
+    for pair in pairs:
+        workload, sep, path = pair.partition("=")
+        if not sep or not workload or not path:
+            sys.exit(f"--perfbench wants WORKLOAD=PATH, got {pair!r}")
+        with open(path) as f:
+            runs = [json.loads(line) for line in f if line.strip()]
+        runs_by_workload.setdefault(workload, []).extend(runs)
+    point = {}
+    for workload, runs in sorted(runs_by_workload.items()):
+        if len(runs) < MIN_PERFBENCH_RUNS:
+            sys.exit(f"{workload}: {len(runs)} perfbench run(s), need at "
+                     f"least {MIN_PERFBENCH_RUNS}")
+        if not all(r["correct"] for r in runs):
+            sys.exit(f"{workload}: a perfbench run failed its checks")
+        metrics = {}
+        for name in runs[0]["metrics"]:
+            values = [r["metrics"][name]["value"] for r in runs]
+            metrics[name] = {
+                "median": statistics.median(values),
+                "min": min(values),
+                "max": max(values),
+                "unit": runs[0]["metrics"][name]["unit"],
+            }
+        point[workload] = {"runs": len(runs), "metrics": metrics}
+    return point
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trajectory", required=True)
@@ -121,9 +163,12 @@ def main():
     parser.add_argument("--fig8d", nargs="*", default=[])
     parser.add_argument("--throughput", nargs="*", default=[])
     parser.add_argument("--storage", nargs="*", default=[])
+    parser.add_argument("--perfbench", nargs="*", default=[],
+                        metavar="WORKLOAD=PATH")
     args = parser.parse_args()
 
-    if not (args.fig8a or args.fig8d or args.throughput or args.storage):
+    if not (args.fig8a or args.fig8d or args.throughput or args.storage
+            or args.perfbench):
         sys.exit("nothing to append: pass at least one bench artifact")
 
     try:
@@ -147,13 +192,16 @@ def main():
         point["tab_throughput"] = throughput_point(load_all(args.throughput))
     if args.storage:
         point["micro_storage"] = storage_point(load_all(args.storage))
+    if args.perfbench:
+        point["perfbench"] = perfbench_point(args.perfbench)
 
     trajectory["points"].append(point)
     with open(args.trajectory, "w") as f:
         json.dump(trajectory, f, indent=2)
         f.write("\n")
-    runs = max(len(args.fig8a), len(args.fig8d), len(args.throughput),
-               len(args.storage))
+    runs = max([len(args.fig8a), len(args.fig8d), len(args.throughput),
+                len(args.storage)] +
+               [w["runs"] for w in point.get("perfbench", {}).values()])
     print(f"appended {args.commit} ({args.source}, median of {runs} run(s)) "
           f"-> {args.trajectory}: {len(trajectory['points'])} points")
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sql/exec/batch_ops.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -345,25 +346,33 @@ Status CrawlDb::AddLink(std::string_view src_url, std::string_view dst_url) {
 }
 
 Status CrawlDb::RefreshEdgeWeights() {
-  auto relevance_of = [this](int64_t oid) -> Result<double> {
-    std::vector<storage::Rid> rids;
-    FOCUS_RETURN_IF_ERROR(crawl_->IndexLookup(0, {Value::Int64(oid)}, &rids));
-    if (rids.empty()) return 0.0;
-    Tuple row;
-    FOCUS_RETURN_IF_ERROR(crawl_->Get(rids[0], &row));
-    return row.Get(4).AsDouble();
+  // One projected CRAWL scan, sorted by oid: each LINK row then finds its
+  // endpoints' relevances by binary search, with no index probe and no
+  // decode of a URL-carrying CRAWL row.
+  sql::BatchTableScan scan(crawl_, {0, 4});
+  sql::ColumnSet crawl_rel;
+  FOCUS_RETURN_IF_ERROR(sql::CollectInto(&scan, &crawl_rel));
+  const std::vector<int64_t>& oids = crawl_rel.col(0).i64;
+  const std::vector<double>& rels = crawl_rel.col(1).f64;
+  std::vector<std::pair<int64_t, double>> relevance(oids.size());
+  for (size_t i = 0; i < oids.size(); ++i) relevance[i] = {oids[i], rels[i]};
+  // Stable: with duplicate oids the first in heap order wins.
+  std::stable_sort(
+      relevance.begin(), relevance.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto relevance_of = [&relevance](int64_t oid) {
+    auto it = std::lower_bound(
+        relevance.begin(), relevance.end(), oid,
+        [](const auto& entry, int64_t key) { return entry.first < key; });
+    // An endpoint without a CRAWL row weighs 0.
+    return it != relevance.end() && it->first == oid ? it->second : 0.0;
   };
-  auto it = link_->Scan();
-  storage::Rid rid;
-  Tuple row;
-  while (it.Next(&rid, &row)) {
-    FOCUS_ASSIGN_OR_RETURN(double r_dst, relevance_of(row.Get(2).AsInt64()));
-    FOCUS_ASSIGN_OR_RETURN(double r_src, relevance_of(row.Get(0).AsInt64()));
-    row.Mutable(4) = Value::Double(r_dst);
-    row.Mutable(5) = Value::Double(r_src);
-    FOCUS_RETURN_IF_ERROR(link_->Update(rid, row));
-  }
-  return it.status();
+  // One LINK pass; rows whose weights are already current stay clean.
+  return link_->UpdateInPlace([&](Tuple* row) {
+    row->Mutable(4) = Value::Double(relevance_of(row->Get(2).AsInt64()));
+    row->Mutable(5) = Value::Double(relevance_of(row->Get(0).AsInt64()));
+    return Status::OK();
+  });
 }
 
 CrawlRecord CrawlDb::RecordFromTuple(const Tuple& t) {

@@ -132,7 +132,9 @@ class CrawlDb {
 
   // Sets wgt_fwd = R(dst), wgt_rev = R(src) for every LINK row, reading
   // relevances from CRAWL (§2.2.2). Unvisited endpoints weigh their
-  // current estimate.
+  // current estimate; an endpoint with no CRAWL row weighs 0. Set-oriented:
+  // one projected CRAWL scan, then one in-place LINK pass that writes only
+  // rows whose weights changed (a repeat refresh dirties no page).
   Status RefreshEdgeWeights();
 
   Result<std::optional<CrawlRecord>> Lookup(uint64_t oid) const;

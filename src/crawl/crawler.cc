@@ -859,15 +859,11 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
 
     if (options_.expand_backlinks &&
         judgment.relevance > options_.backlink_relevance_threshold) {
-      // Backlink metadata is a web service: web_mutex_ nests inside
-      // state_mutex_ here (never the other way around).
-      std::vector<std::string> citers;
-      {
-        std::lock_guard<std::mutex> web_lock(web_mutex_);
-        FOCUS_ASSIGN_OR_RETURN(
-            citers, web_->Backlinks(page.fetch.url,
-                                    options_.backlinks_per_page));
-      }
+      // Backlink metadata is a read-only web service (SimulatedWeb is
+      // reentrant).
+      FOCUS_ASSIGN_OR_RETURN(
+          std::vector<std::string> citers,
+          web_->Backlinks(page.fetch.url, options_.backlinks_per_page));
       for (const std::string& citer : citers) {
         uint64_t citer_oid = UrlOid(citer);
         if (options_.link_sink != nullptr &&
@@ -950,7 +946,7 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
       continue;
     }
 
-    // --- fetch stage (web lock only; latency charged to this worker's
+    // --- fetch stage (no lock; latency charged to this worker's
     // virtual timeline, so concurrent workers overlap fetch waits exactly
     // like the paper's ~30 fetch threads) ---
     std::vector<FetchedPage> fetched;
@@ -974,11 +970,10 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
                                      entry.relevance,
                                      /*aux=*/entry.numtries + 1);
         }
-        Result<webgraph::SimulatedWeb::FetchResult> result = [&] {
-          std::lock_guard<std::mutex> web_lock(web_mutex_);
-          // Same durable attempt numbering as the single-threaded path.
-          return web_->Fetch(entry.url, worker_clock, entry.numtries + 1);
-        }();
+        // Same durable attempt numbering as the single-threaded path. Fetch
+        // is reentrant, so workers fetch concurrently.
+        Result<webgraph::SimulatedWeb::FetchResult> result =
+            web_->Fetch(entry.url, worker_clock, entry.numtries + 1);
         if (!result.ok()) {
           if (options_.breaker.enabled) {
             NoteBreakerOutcome(

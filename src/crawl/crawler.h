@@ -328,13 +328,10 @@ class Crawler {
   // on reservations that will never be released.
   std::atomic<bool> abort_{false};
   // Guards db_, visits_, stats_, server/backlink/link bookkeeping and the
-  // periodic-boost thresholds. The frontier (per-shard locks) and the web
-  // (web_mutex_) are guarded separately so fetch workers only contend here
-  // in the short record sections.
+  // periodic-boost thresholds. The frontier has per-shard locks and the web
+  // is reentrant, so fetch workers only contend here in the short record
+  // sections.
   std::mutex state_mutex_;
-  // Serializes SimulatedWeb access (fetch simulation mutates RNG and
-  // bookkeeping state).
-  std::mutex web_mutex_;
   // Signaled when budget or frontier state changes; idle workers wait.
   std::condition_variable work_cv_;
 };

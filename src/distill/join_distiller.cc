@@ -90,24 +90,61 @@ Status JoinDistiller::Initialize() {
     return Status::InvalidArgument(
         "crawl table must have oid and relevance columns");
   }
-  Stopwatch join_timer;
-  // Distinct sources in ascending order, via group-by over LINK.
-  HashAggregate distinct_srcs(
-      std::make_unique<SeqScan>(tables_.link), std::vector<int>{0},
-      std::vector<AggSpec>{AggSpec{AggKind::kCount, -1, "cnt"}});
-  FOCUS_ASSIGN_OR_RETURN(std::vector<Tuple> srcs, Collect(&distinct_srcs));
-  stats_.join_seconds += join_timer.ElapsedSeconds();
+  std::vector<int64_t> srcs;  // distinct oid_src, ascending
+  if (engine_ == sql::ExecEngine::kScalar) {
+    Stopwatch join_timer;
+    // Distinct sources in ascending order, via group-by over LINK.
+    HashAggregate distinct_srcs(
+        std::make_unique<SeqScan>(tables_.link), std::vector<int>{0},
+        std::vector<AggSpec>{AggSpec{AggKind::kCount, -1, "cnt"}});
+    FOCUS_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Collect(&distinct_srcs));
+    stats_.join_seconds += join_timer.ElapsedSeconds();
+    srcs.reserve(rows.size());
+    for (const Tuple& row : rows) srcs.push_back(row.Get(0).AsInt64());
+    FOCUS_RETURN_IF_ERROR(AuditDanglingEdges());
+  } else {
+    FOCUS_ASSIGN_OR_RETURN(srcs, SourcesAndDanglingEdgesVec());
+  }
 
   Stopwatch update_timer;
   FOCUS_RETURN_IF_ERROR(tables_.hubs->Clear());
   FOCUS_RETURN_IF_ERROR(tables_.auth->Clear());
-  for (const Tuple& row : srcs) {
+  for (int64_t src : srcs) {
     FOCUS_RETURN_IF_ERROR(
-        tables_.hubs->Insert(Tuple({row.Get(0), Value::Double(1.0)}))
+        tables_.hubs->Insert(Tuple({Value::Int64(src), Value::Double(1.0)}))
             .status());
   }
   stats_.update_seconds += update_timer.ElapsedSeconds();
-  return AuditDanglingEdges();
+  return Status::OK();
+}
+
+Result<std::vector<int64_t>> JoinDistiller::SourcesAndDanglingEdgesVec() {
+  Stopwatch scan_timer;
+  // CRAWL's oid set, sorted; then LINK's (oid_src, oid_dst) in one pass.
+  sql::BatchTableScan crawl_scan(tables_.crawl, {crawl_oid_col_});
+  sql::ColumnSet crawl_cols;
+  FOCUS_RETURN_IF_ERROR(sql::CollectInto(&crawl_scan, &crawl_cols));
+  std::vector<int64_t> known = crawl_cols.col(0).i64;
+  std::sort(known.begin(), known.end());
+  sql::BatchTableScan link_scan(tables_.link, {0, 2});
+  sql::ColumnSet link_cols;
+  FOCUS_RETURN_IF_ERROR(sql::CollectInto(&link_scan, &link_cols));
+  const std::vector<int64_t>& src = link_cols.col(0).i64;
+  const std::vector<int64_t>& dst = link_cols.col(1).i64;
+  auto in_crawl = [&known](int64_t oid) {
+    return std::binary_search(known.begin(), known.end(), oid);
+  };
+  stats_.dangling_src_edges = 0;
+  stats_.dangling_dst_edges = 0;
+  for (size_t i = 0; i < src.size(); ++i) {
+    if (!in_crawl(src[i])) ++stats_.dangling_src_edges;
+    if (!in_crawl(dst[i])) ++stats_.dangling_dst_edges;
+  }
+  std::vector<int64_t> srcs = src;
+  std::sort(srcs.begin(), srcs.end());
+  srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
+  stats_.scan_seconds += scan_timer.ElapsedSeconds();
+  return srcs;
 }
 
 Status JoinDistiller::AuditDanglingEdges() {

@@ -61,7 +61,13 @@ class JoinDistiller final : public Distiller {
 
   // Counts LINK rows whose src/dst oid has no CRAWL row (purged or lost
   // URLs) into stats_; such edges are tolerated — the joins drop them.
+  // The scalar engine's audit: a LINK scan with memoized by_oid probes.
   Status AuditDanglingEdges();
+
+  // The batch engines' Initialize pass: one projected LINK scan of
+  // (oid_src, oid_dst), checked against CRAWL's sorted oid set, yields the
+  // distinct sources (ascending) and both dangling-edge counts.
+  Result<std::vector<int64_t>> SourcesAndDanglingEdgesVec();
 
   Status UpdateAuth(double rho);
   Status UpdateHubs();

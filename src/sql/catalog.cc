@@ -123,6 +123,7 @@ Status Catalog::DropTable(std::string_view name) {
   if (it == tables_.end()) {
     return Status::NotFound(StrCat("table ", name));
   }
+  it->second->ReleaseStorage();
   tables_.erase(it);
   return Status::OK();
 }

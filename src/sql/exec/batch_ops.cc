@@ -122,7 +122,9 @@ bool TrySortIntKeys(const ColumnSet& rows, const std::vector<SortKey>& keys,
                                    static_cast<uint64_t>(IntAt(*r.col, i))
                              : static_cast<uint64_t>(IntAt(*r.col, i)) -
                                    static_cast<uint64_t>(r.min);
-        word = (word << r.bits) | field;
+        // A key spanning all 64 bits (hashed oids do) is the whole word;
+        // shifting by 64 would be undefined.
+        word = r.bits == 64 ? field : (word << r.bits) | field;
       }
       packed[i] = word;
     }

@@ -27,6 +27,14 @@ Status ExternalSort::SpillRun(std::vector<Tuple>* rows) {
   return Status::OK();
 }
 
+void ExternalSort::ReleaseRuns() {
+  cursors_.clear();
+  std::vector<storage::PageId> pages;
+  for (const storage::HeapFile& run : runs_) run.AppendPages(&pages);
+  pool_->FreePages(pages);
+  runs_.clear();
+}
+
 Status ExternalSort::AdvanceRun(size_t idx) {
   RunCursor& cursor = cursors_[idx];
   storage::Rid rid;
@@ -44,8 +52,7 @@ Status ExternalSort::AdvanceRun(size_t idx) {
 
 Status ExternalSort::Open() {
   FOCUS_RETURN_IF_ERROR(child_->Open());
-  runs_.clear();
-  cursors_.clear();
+  ReleaseRuns();
   tail_.clear();
   tail_pos_ = 0;
 
@@ -105,8 +112,7 @@ Result<bool> ExternalSort::Next(Tuple* out) {
 }
 
 void ExternalSort::Close() {
-  runs_.clear();
-  cursors_.clear();
+  ReleaseRuns();
   tail_.clear();
   child_->Close();
 }

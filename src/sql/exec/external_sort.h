@@ -24,11 +24,11 @@ namespace focus::sql {
 
 class ExternalSort final : public Operator {
  public:
-  // `pool` hosts the spill runs; it must outlive the operator. The
-  // temporary pages are abandoned on Close (no free-space reuse — same
-  // policy as Table::Clear).
+  // `pool` hosts the spill runs; it must outlive the operator. The run
+  // pages go back to the pool's free-page list on Close (and on re-Open).
   ExternalSort(OperatorPtr child, std::vector<SortKey> keys,
                storage::BufferPool* pool, size_t memory_budget_rows = 8192);
+  ~ExternalSort() override { ReleaseRuns(); }
 
   Status Open() override;
   Result<bool> Next(Tuple* out) override;
@@ -47,6 +47,8 @@ class ExternalSort final : public Operator {
   };
 
   Status SpillRun(std::vector<Tuple>* rows);
+  // Drops the cursors and frees every run's pages.
+  void ReleaseRuns();
   // Loads the next tuple of run `idx` into its cursor.
   Status AdvanceRun(size_t idx);
 

@@ -1,5 +1,7 @@
 #include "sql/table.h"
 
+#include <cstring>
+
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -214,7 +216,15 @@ Status Table::Get(const storage::Rid& rid, Tuple* out) const {
   return Status::OK();
 }
 
+void Table::ReleaseStorage() {
+  std::vector<storage::PageId> pages;
+  heap_->AppendPages(&pages);
+  for (const Index& index : indexes_) index.tree.AppendPages(&pages);
+  pool_->FreePages(pages);
+}
+
 Status Table::Clear() {
+  ReleaseStorage();
   FOCUS_ASSIGN_OR_RETURN(storage::HeapFile heap,
                          storage::HeapFile::Create(pool_));
   heap_ = std::move(heap);
@@ -224,6 +234,34 @@ Status Table::Clear() {
     index.tree = std::move(tree);
   }
   return Status::OK();
+}
+
+Status Table::UpdateInPlace(const std::function<Status(Tuple*)>& fn) {
+  std::string record;
+  return heap_->RewriteInPlace([&](std::span<char> bytes) -> Result<bool> {
+    std::string_view old(bytes.data(), bytes.size());
+    FOCUS_ASSIGN_OR_RETURN(Tuple row, Tuple::Deserialize(schema_, old));
+    FOCUS_RETURN_IF_ERROR(fn(&row));
+    record.clear();
+    row.SerializeTo(schema_, &record);
+    if (record == old) return false;
+    if (record.size() != bytes.size()) {
+      return Status::InvalidArgument(
+          StrCat("in-place update size mismatch: ", record.size(), " vs ",
+                 bytes.size()));
+    }
+    FOCUS_ASSIGN_OR_RETURN(Tuple before, Tuple::Deserialize(schema_, old));
+    for (const Index& index : indexes_) {
+      FOCUS_ASSIGN_OR_RETURN(uint64_t old_key, PackKeyFromTuple(index, before));
+      FOCUS_ASSIGN_OR_RETURN(uint64_t new_key, PackKeyFromTuple(index, row));
+      if (old_key != new_key) {
+        return Status::InvalidArgument(
+            StrCat("in-place update changes key of index ", index.spec.name));
+      }
+    }
+    std::memcpy(bytes.data(), record.data(), record.size());
+    return true;
+  });
 }
 
 Status Table::IndexLookup(int index_idx, const std::vector<Value>& key,

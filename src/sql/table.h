@@ -7,6 +7,7 @@
 #ifndef FOCUS_SQL_TABLE_H_
 #define FOCUS_SQL_TABLE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,10 +76,23 @@ class Table {
   Status Delete(const storage::Rid& rid);
   Status Get(const storage::Rid& rid, Tuple* out) const;
 
-  // Drops every row (and index entry). Storage pages are abandoned, not
-  // reclaimed — there is no free-space map; callers that clear repeatedly
-  // (the distiller's "delete from HUBS") accept file growth.
+  // Drops every row (and index entry). The old heap and index pages go back
+  // to the pool's free-page list first, so the rebuilt table reuses them and
+  // repeated clears (the distiller's "delete from HUBS") do not grow the
+  // file. A table reattached from a layout does not know its pages; its
+  // first Clear abandons them.
   Status Clear();
+
+  // Returns every page of the table to the pool's free-page list. The table
+  // must not be used afterwards (Catalog::DropTable).
+  void ReleaseStorage();
+
+  // Rewrites rows in place in one scan-order pass, each heap page pinned
+  // once: `fn` may modify the row it is given. A row whose serialized bytes
+  // come out unchanged is not written back, so a pass that changes nothing
+  // dirties no page. A changed row must keep its serialized length and its
+  // index keys (both checked: InvalidArgument).
+  Status UpdateInPlace(const std::function<Status(Tuple*)>& fn);
 
   // Equality lookup on index `index_idx`; appends matching RIDs to `out`.
   Status IndexLookup(int index_idx, const std::vector<Value>& key,

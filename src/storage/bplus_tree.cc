@@ -119,6 +119,7 @@ Result<BPlusTree> BPlusTree::Create(BufferPool* pool) {
   InitLeaf(page);
   pool->UnpinPage(id, /*dirty=*/true);
   tree.root_ = id;
+  tree.pages_.push_back(id);
   return tree;
 }
 
@@ -174,6 +175,7 @@ Status BPlusTree::SplitLeaf(PageId leaf_id, std::vector<Descent>* path) {
   PageId right_id;
   FOCUS_ASSIGN_OR_RETURN(Page * right, pool_->NewPage(&right_id));
   InitLeaf(right);
+  NotePage(right_id);
 
   PageGuard left_guard(pool_, leaf_id);
   if (!left_guard.ok()) {
@@ -208,6 +210,7 @@ Status BPlusTree::InsertIntoParent(std::vector<Descent>* path,
     PageId old_root = root_;
     PageId new_root_id;
     FOCUS_ASSIGN_OR_RETURN(Page * new_root, pool_->NewPage(&new_root_id));
+    NotePage(new_root_id);
     InitInternal(new_root, old_root);
     SetInternalEntry(new_root, 0, {sep_key, sep_value}, right_child);
     SetCount(new_root, 1);
@@ -237,6 +240,7 @@ Status BPlusTree::InsertIntoParent(std::vector<Descent>* path,
   // Split the internal node. The middle separator moves up.
   PageId right_id;
   FOCUS_ASSIGN_OR_RETURN(Page * right, pool_->NewPage(&right_id));
+  NotePage(right_id);
   uint16_t mid = count / 2;
   Entry promoted = InternalSep(*node, mid);
   PageId right_child0 = InternalChild(*node, mid + 1);

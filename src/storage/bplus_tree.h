@@ -72,11 +72,23 @@ class BPlusTree {
   int height() const { return height_; }
   PageId root_page_id() const { return root_; }
 
+  // Appends the ids of every node page to `out`, for
+  // BufferPool::FreePages. A reattached tree never learned its nodes and
+  // appends nothing.
+  void AppendPages(std::vector<PageId>* out) const {
+    out->insert(out->end(), pages_.begin(), pages_.end());
+  }
+
   // Verifies ordering and structural invariants; used by tests.
   Status CheckInvariants() const;
 
  private:
   explicit BPlusTree(BufferPool* pool) : pool_(pool) {}
+
+  // Records a node allocated by a split, unless the page set is unknown.
+  void NotePage(PageId id) {
+    if (!pages_.empty()) pages_.push_back(id);
+  }
 
   struct Descent {
     PageId page_id;
@@ -101,6 +113,8 @@ class BPlusTree {
   PageId root_ = kInvalidPageId;
   uint64_t num_entries_ = 0;
   int height_ = 1;
+  // Node pages, for trees created in this session (empty after Attach).
+  std::vector<PageId> pages_;
 };
 
 }  // namespace focus::storage

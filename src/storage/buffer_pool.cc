@@ -295,19 +295,41 @@ Result<Page*> BufferPool::FetchPage(PageId id) {
 }
 
 Result<Page*> BufferPool::NewPage(PageId* out_id) {
-  PageId id;
+  PageId id = kInvalidPageId;
   {
+    std::lock_guard<std::mutex> lock(free_mutex_);
+    if (!free_pages_.empty()) {
+      id = *free_pages_.begin();
+      free_pages_.erase(free_pages_.begin());
+    }
+  }
+  const bool recycled = id != kInvalidPageId;
+  if (!recycled) {
     std::lock_guard<std::mutex> io(io_mutex_);
     FOCUS_ASSIGN_OR_RETURN(id, disk_->AllocatePage());
   }
   Shard* shard = shards_[ShardOf(id)].get();
   std::unique_lock<std::shared_mutex> lock(shard->latch);
-  FOCUS_ASSIGN_OR_RETURN(size_t idx,
-                         GetVictimLocked(shard, /*allow_steal=*/true));
+  size_t idx;
+  if (auto it = shard->table.find(id); it != shard->table.end()) {
+    // A recycled page a readahead reinstalled (or whose frame was pinned
+    // when it was freed): reuse that frame, so one id never has two.
+    idx = it->second;
+  } else {
+    Result<size_t> victim = GetVictimLocked(shard, /*allow_steal=*/true);
+    if (!victim.ok()) {
+      if (recycled) {
+        std::lock_guard<std::mutex> free_lock(free_mutex_);
+        free_pages_.insert(id);
+      }
+      return victim.status();
+    }
+    idx = victim.value();
+  }
   Frame& f = *shard->frames[idx];
   f.page.Zero();
   f.page_id = id;
-  f.pin_count.store(1, std::memory_order_release);
+  f.pin_count.fetch_add(1, std::memory_order_acq_rel);
   f.dirty.store(true, std::memory_order_relaxed);  // must reach disk even
                                                    // if never touched
   f.uses.store(1, std::memory_order_relaxed);
@@ -319,6 +341,25 @@ Result<Page*> BufferPool::NewPage(PageId* out_id) {
 #endif
   *out_id = id;
   return &f.page;
+}
+
+void BufferPool::FreePages(const std::vector<PageId>& ids) {
+  for (PageId id : ids) {
+    Shard* shard = shards_[ShardOf(id)].get();
+    std::unique_lock<std::shared_mutex> lock(shard->latch);
+    auto it = shard->table.find(id);
+    if (it == shard->table.end()) continue;
+    Frame& f = *shard->frames[it->second];
+    if (f.pin_count.load(std::memory_order_acquire) > 0) continue;
+    // Dead bytes: no write-back, and the frame is free for the next fetch.
+    f.dirty.store(false, std::memory_order_relaxed);
+    f.page_id = kInvalidPageId;
+    f.uses.store(0, std::memory_order_relaxed);
+    shard->free_frames.push_back(it->second);
+    shard->table.erase(it);
+  }
+  std::lock_guard<std::mutex> lock(free_mutex_);
+  free_pages_.insert(ids.begin(), ids.end());
 }
 
 void BufferPool::UnpinPage(PageId id, bool dirty) {

@@ -61,6 +61,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -144,8 +145,22 @@ class BufferPool {
   // when no shard in the whole pool has an evictable frame.
   Result<Page*> FetchPage(PageId id);
 
-  // Allocates a fresh page on disk, pins it and returns it via `out_id`.
+  // Pins a zeroed page for new content and returns its id via `out_id`:
+  // the lowest id on the free-page list if any (see FreePages), else a page
+  // freshly allocated on disk. A recycled id that is still resident reuses
+  // its own frame; its old bytes are never read back.
   Result<Page*> NewPage(PageId* out_id);
+
+  // Returns pages whose content is dead (a cleared or dropped table's heap
+  // and index nodes) to the free-page list, so NewPage hands them out again
+  // before it grows the device. Unpinned resident frames of these pages
+  // are dropped without write-back. The caller guarantees nothing
+  // references the pages any more. The list lives in memory only: a
+  // reopened store starts with an empty one, so pages freed but not yet
+  // reused when a session ends stay allocated (a leak bounded by one
+  // session). Lowest ids go first, which keeps rebuilt page chains
+  // ascending for chain readahead.
+  void FreePages(const std::vector<PageId>& ids);
 
   // Releases one pin; `dirty` marks the frame for write-back on eviction.
   // The dirty bit only ever accumulates (unpinning clean never clears a
@@ -276,6 +291,11 @@ class BufferPool {
   std::mutex streams_mutex_;
   std::vector<Stream> streams_;
   uint64_t stream_tick_ = 0;
+
+  // Free-page list (FreePages / NewPage). A leaf lock: nothing else is
+  // acquired while it is held.
+  std::mutex free_mutex_;
+  std::set<PageId> free_pages_;
 
 #ifdef FOCUS_SANITIZE
   // Pin/unpin balance: every successful FetchPage/NewPage must be matched

@@ -44,6 +44,7 @@ Result<HeapFile> HeapFile::Create(BufferPool* pool) {
   pool->UnpinPage(id, /*dirty=*/true);
   file.first_page_id_ = id;
   file.last_page_id_ = id;
+  file.pages_.push_back(id);
   return file;
 }
 
@@ -74,6 +75,7 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
     guard.Release();
     pool_->UnpinPage(new_id, /*dirty=*/true);
     last_page_id_ = new_id;
+    if (!pages_.empty()) pages_.push_back(new_id);
     return Insert(record);
   }
   uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
@@ -145,6 +147,28 @@ Status HeapFile::Delete(const Rid& rid) {
   page->Write<uint16_t>(SlotEntryOffset(rid.slot), kTombstone);
   guard.MarkDirty();
   --num_records_;
+  return Status::OK();
+}
+
+Status HeapFile::RewriteInPlace(
+    const std::function<Result<bool>(std::span<char>)>& fn) {
+  PageId page_id = first_page_id_;
+  while (page_id != kInvalidPageId) {
+    PageGuard guard(pool_, page_id);
+    if (!guard.ok()) return guard.status();
+    Page* page = guard.page();
+    uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
+    for (uint16_t slot = 0; slot < slot_count; ++slot) {
+      uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(slot));
+      if (offset == kTombstone) continue;
+      uint16_t length = page->Read<uint16_t>(SlotEntryOffset(slot) + 2);
+      FOCUS_ASSIGN_OR_RETURN(bool rewrote,
+                             fn(std::span<char>(page->data + offset, length)));
+      if (rewrote) guard.MarkDirty();
+    }
+    page_id = page->Read<uint32_t>(kOffNext);
+    pool_->MaybePrefetchChain(page_id);
+  }
   return Status::OK();
 }
 

@@ -8,8 +8,11 @@
 #define FOCUS_STORAGE_HEAP_FILE_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -60,6 +63,20 @@ class HeapFile {
   // Tombstones the record at `rid`. Space within the page is not compacted.
   Status Delete(const Rid& rid);
 
+  // Visits every live record in scan order, pinning each page once. `fn`
+  // may overwrite the record's bytes in place (its length is fixed) and
+  // returns true when it did; only pages with a rewritten record are
+  // marked dirty.
+  Status RewriteInPlace(
+      const std::function<Result<bool>(std::span<char>)>& fn);
+
+  // Appends the ids of every page of the file to `out`, for
+  // BufferPool::FreePages. A file reattached from a layout never learned
+  // its chain and appends nothing.
+  void AppendPages(std::vector<PageId>* out) const {
+    out->insert(out->end(), pages_.begin(), pages_.end());
+  }
+
   uint64_t num_records() const { return num_records_; }
   PageId first_page_id() const { return first_page_id_; }
   PageId last_page_id() const { return last_page_id_; }
@@ -91,6 +108,9 @@ class HeapFile {
   PageId first_page_id_ = kInvalidPageId;
   PageId last_page_id_ = kInvalidPageId;
   uint64_t num_records_ = 0;
+  // Chain pages in order, for files created in this session (empty after
+  // Attach).
+  std::vector<PageId> pages_;
 };
 
 }  // namespace focus::storage

@@ -628,10 +628,13 @@ void WalDiskManager::BindMetrics(obs::MetricsRegistry* registry,
   if (collector_id_ != 0) metrics_registry_->RemoveCollector(collector_id_);
   metrics_registry_ = obs::MetricsRegistry::OrGlobal(registry);
   obs::Labels labels = {{"wal", std::move(name)}};
+  // Look the histogram up before taking mutex_: collectors run under the
+  // registry's lock and take mutex_, so the reverse order could deadlock.
+  obs::Histogram* group_hist = metrics_registry_->GetHistogram(
+      "focus_wal_group_commit_batch_size", labels);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    group_hist_ = metrics_registry_->GetHistogram(
-        "focus_wal_group_commit_batch_size", labels);
+    group_hist_ = group_hist;
   }
   collector_id_ = metrics_registry_->AddCollector(
       [this, labels](std::vector<obs::GaugeSample>* out) {

@@ -199,6 +199,20 @@ Result<SimulatedWeb> SimulatedWeb::Generate(
       }
     }
   }
+  // Reverse adjacency, built once here so Backlinks() stays read-only.
+  web.inlink_begin_.assign(web.pages_.size() + 1, 0);
+  for (const PageInfo& page : web.pages_) {
+    for (uint32_t t : page.outlinks) ++web.inlink_begin_[t + 1];
+  }
+  for (size_t i = 0; i < web.pages_.size(); ++i) {
+    web.inlink_begin_[i + 1] += web.inlink_begin_[i];
+  }
+  web.inlinks_.resize(web.inlink_begin_.back());
+  std::vector<uint32_t> fill(web.inlink_begin_.begin(),
+                             web.inlink_begin_.end() - 1);
+  for (uint32_t i = 0; i < web.pages_.size(); ++i) {
+    for (uint32_t t : web.pages_[i].outlinks) web.inlinks_[fill[t]++] = i;
+  }
   return web;
 }
 
@@ -278,7 +292,7 @@ bool SimulatedWeb::InOutage(int32_t server_id, double now_s) const {
 
 Result<SimulatedWeb::FetchResult> SimulatedWeb::Fetch(std::string_view url,
                                                       VirtualClock* clock,
-                                                      int32_t attempt) {
+                                                      int32_t attempt) const {
   auto it = url_index_.find(std::string(url));
   if (it == url_index_.end()) {
     return Status::NotFound(StrCat("no such url: ", url));
@@ -293,7 +307,10 @@ Result<SimulatedWeb::FetchResult> SimulatedWeb::Fetch(std::string_view url,
     clock->AdvanceSeconds(faults.timeout_ms * 1e-3);
     return Status::ResourceExhausted(StrCat("server outage: ", url));
   }
-  if (attempt <= 0) attempt = ++attempt_counts_[index];
+  if (attempt <= 0) {
+    std::lock_guard<std::mutex> lock(fetch_state_->attempts_mutex);
+    attempt = ++fetch_state_->attempt_counts[index];
+  }
   if (ServerIsDead(page.server_id)) {
     if (clock != nullptr) clock->AdvanceSeconds(faults.timeout_ms * 1e-3);
     return Status::DeadlineExceeded(
@@ -332,7 +349,7 @@ Result<SimulatedWeb::FetchResult> SimulatedWeb::Fetch(std::string_view url,
   u -= faults.timeout_prob;
   bool truncated = u < faults.truncate_prob;
   if (clock != nullptr) clock->AdvanceSeconds(latency_ms * 1e-3);
-  ++fetch_count_;
+  fetch_state_->fetch_count.fetch_add(1, std::memory_order_relaxed);
   FetchResult result;
   result.url = page.url;
   result.server_id = page.server_id;
@@ -358,22 +375,12 @@ Result<SimulatedWeb::FetchResult> SimulatedWeb::Fetch(std::string_view url,
 }
 
 Result<std::vector<std::string>> SimulatedWeb::Backlinks(
-    std::string_view url, int max_results) {
+    std::string_view url, int max_results) const {
   FOCUS_ASSIGN_OR_RETURN(uint32_t index, PageIndexByUrl(url));
-  if (!inlinks_built_) {
-    for (uint32_t i = 0; i < pages_.size(); ++i) {
-      for (uint32_t t : pages_[i].outlinks) {
-        inlinks_[t].push_back(i);
-      }
-    }
-    inlinks_built_ = true;
-  }
   std::vector<std::string> out;
-  auto it = inlinks_.find(index);
-  if (it == inlinks_.end()) return out;
-  for (uint32_t src : it->second) {
+  for (uint32_t k = inlink_begin_[index]; k < inlink_begin_[index + 1]; ++k) {
     if (static_cast<int>(out.size()) >= max_results) break;
-    out.push_back(pages_[src].url);
+    out.push_back(pages_[inlinks_[k]].url);
   }
   return out;
 }

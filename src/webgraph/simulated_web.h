@@ -7,6 +7,9 @@
 #ifndef FOCUS_WEBGRAPH_SIMULATED_WEB_H_
 #define FOCUS_WEBGRAPH_SIMULATED_WEB_H_
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -66,9 +69,12 @@ class SimulatedWeb {
   // (CRAWL.numtries) can key outcomes off durable state, so refetching a
   // page whose attempt bookkeeping a crash destroyed replays the exact
   // outcome of the lost attempt instead of drawing a fresh one.
+  //
+  // Reentrant: concurrent fetches (and Backlinks calls) need no outside
+  // lock, and each outcome depends only on (seed, url, attempt).
   Result<FetchResult> Fetch(std::string_view url,
                             VirtualClock* clock = nullptr,
-                            int32_t attempt = 0);
+                            int32_t attempt = 0) const;
 
   // Server behaviours, deterministic in (seed, server_id).
   bool ServerIsFlaky(int32_t server_id) const;
@@ -80,10 +86,10 @@ class SimulatedWeb {
 
   // Pages that link to `url` (up to `max_results`, deterministic order) —
   // the backlink metadata service of §3.2's backward-crawling device
-  // (citing "Surfing the web backwards"). The reverse adjacency is built
-  // lazily on first use.
+  // (citing "Surfing the web backwards"). Citers come in ascending page
+  // order, from the reverse adjacency Generate builds.
   Result<std::vector<std::string>> Backlinks(std::string_view url,
-                                             int max_results);
+                                             int max_results) const;
 
   // A keyword-search seeder: ranks pages of `topic` by occurrences of the
   // topic's characteristic keywords in their text and returns
@@ -113,7 +119,9 @@ class SimulatedWeb {
   std::vector<std::string> TopicKeywords(taxonomy::Cid leaf,
                                          int count = 3) const;
 
-  uint64_t fetch_count() const { return fetch_count_; }
+  uint64_t fetch_count() const {
+    return fetch_state_->fetch_count.load(std::memory_order_relaxed);
+  }
 
  private:
   SimulatedWeb(const taxonomy::Taxonomy* tax, WebConfig config)
@@ -131,11 +139,19 @@ class SimulatedWeb {
   std::unordered_map<std::string, uint32_t> url_index_;
   std::unordered_map<taxonomy::Cid, std::vector<uint32_t>> topic_pages_;
   std::vector<ZipfTable> zipfs_;  // [0]=topic vocab, [1]=parent, [2]=shared
-  uint64_t fetch_count_ = 0;
-  std::unordered_map<uint32_t, int> attempt_counts_;  // per-page fetch tries
-  // Lazily built reverse adjacency for Backlinks().
-  std::unordered_map<uint32_t, std::vector<uint32_t>> inlinks_;
-  bool inlinks_built_ = false;
+  // Fetch bookkeeping, behind a pointer so the web stays movable (Generate
+  // returns it by value). The per-page attempt counter is used only when a
+  // caller passes no attempt ordinal, under its own lock.
+  struct FetchState {
+    std::atomic<uint64_t> fetch_count{0};
+    std::mutex attempts_mutex;
+    std::unordered_map<uint32_t, int> attempt_counts;  // per-page tries
+  };
+  std::unique_ptr<FetchState> fetch_state_ = std::make_unique<FetchState>();
+  // Reverse adjacency for Backlinks() in CSR form: the citers of page i are
+  // inlinks_[inlink_begin_[i] .. inlink_begin_[i + 1]).
+  std::vector<uint32_t> inlink_begin_;
+  std::vector<uint32_t> inlinks_;
 };
 
 }  // namespace focus::webgraph

@@ -11,6 +11,8 @@
 #include "storage/disk_manager.h"
 #include "taxonomy/taxonomy.h"
 #include "util/hash.h"
+#include "util/random.h"
+#include "util/string_util.h"
 
 namespace focus::crawl {
 namespace {
@@ -327,6 +329,65 @@ TEST_F(CrawlDbTest, CrawledGraphDistancesBfs) {
   EXPECT_EQ(hist[0], 1);
   EXPECT_EQ(hist[1], 1);
   EXPECT_EQ(hist[2], 1);
+}
+
+// The set-oriented refresh equals the per-row definition: wgt_fwd = R(dst),
+// wgt_rev = R(src), an unvisited endpoint weighing its estimate and one
+// with no CRAWL row weighing 0. Revisits move the weights; a refresh that
+// changes nothing dirties no page.
+TEST_F(CrawlDbTest, RefreshMatchesPerRowReferenceAndSkipsCleanRows) {
+  Rng rng(23);
+  std::vector<std::string> urls;
+  for (int i = 0; i < 300; ++i) {
+    urls.push_back(StrCat("http://s", i % 17, ".ex/p", i));
+    ASSERT_TRUE(db_->AddUrl(urls.back(), 0.01 * (i % 50), 0).ok());
+  }
+  for (int i = 0; i < 300; i += 3) {
+    ASSERT_TRUE(
+        db_->RecordVisit(UrlOid(urls[i]), rng.NextDouble(), 1, i).ok());
+  }
+  for (int e = 0; e < 1500; ++e) {
+    std::string src = urls[rng.Uniform(urls.size())];
+    std::string dst = urls[rng.Uniform(urls.size())];
+    if (e % 50 == 0) dst = StrCat("http://gone.ex/p", e);  // dangling dst
+    if (e % 70 == 0) src = StrCat("http://lost.ex/p", e);  // dangling src
+    ASSERT_TRUE(db_->AddLink(src, dst).ok());
+  }
+  auto expect_reference = [&] {
+    auto relevance_of = [&](int64_t oid) {
+      auto rec = db_->Lookup(static_cast<uint64_t>(oid)).TakeValue();
+      return rec.has_value() ? rec->relevance : 0.0;
+    };
+    auto it = db_->link_table()->Scan();
+    storage::Rid rid;
+    sql::Tuple row;
+    size_t rows = 0;
+    while (it.Next(&rid, &row)) {
+      ++rows;
+      EXPECT_EQ(row.Get(4).AsDouble(), relevance_of(row.Get(2).AsInt64()));
+      EXPECT_EQ(row.Get(5).AsDouble(), relevance_of(row.Get(0).AsInt64()));
+    }
+    ASSERT_TRUE(it.status().ok());
+    EXPECT_EQ(rows, 1500u);
+  };
+  ASSERT_TRUE(db_->RefreshEdgeWeights().ok());
+  expect_reference();
+
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  uint64_t writes = disk_.stats().writes;
+  ASSERT_TRUE(db_->RefreshEdgeWeights().ok());
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  EXPECT_EQ(disk_.stats().writes, writes) << "a no-op refresh dirtied pages";
+
+  // A revisit re-judges a page; a first visit replaces an estimate.
+  ASSERT_TRUE(db_->RecordVisit(UrlOid(urls[0]), 0.999, 2, 1000).ok());
+  ASSERT_TRUE(db_->RecordVisit(UrlOid(urls[1]), 0.123, 2, 1001).ok());
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  writes = disk_.stats().writes;
+  ASSERT_TRUE(db_->RefreshEdgeWeights().ok());
+  expect_reference();
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  EXPECT_GT(disk_.stats().writes, writes);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "sql/catalog.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/wal.h"
 #include "util/random.h"
 
 namespace focus::distill {
@@ -316,6 +317,111 @@ TEST(PageRankConvergenceTest, MoreIterationsAgree) {
   auto r60 = PageRank(80, edges, {.damping = 0.85, .iterations = 60});
   for (size_t i = 0; i < 80; ++i) {
     EXPECT_NEAR(r30[i], r60[i], 1e-8);
+  }
+}
+
+// HUBS rows in heap order, scores compared bit for bit.
+std::vector<std::pair<int64_t, double>> HeapRows(const sql::Table* table) {
+  std::vector<std::pair<int64_t, double>> out;
+  auto it = table->Scan();
+  storage::Rid rid;
+  sql::Tuple row;
+  while (it.Next(&rid, &row)) {
+    out.emplace_back(row.Get(0).AsInt64(), row.Get(1).AsDouble());
+  }
+  EXPECT_TRUE(it.status().ok()) << it.status();
+  return out;
+}
+
+// A random graph with purged endpoints on both sides of some edges.
+void FillRandomGraph(MiniGraph* g, uint64_t seed) {
+  Rng rng(seed);
+  for (int64_t oid = 1; oid <= 80; ++oid) {
+    if (oid % 9 != 0) g->AddPage(oid, rng.NextDouble());  // 9, 18.. purged
+  }
+  for (int e = 0; e < 600; ++e) {
+    int64_t src = 1 + static_cast<int64_t>(rng.Uniform(90));
+    int64_t dst = 1 + static_cast<int64_t>(rng.Uniform(90));
+    if (src != dst) g->AddEdge(src, dst, rng.NextDouble());
+  }
+}
+
+// The batch engines' one-pass Initialize seeds HUBS with exactly the
+// scalar group-by's distinct sources, in the same order, and counts the
+// same dangling edges as the scalar index-probe audit.
+TEST(JoinInitializeTest, BatchPassMatchesScalarPlan) {
+  for (uint64_t seed : {3u, 4u, 5u}) {
+    MiniGraph g;
+    FillRandomGraph(&g, seed);
+    JoinDistiller scalar(g.tables);
+    scalar.SetEngine(sql::ExecEngine::kScalar);
+    ASSERT_TRUE(scalar.Initialize().ok());
+    auto expected = HeapRows(g.tables.hubs);
+    ASSERT_FALSE(expected.empty());
+    ASSERT_GT(scalar.stats().dangling_src_edges, 0u);
+    ASSERT_GT(scalar.stats().dangling_dst_edges, 0u);
+    for (sql::ExecEngine engine :
+         {sql::ExecEngine::kVectorized, sql::ExecEngine::kParallel,
+          sql::ExecEngine::kEncoded}) {
+      JoinDistiller batch(g.tables);
+      batch.SetEngine(engine);
+      ASSERT_TRUE(batch.Initialize().ok());
+      EXPECT_EQ(HeapRows(g.tables.hubs), expected) << "seed " << seed;
+      EXPECT_TRUE(HeapRows(g.tables.auth).empty());
+      EXPECT_EQ(batch.stats().dangling_src_edges,
+                scalar.stats().dangling_src_edges);
+      EXPECT_EQ(batch.stats().dangling_dst_edges,
+                scalar.stats().dangling_dst_edges);
+    }
+  }
+}
+
+// Repeated distillations on one WAL-backed store: HUBS/AUTH rebuilds
+// recycle their pages, so after the first run the store stops growing,
+// and every run returns bit-identical scores.
+TEST(JoinRecyclingTest, RepeatedRunsKeepStoreSizeAndResults) {
+  for (sql::ExecEngine engine :
+       {sql::ExecEngine::kScalar, sql::ExecEngine::kVectorized}) {
+    storage::MemDiskManager data, log;
+    auto wal = storage::WalDiskManager::Open(&data, &log).TakeValue();
+    storage::BufferPool pool(wal.get(), 16);  // small: rebuilds evict
+    sql::Catalog catalog(&pool);
+    MiniGraph g;  // built in memory, copied into the WAL store below
+    FillRandomGraph(&g, 11);
+    DistillTables tables;
+    tables.crawl = catalog
+                       .CreateTable("CRAWL", g.tables.crawl->schema(),
+                                    {sql::IndexSpec{"by_oid", {0}, {}}})
+                       .TakeValue();
+    tables.link =
+        catalog.CreateTable("LINK", g.tables.link->schema(), {}).TakeValue();
+    for (auto [from, to] : {std::pair{g.tables.crawl, tables.crawl},
+                            std::pair{g.tables.link, tables.link}}) {
+      auto it = from->Scan();
+      storage::Rid rid;
+      sql::Tuple row;
+      while (it.Next(&rid, &row)) ASSERT_TRUE(to->Insert(row).ok());
+    }
+    ASSERT_TRUE(CreateHubsAuthTables(&catalog, &tables).ok());
+
+    std::vector<std::pair<int64_t, double>> hubs, auth;
+    uint32_t store_pages = 0;
+    for (int run = 0; run < 4; ++run) {
+      JoinDistiller distiller(tables);
+      distiller.SetEngine(engine);
+      ASSERT_TRUE(distiller.Run({.iterations = 5, .rho = 0.2}).ok());
+      if (run == 0) {
+        store_pages = wal->NumPages();
+        hubs = HeapRows(tables.hubs);
+        auth = HeapRows(tables.auth);
+        ASSERT_FALSE(hubs.empty());
+        ASSERT_FALSE(auth.empty());
+      } else {
+        EXPECT_EQ(wal->NumPages(), store_pages) << "run " << run;
+        EXPECT_EQ(HeapRows(tables.hubs), hubs) << "run " << run;
+        EXPECT_EQ(HeapRows(tables.auth), auth) << "run " << run;
+      }
+    }
   }
 }
 

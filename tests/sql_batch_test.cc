@@ -4,6 +4,7 @@
 // runs of the Figure 3 (BulkProbe) and Figure 4 (JoinDistiller) plans.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -697,6 +698,34 @@ TEST(EngineEquivalenceTest, DistillerRankingsIdentical) {
         EXPECT_EQ(e_rows[i].second, v_rows[i].second)
             << "seed " << seed << " row " << i;
       }
+    }
+  }
+}
+
+// One int64 sort key spanning INT64_MIN..INT64_MAX (hashed oids do) needs
+// all 64 bits of the packed word: the packing must not shift by 64 (UBSan
+// flags it) and must still order exactly as the scalar sort, both ways.
+TEST(BatchOperatorTest, SortOnFullRangeInt64KeyMatchesScalar) {
+  Rng rng(505);
+  Schema schema = MixedSchema();
+  std::vector<Tuple> rows = RandomRows(&rng, 300);
+  const int64_t extremes[] = {std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max(), 0, -1};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    int64_t key = i < 4 ? extremes[i]
+                        : static_cast<int64_t>(rng.Next());
+    if (i % 7 == 0) key = extremes[i % 4];  // duplicates test stability
+    rows[i].Mutable(1) = Value::Int64(key);
+  }
+  for (bool desc : {false, true}) {
+    std::vector<SortKey> keys{{1, desc}};
+    auto scalar = std::make_unique<Sort>(Source(schema, rows), keys);
+    std::vector<std::string> expected = RowStrings(scalar.get());
+    for (int bs : kBatchSizes) {
+      auto batch =
+          std::make_unique<BatchSort>(BatchOf(schema, rows, bs), keys, bs);
+      EXPECT_EQ(RowStrings(std::move(batch)), expected)
+          << "desc=" << desc << " batch_rows=" << bs;
     }
   }
 }

@@ -514,5 +514,93 @@ TEST(BufferPoolMetricsTest, PerShardSamplesExport) {
   EXPECT_NE(json.find("\"shard\""), std::string::npos);
 }
 
+// ---------------------------------------------------------------------
+// Free-page list.
+
+TEST(FreePageListTest, NewPageReusesLowestFreedIdsBeforeGrowing) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 16);
+  for (int i = 0; i < 8; ++i) {
+    PageId id;
+    ASSERT_TRUE(pool.NewPage(&id).ok());
+    pool.UnpinPage(id, true);
+  }
+  pool.FreePages({5, 2, 7});
+  for (PageId want : {2u, 5u, 7u, 8u}) {
+    PageId id;
+    ASSERT_TRUE(pool.NewPage(&id).ok());
+    EXPECT_EQ(id, want);
+    pool.UnpinPage(id, true);
+  }
+  EXPECT_EQ(disk.NumPages(), 9u);
+}
+
+TEST(FreePageListTest, FreedDirtyFrameIsDroppedWithoutWriteBack) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 16);
+  PageId id;
+  Page* page = pool.NewPage(&id).TakeValue();
+  std::memcpy(page->data, "dead", 4);
+  pool.UnpinPage(id, true);
+  uint64_t writes = disk.stats().writes;
+  pool.FreePages({id});
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(disk.stats().writes, writes);
+  EXPECT_EQ(pool.stats().dirty_writebacks, 0u);
+}
+
+TEST(FreePageListTest, RecycledResidentPageReusesItsFrameZeroed) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 4);  // one shard of four frames
+  PageId id;
+  Page* page = pool.NewPage(&id).TakeValue();
+  std::memcpy(page->data, "stale", 5);
+  pool.UnpinPage(id, true);
+  ASSERT_TRUE(pool.FlushAll().ok());  // the device holds "stale"
+  pool.FreePages({id});
+  // A readahead reinstalls the freed page from disk: it is resident again
+  // when NewPage recycles it.
+  pool.Prefetch(id, 1);
+  ASSERT_EQ(pool.stats().readahead_issued, 1u);
+  uint64_t reads = disk.stats().reads;
+  PageId again;
+  Page* fresh = pool.NewPage(&again).TakeValue();
+  ASSERT_EQ(again, id);
+  for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(fresh->data[i], 0) << i;
+  std::memcpy(fresh->data, "fresh", 5);
+  EXPECT_EQ(disk.stats().reads, reads);
+  // Fill the other three frames with pinned pages, unpin them, and fetch
+  // the recycled page: it must still be the one frame holding "fresh". A
+  // second frame for the id would have been evicted first, dropping the
+  // mapping, and the fetch would read "stale" back from disk.
+  std::vector<PageId> others(3);
+  for (PageId& other : others) ASSERT_TRUE(pool.NewPage(&other).ok());
+  for (PageId other : others) pool.UnpinPage(other, true);
+  {
+    PageGuard guard(&pool, id);
+    ASSERT_TRUE(guard.ok());
+    EXPECT_EQ(guard.page(), fresh);
+    EXPECT_EQ(std::memcmp(guard.page()->data, "fresh", 5), 0);
+  }
+  pool.UnpinPage(id, true);
+  EXPECT_EQ(pool.stats().misses, 0u);
+}
+
+TEST(FreePageListTest, PinnedPageIsRecycledInItsOwnFrame) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 16);
+  PageId id;
+  Page* page = pool.NewPage(&id).TakeValue();
+  std::memcpy(page->data, "held", 4);
+  pool.FreePages({id});  // still pinned: the frame stays
+  PageId again;
+  Page* fresh = pool.NewPage(&again).TakeValue();
+  EXPECT_EQ(again, id);
+  EXPECT_EQ(fresh, page);
+  EXPECT_EQ(fresh->data[0], 0);
+  pool.UnpinPage(id, true);
+  pool.UnpinPage(id, true);
+}
+
 }  // namespace
 }  // namespace focus::storage

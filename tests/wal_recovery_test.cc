@@ -805,5 +805,76 @@ TEST(CrawlerCheckpointTest, RecoveryReplaysAtMostOneCheckpointInterval) {
   EXPECT_GE(unbounded.recovered_commits, static_cast<uint64_t>(kFetches));
 }
 
+// ---------------------------------------------------------------------
+// Page recycling under the WAL.
+
+// Table::Clear hands the old pages to the pool's free list and the
+// reinsert overwrites them in place. Those overwrites live only in the
+// no-steal overlay until a commit, so a crash before the commit recovers
+// the old committed rows intact.
+TEST(WalRecyclingTest, ClearAndReinsertThenCrashRecoversOldContents) {
+  MemDiskManager data, log;
+  sql::Schema schema({{"oid", sql::TypeId::kInt64},
+                      {"score", sql::TypeId::kDouble}});
+  std::vector<sql::IndexSpec> indexes = {sql::IndexSpec{"by_oid", {0}, {}}};
+  auto rows_of = [](const sql::Table* table) {
+    std::vector<std::string> out;
+    auto it = table->Scan();
+    storage::Rid rid;
+    sql::Tuple row;
+    while (it.Next(&rid, &row)) out.push_back(row.ToString());
+    EXPECT_TRUE(it.status().ok()) << it.status();
+    return out;
+  };
+  std::vector<std::string> committed;
+  uint32_t committed_pages = 0;
+  {
+    auto wal = WalDiskManager::Open(&data, &log).TakeValue();
+    storage::BufferPool pool(wal.get(), 16);  // small: overwrites evict
+    sql::Catalog catalog(&pool);
+    sql::Table* table =
+        catalog.CreateTable("SCORES", schema, indexes).TakeValue();
+    for (int64_t oid = 0; oid < 800; ++oid) {
+      ASSERT_TRUE(table
+                      ->Insert(sql::Tuple({sql::Value::Int64(oid * 7),
+                                           sql::Value::Double(0.5)}))
+                      .ok());
+    }
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE(wal->Commit(catalog.SerializeLayouts()).ok());
+    committed = rows_of(table);
+    committed_pages = wal->NumPages();
+
+    // Clear + reinsert: new rows on the recycled pages, pushed all the way
+    // to the WAL overlay, but never committed.
+    ASSERT_TRUE(table->Clear().ok());
+    for (int64_t oid = 0; oid < 800; ++oid) {
+      ASSERT_TRUE(table
+                      ->Insert(sql::Tuple({sql::Value::Int64(oid * 11 + 1),
+                                           sql::Value::Double(0.25)}))
+                      .ok());
+    }
+    ASSERT_TRUE(pool.FlushAll().ok());
+    EXPECT_EQ(wal->NumPages(), committed_pages) << "pages were not recycled";
+    EXPECT_NE(rows_of(table), committed);
+    // Crash: the session ends without a commit.
+  }
+  auto wal = WalDiskManager::Open(&data, &log).TakeValue();
+  storage::BufferPool pool(wal.get(), 16);
+  sql::Catalog catalog(&pool);
+  auto layouts = sql::Catalog::ParseLayouts(wal->recovered_metadata());
+  ASSERT_TRUE(layouts.ok()) << layouts.status();
+  sql::Table* table = catalog
+                          .AttachTable("SCORES", schema, indexes,
+                                       layouts.value().at("SCORES"))
+                          .TakeValue();
+  EXPECT_EQ(rows_of(table), committed);
+  for (int64_t oid : {int64_t{0}, int64_t{7 * 399}, int64_t{7 * 799}}) {
+    std::vector<storage::Rid> rids;
+    ASSERT_TRUE(table->IndexLookup(0, {sql::Value::Int64(oid)}, &rids).ok());
+    EXPECT_EQ(rids.size(), 1u) << oid;
+  }
+}
+
 }  // namespace
 }  // namespace focus

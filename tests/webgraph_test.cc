@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <set>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "taxonomy/taxonomy.h"
 #include "util/random.h"
@@ -246,6 +251,81 @@ TEST_F(WebTest, HubsExistAndConcentrateOnTopic) {
   }
   EXPECT_GT(hubs, 2);
   EXPECT_LT(hubs, 40);
+}
+
+// One fetch, rendered for comparison: status, content and charged latency.
+std::string FetchOutcome(const SimulatedWeb& web, uint32_t index,
+                         int32_t attempt) {
+  VirtualClock clock;
+  auto r = web.Fetch(web.page(index).url, &clock, attempt);
+  std::string out = std::to_string(static_cast<int>(r.status().code())) +
+                    "@" + std::to_string(clock.NowMicros());
+  if (r.ok()) {
+    for (const std::string& t : r.value().tokens) out += " " + t;
+    for (const std::string& u : r.value().outlink_urls) out += " >" + u;
+    if (r.value().truncated) out += " [truncated]";
+  }
+  return out;
+}
+
+// Fetch and Backlinks are reentrant: eight threads fetching and querying
+// the same pages at once, with no outside lock, see exactly the outcomes a
+// serial pass sees, and the internal attempt counter hands each concurrent
+// caller a distinct ordinal.
+TEST_F(WebTest, ConcurrentFetchesMatchSerialOutcomes) {
+  constexpr int kThreads = 8;
+  constexpr uint32_t kPages = 300;
+  constexpr int kAttempts = 2;
+  std::vector<std::string> serial(kPages * kAttempts);
+  std::vector<std::vector<std::string>> serial_citers(kPages);
+  for (uint32_t i = 0; i < kPages; ++i) {
+    for (int a = 0; a < kAttempts; ++a) {
+      serial[i * kAttempts + a] = FetchOutcome(*web_, i, a + 1);
+    }
+    serial_citers[i] = web_->Backlinks(web_->page(i).url, 5).TakeValue();
+  }
+
+  const uint64_t count_before = web_->fetch_count();
+  std::atomic<int> mismatches{0};
+  std::vector<std::vector<std::string>> counted(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t k = 0; k < kPages; ++k) {
+        uint32_t i = (k + 37 * t) % kPages;  // threads collide on pages
+        for (int a = 0; a < kAttempts; ++a) {
+          if (FetchOutcome(*web_, i, a + 1) != serial[i * kAttempts + a]) {
+            ++mismatches;
+          }
+        }
+        if (web_->Backlinks(web_->page(i).url, 5).TakeValue() !=
+            serial_citers[i]) {
+          ++mismatches;
+        }
+      }
+      // Internal numbering: every thread fetches page 0 once unnumbered.
+      counted[t].push_back(FetchOutcome(*web_, 0, 0));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const uint64_t fetched = web_->fetch_count() - count_before;
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // The eight unnumbered fetches took attempts 1..8 in some order.
+  std::vector<std::string> got, want;
+  for (const auto& c : counted) got.insert(got.end(), c.begin(), c.end());
+  for (int a = 1; a <= kThreads; ++a) want.push_back(FetchOutcome(*web_, 0, a));
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+
+  // The fetch counter lost no increment: per thread, the serial pass's
+  // successes plus its unnumbered fetch (if it succeeded).
+  uint64_t serial_ok = 0;
+  for (const std::string& o : serial) serial_ok += o.rfind("0@", 0) == 0;
+  uint64_t counted_ok = 0;
+  for (const std::string& o : got) counted_ok += o.rfind("0@", 0) == 0;
+  EXPECT_EQ(fetched, kThreads * serial_ok + counted_ok);
 }
 
 }  // namespace
