@@ -5,9 +5,6 @@
 //   BLOB    — SingleProbe over the packed BLOB table (one fetch per term)
 //   CLI     — BulkProbe, the Figure 3 sort-merge plan, scalar engine
 //   CLI-VEC — the same plan on the vectorized batch engine
-//   CLI-PAR — the same plan morsel-parallel (`--threads=N`, default 4)
-//   CLI-ENC — the same plan on dictionary codes with cost-based access
-//             paths (semi-join-reduced STAT, dense run-table probes)
 //
 // `--json` switches the report from CSV to a JSON array (one object per
 // variant) for the CI bench-smoke gate, which asserts the vectorized join
@@ -18,7 +15,6 @@
 // with per-document time broken into document scan / statistics probe /
 // CPU. We report seconds per document, the same breakdown, and buffer-pool
 // misses per document (the hardware-independent signal).
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,7 +46,7 @@ constexpr double kReadLatencyUs = 120;    // a (conservative) 1999-era seek
 constexpr double kTransferLatencyUs = 10;
 constexpr uint32_t kReadaheadWindow = 32;
 
-int Run(bool json, bool explain, int threads) {
+int Run(bool json, bool explain) {
   taxonomy::Taxonomy tax = MakeWideTaxonomy(kCategories, kLeavesPerCategory);
   SyntheticTextOptions text_options;
   text_options.tokens_per_doc = 250;
@@ -165,7 +161,6 @@ int Run(bool json, bool explain, int threads) {
   auto run_bulk = [&](sql::ExecEngine engine, const char* name) {
     classify::BulkProbeClassifier bulk(&ref, &tables.value());
     bulk.SetEngine(engine);
-    bulk.SetParallelThreads(threads);
     FOCUS_CHECK(pool.EvictAll().ok());
     pool.ResetStats();
     sql::PlanStats plan;
@@ -189,8 +184,6 @@ int Run(bool json, bool explain, int threads) {
   };
   run_bulk(sql::ExecEngine::kScalar, "CLI");
   run_bulk(sql::ExecEngine::kVectorized, "CLI-VEC");
-  run_bulk(sql::ExecEngine::kParallel, "CLI-PAR");
-  run_bulk(sql::ExecEngine::kEncoded, "CLI-ENC");
 
   if (json) {
     std::printf("[\n");
@@ -226,13 +219,9 @@ int main(int argc, char** argv) {
   focus::SetLogLevel(focus::LogLevel::kWarning);
   bool json = false;
   bool explain = false;
-  int threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
     if (std::strcmp(argv[i], "--explain") == 0) explain = true;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::max(1, std::atoi(argv[i] + 10));
-    }
   }
-  return focus::bench::Run(json, explain, threads);
+  return focus::bench::Run(json, explain);
 }

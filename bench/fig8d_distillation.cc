@@ -5,23 +5,16 @@
 // (the old main-memory style, on disk) against the Figure 4 join
 // formulation, and finds the join about a factor of three faster, with
 // the naive time split into scan / lookup / update. The JoinVec row runs
-// the same join plan on the vectorized batch engine; JoinEnc runs it on
-// dictionary codes with cost-based access-path selection per join node.
+// the same join plan on the vectorized batch engine.
 //
 // The crawl graph comes from a real focused crawl; its LINK/CRAWL tables
 // are then copied into a database whose buffer pool is far smaller than
-// the tables, with per-miss latency modelling the 1999 disk. The JoinPar
-// row runs the plan morsel-parallel (`--threads=N`, default 4);
-// `--explain` prints each join variant's plan with EXPLAIN ANALYZE
-// (the JoinEnc plan annotates every join node with the cost model's
-// chosen access path and cardinality estimate);
+// the tables, with per-miss latency modelling the 1999 disk.
+// `--explain` prints each join variant's plan with EXPLAIN ANALYZE;
 // `--fast-disk` zeroes the modelled read latency so the CPU-bound join
-// cost dominates (the CI speedup gate compares JoinPar vs JoinVec
-// join_s under this flag), and `--json` emits the same rows as a JSON
-// array for the bench artifacts.
-#include <algorithm>
+// cost dominates, and `--json` emits the same rows as a JSON array for
+// the bench artifacts.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -61,7 +54,7 @@ sql::Table* CopyTable(sql::Catalog* dst_catalog, const sql::Table* src,
   return dst.value();
 }
 
-int Run(bool json, int threads, bool fast_disk, bool explain) {
+int Run(bool json, bool fast_disk, bool explain) {
   // --- build a crawl graph with the full pipeline (fast disk) ---
   taxonomy::Taxonomy tax = core::BuildSampleTaxonomy();
   core::FocusOptions options;
@@ -131,7 +124,6 @@ int Run(bool json, int threads, bool fast_disk, bool explain) {
   auto run_join = [&](sql::ExecEngine engine, const char* name) {
     distill::JoinDistiller join(tables);
     join.SetEngine(engine);
-    join.SetParallelThreads(threads);
     FOCUS_CHECK(pool.EvictAll().ok());
     pool.ResetStats();
     Stopwatch timer;
@@ -152,8 +144,6 @@ int Run(bool json, int threads, bool fast_disk, bool explain) {
   };
   run_join(sql::ExecEngine::kScalar, "Join");
   run_join(sql::ExecEngine::kVectorized, "JoinVec");
-  run_join(sql::ExecEngine::kParallel, "JoinPar");
-  run_join(sql::ExecEngine::kEncoded, "JoinEnc");
 
   if (json) {
     std::printf("[\n");
@@ -162,9 +152,9 @@ int Run(bool json, int threads, bool fast_disk, bool explain) {
       std::printf("  {\"variant\":\"%s\",\"seconds_per_iter\":%.4f,"
                   "\"scan_s\":%.4f,\"lookup_s\":%.4f,\"update_s\":%.4f,"
                   "\"join_s\":%.4f,\"misses_per_iter\":%.0f,"
-                  "\"relative\":%.2f,\"threads\":%d}%s\n",
+                  "\"relative\":%.2f}%s\n",
                   r.variant, r.per_iter, r.scan_s, r.lookup_s, r.update_s,
-                  r.join_s, r.misses, r.relative, threads,
+                  r.join_s, r.misses, r.relative,
                   i + 1 < report.size() ? "," : "");
     }
     std::printf("]\n");
@@ -188,14 +178,10 @@ int main(int argc, char** argv) {
   bool json = false;
   bool fast_disk = false;
   bool explain = false;
-  int threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
     if (std::strcmp(argv[i], "--fast-disk") == 0) fast_disk = true;
     if (std::strcmp(argv[i], "--explain") == 0) explain = true;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::max(1, std::atoi(argv[i] + 10));
-    }
   }
-  return focus::bench::Run(json, threads, fast_disk, explain);
+  return focus::bench::Run(json, fast_disk, explain);
 }

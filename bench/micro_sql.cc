@@ -1,32 +1,24 @@
 // Micro-benchmarks for the executor: joins, sort, aggregation, tokenizer.
 //
-// Operators with multiple engines carry a _scalar / _vectorized /
-// _parallel / _encoded suffix;
-// `--engine=scalar|vectorized|parallel|encoded` selects one family (it maps to --benchmark_filter), `--threads=N` sets the
-// parallel-engine worker count (reported as the `threads` counter), and
-// `--json` maps to --benchmark_format=json, so CI can diff the engines
-// and thread counts from one binary.
+// Operators with both engines carry a _scalar / _vectorized suffix;
+// `--engine=scalar|vectorized` selects one family (it maps to
+// --benchmark_filter), and `--json` maps to --benchmark_format=json, so CI
+// can diff the engines from one binary.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "sql/exec/aggregate.h"
 #include "sql/exec/batch.h"
 #include "sql/exec/batch_ops.h"
-#include "sql/exec/dictionary.h"
 #include "sql/exec/join.h"
 #include "sql/exec/operator.h"
-#include "sql/exec/parallel.h"
 #include "sql/exec/sort.h"
 #include "text/tokenizer.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
-
-// Worker count for the _parallel family (set by --threads=N).
-static int g_parallel_threads = 4;
 
 namespace focus::sql {
 namespace {
@@ -94,100 +86,7 @@ void BM_MergeJoin_vectorized(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-// The 100k point is the CI speedup gate: large enough that morsel/
-// partition overhead is amortized and the parallel engine must win.
 BENCHMARK(BM_MergeJoin_vectorized)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// Same work as _vectorized (sort both sides + merge, from unsorted
-// columnar input): the parallel join fuses the sorts into its radix
-// partitioning, producing bit-identical output.
-void BM_MergeJoin_parallel(benchmark::State& state) {
-  int n = state.range(0);
-  ColumnSet left = Columnar(RandomRows(n, n / 4, 1));
-  ColumnSet right = Columnar(RandomRows(n, n / 4, 2));
-  MorselDispatcher dispatcher(g_parallel_threads);
-  for (auto _ : state) {
-    ParallelMergeJoin join(std::make_unique<BatchSource>(&left),
-                           std::make_unique<BatchSource>(&right),
-                           std::vector<int>{0}, std::vector<int>{0},
-                           &dispatcher);
-    ColumnSet out;
-    benchmark::DoNotOptimize(CollectInto(&join, &out).ok());
-    benchmark::DoNotOptimize(out.num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["threads"] = g_parallel_threads;
-}
-BENCHMARK(BM_MergeJoin_parallel)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// Same work on dictionary codes: the dictionaries are built once (table
-// materialization time in the real system); each iteration sorts, joins
-// and late-materializes the key columns from codes, the way the kEncoded
-// engine runs the hot plans.
-void BM_MergeJoin_encoded(benchmark::State& state) {
-  int n = state.range(0);
-  ColumnSet left = Columnar(RandomRows(n, n / 4, 1));
-  ColumnSet right = Columnar(RandomRows(n, n / 4, 2));
-  DictionaryPtr uni =
-      UnifyDictionaries(*ColumnDictionary::Build(left.col(0)),
-                        *ColumnDictionary::Build(right.col(0)))
-          .dict;
-  auto encode = [&uni](const ColumnSet& img) {
-    std::vector<Column> sch = img.schema().columns();
-    sch[0].type = TypeId::kInt32;
-    return ColumnSet(Schema(std::move(sch)),
-                     {EncodeColumn(img.col(0), *uni), img.col_ptr(1)});
-  };
-  ColumnSet lenc = encode(left), renc = encode(right);
-  for (auto _ : state) {
-    BatchMergeJoin join(
-        std::make_unique<BatchSort>(std::make_unique<BatchSource>(&lenc),
-                                    std::vector<SortKey>{{0, false}}),
-        std::make_unique<BatchSort>(std::make_unique<BatchSource>(&renc),
-                                    std::vector<SortKey>{{0, false}}),
-        std::vector<int>{0}, std::vector<int>{0});
-    ColumnSet out;
-    benchmark::DoNotOptimize(CollectInto(&join, &out).ok());
-    benchmark::DoNotOptimize(DecodeColumn(out.col(0), *uni)->size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MergeJoin_encoded)->Arg(1000)->Arg(10000)->Arg(100000);
-
-// The cost model's favourite shape on codes: a dense run table over the
-// dictionary domain replaces the merge walk with O(1) lookups.
-void BM_ProbeJoin_encoded(benchmark::State& state) {
-  int n = state.range(0);
-  ColumnSet left = Columnar(RandomRows(n, n / 4, 1));
-  ColumnSet right = Columnar(RandomRows(n, n / 4, 2));
-  DictionaryPtr uni =
-      UnifyDictionaries(*ColumnDictionary::Build(left.col(0)),
-                        *ColumnDictionary::Build(right.col(0)))
-          .dict;
-  auto encode_sorted = [&uni](const ColumnSet& img) {
-    BatchSort sort(std::make_unique<BatchSource>(&img),
-                   std::vector<SortKey>{{0, false}});
-    ColumnSet sorted;
-    FOCUS_CHECK(CollectInto(&sort, &sorted).ok());
-    std::vector<Column> sch = sorted.schema().columns();
-    sch[0].type = TypeId::kInt32;
-    return ColumnSet(Schema(std::move(sch)),
-                     {EncodeSortedColumn(sorted.col(0), *uni),
-                      sorted.col_ptr(1)});
-  };
-  ColumnSet lenc = encode_sorted(left), renc = encode_sorted(right);
-  for (auto _ : state) {
-    BatchProbeJoin join(std::make_unique<BatchSource>(&lenc),
-                        std::make_unique<BatchSource>(&renc), 0, 0,
-                        /*left_outer=*/false,
-                        /*dense_domain=*/uni->size());
-    ColumnSet out;
-    benchmark::DoNotOptimize(CollectInto(&join, &out).ok());
-    benchmark::DoNotOptimize(DecodeColumn(out.col(0), *uni)->size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ProbeJoin_encoded)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_HashJoin(benchmark::State& state) {
   int n = state.range(0);
@@ -233,43 +132,6 @@ void BM_Sort_vectorized(benchmark::State& state) {
 }
 BENCHMARK(BM_Sort_vectorized)->Arg(10000)->Arg(100000);
 
-// Sorting int32 codes instead of the values they stand for — the
-// encoded engine's sort workload (identical permutation by monotonicity).
-void BM_Sort_encoded(benchmark::State& state) {
-  int n = state.range(0);
-  ColumnSet rows = Columnar(RandomRows(n, 1 << 30, 3));
-  DictionaryPtr dict = ColumnDictionary::Build(rows.col(0));
-  std::vector<Column> sch = rows.schema().columns();
-  sch[0].type = TypeId::kInt32;
-  ColumnSet enc(Schema(std::move(sch)),
-                {EncodeColumn(rows.col(0), *dict), rows.col_ptr(1)});
-  for (auto _ : state) {
-    BatchSort sort(std::make_unique<BatchSource>(&enc),
-                   std::vector<SortKey>{{0, false}});
-    ColumnSet out;
-    benchmark::DoNotOptimize(CollectInto(&sort, &out).ok());
-    benchmark::DoNotOptimize(DecodeColumn(out.col(0), *dict)->size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Sort_encoded)->Arg(10000)->Arg(100000);
-
-void BM_Sort_parallel(benchmark::State& state) {
-  int n = state.range(0);
-  ColumnSet rows = Columnar(RandomRows(n, 1 << 30, 3));
-  MorselDispatcher dispatcher(g_parallel_threads);
-  for (auto _ : state) {
-    ParallelSort sort(std::make_unique<BatchSource>(&rows),
-                      std::vector<SortKey>{{0, false}}, &dispatcher);
-    ColumnSet out;
-    benchmark::DoNotOptimize(CollectInto(&sort, &out).ok());
-    benchmark::DoNotOptimize(out.num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["threads"] = g_parallel_threads;
-}
-BENCHMARK(BM_Sort_parallel)->Arg(10000)->Arg(100000);
-
 // --- grouped aggregation (sum over 64 groups) ---
 //
 // In the hot plans the aggregate consumes merge-join output, which is
@@ -312,45 +174,6 @@ void BM_GroupedAggregate_vectorized(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupedAggregate_vectorized)->Arg(10000);
 
-// Aggregating runs of codes: group compares are int32 equality instead
-// of typed Value compares; the group column decodes at output.
-void BM_GroupedAggregate_encoded(benchmark::State& state) {
-  int n = state.range(0);
-  ColumnSet rows = Columnar(SortedRows(n, 64, 4));
-  DictionaryPtr dict = ColumnDictionary::BuildFromSorted(rows.col(0));
-  std::vector<Column> sch = rows.schema().columns();
-  sch[0].type = TypeId::kInt32;
-  ColumnSet enc(Schema(std::move(sch)),
-                {EncodeSortedColumn(rows.col(0), *dict), rows.col_ptr(1)});
-  for (auto _ : state) {
-    BatchSortedAggregate agg(std::make_unique<BatchSource>(&enc), {0},
-                             {AggSpec{AggKind::kSum, 1, "sum"}});
-    ColumnSet out;
-    benchmark::DoNotOptimize(CollectInto(&agg, &out).ok());
-    benchmark::DoNotOptimize(DecodeColumn(out.col(0), *dict)->size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_GroupedAggregate_encoded)->Arg(10000);
-
-void BM_GroupedAggregate_parallel(benchmark::State& state) {
-  int n = state.range(0);
-  ColumnSet rows = Columnar(SortedRows(n, 64, 4));
-  MorselDispatcher dispatcher(g_parallel_threads);
-  for (auto _ : state) {
-    ParallelSortAggregate agg(std::make_unique<BatchSource>(&rows),
-                              {{0, false}}, {0},
-                              {AggSpec{AggKind::kSum, 1, "sum"}},
-                              &dispatcher);
-    ColumnSet out;
-    benchmark::DoNotOptimize(CollectInto(&agg, &out).ok());
-    benchmark::DoNotOptimize(out.num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["threads"] = g_parallel_threads;
-}
-BENCHMARK(BM_GroupedAggregate_parallel)->Arg(10000);
-
 void BM_Tokenize(benchmark::State& state) {
   std::string text;
   Rng rng(5);
@@ -379,8 +202,6 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--engine=", 0) == 0) {
       args.push_back("--benchmark_filter=_" + arg.substr(9));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      g_parallel_threads = std::max(1, std::atoi(arg.c_str() + 10));
     } else if (arg == "--json") {
       args.push_back("--benchmark_format=json");
     } else {

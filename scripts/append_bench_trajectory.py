@@ -25,16 +25,33 @@ the last stdout line of `python3 perfbench/run.py --workload WORKLOAD
 --seed S ...`. Each workload needs at least five runs (different seeds);
 the point records every metric's median, min and max over them, since one
 run of the end-to-end benchmark is noise.
+
+Every point also records `src_lines`: the line count of the .cc/.h files
+under src/ in the tree this script lives in, so code size is tracked next
+to the perf numbers.
 """
 
 import argparse
 import datetime
 import json
+import os
 import statistics
 import sys
 
 SCHEMA = 1
 MIN_PERFBENCH_RUNS = 5
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def src_lines():
+    """Lines of .cc/.h under src/ (what `cat | wc -l` reports)."""
+    total = 0
+    for dirpath, _, names in os.walk(os.path.join(ROOT, "src")):
+        for name in names:
+            if name.endswith((".cc", ".h")):
+                with open(os.path.join(dirpath, name), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
 
 
 def load_all(paths):
@@ -183,6 +200,7 @@ def main():
         "date": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "source": args.source,
+        "src_lines": src_lines(),
     }
     if args.fig8a:
         point["fig8a"] = fig8a_point(load_all(args.fig8a))

@@ -1,17 +1,14 @@
 #include "classify/bulk_probe.h"
 
-#include <algorithm>
 #include <map>
 #include <unordered_set>
 
 #include "sql/exec/aggregate.h"
 #include "sql/exec/basic.h"
 #include "sql/exec/batch_ops.h"
-#include "sql/exec/cost_model.h"
 #include "sql/exec/join.h"
 #include "sql/exec/scan.h"
 #include "sql/exec/sort.h"
-#include "storage/page.h"
 #include "util/clock.h"
 #include "util/string_util.h"
 
@@ -35,72 +32,6 @@ using sql::SortKey;
 using sql::Tuple;
 using sql::TypeId;
 using sql::Value;
-
-namespace {
-
-// Engine-selected operator builders: the kParallel plan has the same shape
-// as the vectorized one with the heavy operators swapped for their
-// morsel-parallel counterparts (bit-identical output either way).
-sql::BatchOperatorPtr EngineSort(bool par, sql::MorselDispatcher* d,
-                                 sql::BatchOperatorPtr child,
-                                 std::vector<SortKey> keys) {
-  if (par) {
-    return std::make_unique<sql::ParallelSort>(std::move(child),
-                                               std::move(keys), d);
-  }
-  return std::make_unique<sql::BatchSort>(std::move(child), std::move(keys));
-}
-
-sql::BatchOperatorPtr EngineMergeJoin(bool par, sql::MorselDispatcher* d,
-                                      sql::BatchOperatorPtr left,
-                                      sql::BatchOperatorPtr right,
-                                      std::vector<int> left_keys,
-                                      std::vector<int> right_keys,
-                                      bool left_outer = false) {
-  if (par) {
-    return std::make_unique<sql::ParallelMergeJoin>(
-        std::move(left), std::move(right), std::move(left_keys),
-        std::move(right_keys), d, left_outer);
-  }
-  return std::make_unique<sql::BatchMergeJoin>(
-      std::move(left), std::move(right), std::move(left_keys),
-      std::move(right_keys), left_outer);
-}
-
-sql::BatchOperatorPtr EngineProject(bool par, sql::MorselDispatcher* d,
-                                    sql::BatchOperatorPtr child,
-                                    std::vector<sql::BatchExpr> exprs) {
-  if (par) {
-    return std::make_unique<sql::ParallelProject>(std::move(child),
-                                                  std::move(exprs), d);
-  }
-  return std::make_unique<sql::BatchProject>(std::move(child),
-                                             std::move(exprs));
-}
-
-sql::BatchOperatorPtr EngineSortAggregate(bool par, sql::MorselDispatcher* d,
-                                          sql::BatchOperatorPtr child,
-                                          std::vector<SortKey> sort_keys,
-                                          std::vector<int> group_cols,
-                                          std::vector<AggSpec> aggs) {
-  if (par) {
-    return std::make_unique<sql::ParallelSortAggregate>(
-        std::move(child), std::move(sort_keys), std::move(group_cols),
-        std::move(aggs), d);
-  }
-  return std::make_unique<sql::BatchSortAggregate>(
-      std::move(child), std::move(sort_keys), std::move(group_cols),
-      std::move(aggs));
-}
-
-}  // namespace
-
-sql::MorselDispatcher* BulkProbeClassifier::dispatcher() const {
-  if (dispatcher_ == nullptr) {
-    dispatcher_ = std::make_unique<sql::MorselDispatcher>(parallel_threads_);
-  }
-  return dispatcher_.get();
-}
 
 Status BulkProbeClassifier::BulkProbeNode(
     taxonomy::Cid c0, const sql::Schema& doc_schema,
@@ -253,17 +184,12 @@ Status BulkProbeClassifier::BulkProbeNode(
 
 Status BulkProbeClassifier::BulkProbeNodeVec(
     taxonomy::Cid c0, const sql::ColumnSet& doc_sorted,
-    const sql::ColumnDictionary* tid_dict,
     std::unordered_map<uint64_t, std::vector<double>>* acc) const {
   auto it = tables_->stat.find(c0);
   if (it == tables_->stat.end()) {
     return Status::Internal(StrCat("no STAT table for node ", c0));
   }
   const sql::Table* stat = it->second;
-  const bool par = engine_ == sql::ExecEngine::kParallel;
-  const bool enc = tid_dict != nullptr;
-  sql::MorselDispatcher* disp = par ? dispatcher() : nullptr;
-  const char* eng = par ? "Parallel" : (enc ? "Enc" : "Batch");
   const auto& children = ref_->tax().Children(c0);
   std::unordered_map<taxonomy::Cid, int> child_index;
   for (size_t i = 0; i < children.size(); ++i) {
@@ -293,46 +219,10 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
   // once per node (columnar materialization is cheap for this engine).
   sql::ColumnSet stat_cols;
   {
-    sql::BatchOperatorPtr scan_once = sql::AnalyzeBatch(
-        plan_, StrCat(eng, "TableScan STAT"),
-        par ? sql::BatchOperatorPtr(
-                  std::make_unique<sql::ParallelTableScan>(stat, disp))
-            : sql::BatchOperatorPtr(
-                  std::make_unique<sql::BatchTableScan>(stat)));
+    sql::BatchOperatorPtr scan_once =
+        sql::AnalyzeBatch(plan_, "BatchTableScan STAT",
+                          std::make_unique<sql::BatchTableScan>(stat));
     FOCUS_RETURN_IF_ERROR(sql::CollectInto(scan_once.get(), &stat_cols));
-  }
-
-  // kEncoded: rewrite STAT's tid into the document dictionary's code
-  // domain. STAT arrives (tid, kcid)-sorted, so encoding is one linear
-  // merge against the sorted dictionary; rows whose tid is outside the
-  // document vocabulary get kMissingCode and are dropped right here —
-  // no inner join on tid downstream can observe them (the PARTIAL join
-  // directly, the DOCLEN join through features(tid)), so results are
-  // unchanged while the inner side shrinks to the terms actually probed.
-  // Codes inherit tid's sort order (the dictionary is sorted), so every
-  // merge-order precondition below survives the rewrite.
-  if (enc) {
-    sql::ColumnPtr codes =
-        sql::EncodeSortedColumn(stat_cols.col(1), *tid_dict);
-    std::vector<sql::Column> enc_schema = stat_cols.schema().columns();
-    enc_schema[1].type = TypeId::kInt32;
-    if (std::all_of(codes->i32.begin(), codes->i32.end(),
-                    [](int32_t c) { return c >= 0; })) {
-      stat_cols = sql::ColumnSet(
-          sql::Schema(std::move(enc_schema)),
-          {stat_cols.col_ptr(0), codes, stat_cols.col_ptr(2)});
-    } else {
-      std::vector<int64_t> sel;
-      sel.reserve(codes->i32.size());
-      for (size_t i = 0; i < codes->i32.size(); ++i) {
-        if (codes->i32[i] >= 0) sel.push_back(static_cast<int64_t>(i));
-      }
-      stat_cols = sql::ColumnSet(
-          sql::Schema(std::move(enc_schema)),
-          {sql::Gather(stat_cols.col(0), sel.data(), sel.size()),
-           sql::Gather(*codes, sel.data(), sel.size()),
-           sql::Gather(stat_cols.col(2), sel.data(), sel.size())});
-    }
   }
 
   sql::BatchOperatorPtr doc_src = sql::AnalyzeBatch(
@@ -341,54 +231,17 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
   sql::BatchOperatorPtr stat_scan = sql::AnalyzeBatch(
       plan_, "BatchSource STAT",
       std::make_unique<sql::BatchSource>(&stat_cols));
-  // STAT_c0's heap is already in (tid, kcid) order. (The parallel merge
-  // join re-sorts internally; a stable sort of sorted input is the
-  // identity permutation, so the plan stays bit-exact.)
-  //
-  // kEncoded picks the access path per node: the cost model weighs a
-  // sort-merge pass against probing STAT through a dense run table over
-  // the code domain. Hash is excluded — the final outer join consumes
-  // merge order, and hash output order differs (parallel.h). Both
-  // allowed paths emit left-major sorted pairs, so the choice is
-  // invisible to results.
-  sql::BatchOperatorPtr joined;
-  if (enc) {
-    sql::JoinStats js;
-    js.left_rows = static_cast<uint64_t>(doc_sorted.num_rows());
-    js.left_distinct = static_cast<uint64_t>(tid_dict->size());
-    js.right_rows = static_cast<uint64_t>(stat_cols.num_rows());
-    js.right_distinct = 0;  // ≤ left_distinct; containment uses max
-    js.right_domain = static_cast<uint64_t>(tid_dict->size());
-    js.right_bytes = static_cast<uint64_t>(stat_cols.num_rows()) * 16;
-    js.buffer_bytes = static_cast<uint64_t>(
-                          stat->buffer_pool()->num_frames()) *
-                      storage::kPageSize;
-    sql::PathChoice choice = sql::ChooseJoinPath(js);
-    sql::RecordPathChoice("classify.partial", choice);
-    sql::BatchOperatorPtr join_op =
-        choice.path == sql::AccessPath::kIndexProbe
-            ? sql::BatchOperatorPtr(std::make_unique<sql::BatchProbeJoin>(
-                  std::move(doc_src), std::move(stat_scan), 1, 1,
-                  /*left_outer=*/false,
-                  static_cast<int64_t>(tid_dict->size())))
-            : sql::BatchOperatorPtr(std::make_unique<sql::BatchMergeJoin>(
-                  std::move(doc_src), std::move(stat_scan),
-                  std::vector<int>{1}, std::vector<int>{1}));
-    joined = sql::AnalyzeBatchCost(
-        plan_, StrCat(eng, "Join DOCUMENT~STAT"),
-        sql::CountActualRows("classify.partial", std::move(join_op)),
-        sql::AccessPathName(choice.path), choice.est_rows);
-  } else {
-    joined = sql::AnalyzeBatch(
-        plan_, StrCat(eng, "MergeJoin DOCUMENT~STAT"),
-        EngineMergeJoin(par, disp, std::move(doc_src), std::move(stat_scan),
-                        std::vector<int>{1}, std::vector<int>{1}));
-  }
+  // STAT_c0's heap is already in (tid, kcid) order.
+  sql::BatchOperatorPtr joined = sql::AnalyzeBatch(
+      plan_, "BatchMergeJoin DOCUMENT~STAT",
+      std::make_unique<sql::BatchMergeJoin>(
+          std::move(doc_src), std::move(stat_scan), std::vector<int>{1},
+          std::vector<int>{1}));
   // joined: 0 did, 1 tid, 2 freq, 3 kcid, 4 tid, 5 logtheta
   sql::BatchOperatorPtr contrib = sql::AnalyzeBatch(
-      plan_, StrCat(eng, "Project did,kcid,contrib"),
-      EngineProject(
-          par, disp, std::move(joined),
+      plan_, "BatchProject did,kcid,contrib",
+      std::make_unique<sql::BatchProject>(
+          std::move(joined),
           std::vector<sql::BatchExpr>{
               sql::BatchExpr::Passthrough("did", TypeId::kInt64, 0),
               sql::BatchExpr::Passthrough("kcid", TypeId::kInt32, 3),
@@ -407,81 +260,38 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
                     return out;
                   }}}));
   sql::BatchOperatorPtr partial_op = sql::AnalyzeBatch(
-      plan_, StrCat(eng, "SortAggregate PARTIAL(did,kcid)"),
-      EngineSortAggregate(
-          par, disp, std::move(contrib),
+      plan_, "BatchSortAggregate PARTIAL(did,kcid)",
+      std::make_unique<sql::BatchSortAggregate>(
+          std::move(contrib),
           std::vector<SortKey>{{0, false}, {1, false}},
           std::vector<int>{0, 1},
           std::vector<AggSpec>{AggSpec{AggKind::kSum, 2, "lpr1"}}));
 
-  // DOCLEN(did, len): DOCUMENT restricted to F(c0), grouped by did.
-  // Serial streams the pre-sorted STAT through BatchSortedAggregate; the
-  // parallel plan radix-partitions by tid instead (count aggregation over
-  // the same runs, identical output order).
+  // DOCLEN(did, len): DOCUMENT restricted to F(c0), grouped by did. The
+  // pre-sorted STAT streams through BatchSortedAggregate.
   sql::BatchOperatorPtr features_src = sql::AnalyzeBatch(
       plan_, "BatchSource STAT",
       std::make_unique<sql::BatchSource>(&stat_cols));
   sql::BatchOperatorPtr features = sql::AnalyzeBatch(
-      plan_,
-      par ? "ParallelSortAggregate features(tid)"
-          : "BatchSortedAggregate features(tid)",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelSortAggregate>(
-                std::move(features_src), std::vector<SortKey>{{1, false}},
-                std::vector<int>{1},
-                std::vector<AggSpec>{AggSpec{AggKind::kCount, -1, "cnt"}},
-                disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchSortedAggregate>(
-                std::move(features_src), std::vector<int>{1},
-                std::vector<AggSpec>{AggSpec{AggKind::kCount, -1, "cnt"}})));
+      plan_, "BatchSortedAggregate features(tid)",
+      std::make_unique<sql::BatchSortedAggregate>(
+          std::move(features_src), std::vector<int>{1},
+          std::vector<AggSpec>{AggSpec{AggKind::kCount, -1, "cnt"}}));
   sql::BatchOperatorPtr doc_src2 = sql::AnalyzeBatch(
       plan_, "BatchSource DOCUMENT(sorted)",
       std::make_unique<sql::BatchSource>(&doc_sorted));
-  sql::BatchOperatorPtr doc_features;
-  if (enc) {
-    // features is (tid_code, cnt), one row per distinct code, ascending —
-    // a textbook dense-probe inner. Same allowed set as above.
-    sql::JoinStats js;
-    js.left_rows = static_cast<uint64_t>(doc_sorted.num_rows());
-    js.left_distinct = static_cast<uint64_t>(tid_dict->size());
-    uint64_t feat_rows =
-        std::min(static_cast<uint64_t>(stat_cols.num_rows()),
-                 static_cast<uint64_t>(tid_dict->size()));
-    js.right_rows = feat_rows;
-    js.right_distinct = feat_rows;
-    js.right_domain = static_cast<uint64_t>(tid_dict->size());
-    js.right_bytes = feat_rows * 12;
-    js.buffer_bytes = static_cast<uint64_t>(
-                          stat->buffer_pool()->num_frames()) *
-                      storage::kPageSize;
-    sql::PathChoice choice = sql::ChooseJoinPath(js);
-    sql::RecordPathChoice("classify.doclen", choice);
-    sql::BatchOperatorPtr join_op =
-        choice.path == sql::AccessPath::kIndexProbe
-            ? sql::BatchOperatorPtr(std::make_unique<sql::BatchProbeJoin>(
-                  std::move(doc_src2), std::move(features), 1, 0,
-                  /*left_outer=*/false,
-                  static_cast<int64_t>(tid_dict->size())))
-            : sql::BatchOperatorPtr(std::make_unique<sql::BatchMergeJoin>(
-                  std::move(doc_src2), std::move(features),
-                  std::vector<int>{1}, std::vector<int>{0}));
-    doc_features = sql::AnalyzeBatchCost(
-        plan_, StrCat(eng, "Join DOCUMENT~features"),
-        sql::CountActualRows("classify.doclen", std::move(join_op)),
-        sql::AccessPathName(choice.path), choice.est_rows);
-  } else {
-    doc_features = sql::AnalyzeBatch(
-        plan_, StrCat(eng, "MergeJoin DOCUMENT~features"),
-        EngineMergeJoin(par, disp, std::move(doc_src2), std::move(features),
-                        std::vector<int>{1}, std::vector<int>{0}));
-  }
+  sql::BatchOperatorPtr doc_features = sql::AnalyzeBatch(
+      plan_, "BatchMergeJoin DOCUMENT~features",
+      std::make_unique<sql::BatchMergeJoin>(
+          std::move(doc_src2), std::move(features), std::vector<int>{1},
+          std::vector<int>{0}));
   // doc_features: 0 did, 1 tid, 2 freq, 3 tid, 4 cnt
   sql::BatchOperatorPtr doclen_op = sql::AnalyzeBatch(
-      plan_, StrCat(eng, "SortAggregate DOCLEN(did)"),
-      EngineSortAggregate(par, disp, std::move(doc_features),
-                          std::vector<SortKey>{{0, false}},
-                          std::vector<int>{0},
-                          std::vector<AggSpec>{AggSpec{AggKind::kSum, 2,
-                                                       "len"}}));
+      plan_, "BatchSortAggregate DOCLEN(did)",
+      std::make_unique<sql::BatchSortAggregate>(
+          std::move(doc_features), std::vector<SortKey>{{0, false}},
+          std::vector<int>{0},
+          std::vector<AggSpec>{AggSpec{AggKind::kSum, 2, "len"}}));
 
   // COMPLETE(did, kcid, lpr2): DOCLEN × children(c0), -len * logdenom.
   // The children side runs the scalar index scan through the Vectorize
@@ -523,25 +333,20 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
                                }
                                return out;
                              }}}));
-  // The parallel merge join fuses the COMPLETE sort into its radix
-  // partition + per-partition sort (same stable permutation), so the
-  // explicit sort node only exists in the serial plan.
-  sql::BatchOperatorPtr complete_sorted =
-      par ? std::move(complete_op)
-          : sql::AnalyzeBatch(
-                plan_, "BatchSort COMPLETE (did,kcid)",
-                std::make_unique<sql::BatchSort>(
-                    std::move(complete_op),
-                    std::vector<SortKey>{{0, false}, {1, false}}));
+  sql::BatchOperatorPtr complete_sorted = sql::AnalyzeBatch(
+      plan_, "BatchSort COMPLETE (did,kcid)",
+      std::make_unique<sql::BatchSort>(
+          std::move(complete_op),
+          std::vector<SortKey>{{0, false}, {1, false}}));
 
   // final: COMPLETE left outer join PARTIAL on (did, kcid).
   sql::BatchOperatorPtr final_join = sql::AnalyzeBatch(
       plan_,
-      StrCat("BulkProbeNode c0=", c0, ": ", eng,
-             "MergeJoin COMPLETE~PARTIAL"),
-      EngineMergeJoin(par, disp, std::move(complete_sorted),
-                      std::move(partial_op), std::vector<int>{0, 1},
-                      std::vector<int>{0, 1}, /*left_outer=*/true));
+      StrCat("BulkProbeNode c0=", c0, ": BatchMergeJoin COMPLETE~PARTIAL"),
+      std::make_unique<sql::BatchMergeJoin>(
+          std::move(complete_sorted), std::move(partial_op),
+          std::vector<int>{0, 1}, std::vector<int>{0, 1},
+          /*left_outer=*/true));
 
   // Drain straight from the columns: 0 did, 1 kcid, 2 lpr2, 3 did,
   // 4 kcid, 5 lpr1 (NULL when no PARTIAL row).
@@ -642,45 +447,17 @@ BulkProbeClassifier::ClassifyAllVectorized(
     const sql::Table* document) const {
   // One batch pass sorts DOCUMENT by tid into a columnar temp shared
   // (zero-copy for small batches) by every node's merge joins.
-  const bool par = engine_ == sql::ExecEngine::kParallel;
-  sql::MorselDispatcher* disp = par ? dispatcher() : nullptr;
-  const char* eng = par ? "Parallel" : "Batch";
   Stopwatch sort_timer;
-  sql::BatchOperatorPtr doc_scan = sql::AnalyzeBatch(
-      plan_, StrCat(eng, "TableScan DOCUMENT"),
-      par ? sql::BatchOperatorPtr(
-                std::make_unique<sql::ParallelTableScan>(document, disp))
-          : sql::BatchOperatorPtr(
-                std::make_unique<sql::BatchTableScan>(document)));
+  sql::BatchOperatorPtr doc_scan =
+      sql::AnalyzeBatch(plan_, "BatchTableScan DOCUMENT",
+                        std::make_unique<sql::BatchTableScan>(document));
   sql::BatchOperatorPtr doc_sort = sql::AnalyzeBatch(
-      plan_, StrCat(eng, "Sort DOCUMENT by tid"),
-      EngineSort(par, disp, std::move(doc_scan),
-                 std::vector<SortKey>{{1, false}}));
+      plan_, "BatchSort DOCUMENT by tid",
+      std::make_unique<sql::BatchSort>(std::move(doc_scan),
+                                       std::vector<SortKey>{{1, false}}));
   sql::ColumnSet doc_sorted;
   FOCUS_RETURN_IF_ERROR(sql::CollectInto(doc_sort.get(), &doc_sorted));
 
-  // kEncoded: one dictionary over the sorted tid column (linear build,
-  // since the column is the sort key) encodes the shared temp once for
-  // all nodes. did/freq columns are adopted zero-copy; only the tid
-  // column is replaced by its int32 codes — nothing downstream of the
-  // joins reads tid values, so no decode is ever needed in this plan.
-  const bool enc = engine_ == sql::ExecEngine::kEncoded;
-  sql::DictionaryPtr tid_dict;
-  sql::ColumnSet doc_enc;
-  if (enc) {
-    tid_dict = sql::ColumnDictionary::BuildFromSorted(doc_sorted.col(1));
-    std::vector<sql::ColumnPtr> cols;
-    cols.reserve(doc_sorted.num_columns());
-    for (int i = 0; i < doc_sorted.num_columns(); ++i) {
-      cols.push_back(doc_sorted.col_ptr(i));
-    }
-    cols[1] = sql::EncodeSortedColumn(doc_sorted.col(1), *tid_dict);
-    std::vector<sql::Column> enc_schema = doc_sorted.schema().columns();
-    enc_schema[1].type = sql::TypeId::kInt32;
-    doc_enc = sql::ColumnSet(sql::Schema(std::move(enc_schema)),
-                             std::move(cols));
-  }
-  const sql::ColumnSet& doc_temp = enc ? doc_enc : doc_sorted;
   stats_.join_seconds += sort_timer.ElapsedSeconds();
 
   std::unordered_set<uint64_t> seen;
@@ -696,7 +473,7 @@ BulkProbeClassifier::ClassifyAllVectorized(
       node_acc;
   for (taxonomy::Cid c0 : ref_->tax().InternalPreorder()) {
     FOCUS_RETURN_IF_ERROR(
-        BulkProbeNodeVec(c0, doc_temp, tid_dict.get(), &node_acc[c0]));
+        BulkProbeNodeVec(c0, doc_sorted, &node_acc[c0]));
   }
   return Finalize(dids, &node_acc);
 }

@@ -14,15 +14,12 @@
 #ifndef FOCUS_CLASSIFY_BULK_PROBE_H_
 #define FOCUS_CLASSIFY_BULK_PROBE_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "classify/db_tables.h"
 #include "classify/hierarchical_classifier.h"
 #include "sql/exec/analyze.h"
-#include "sql/exec/dictionary.h"
-#include "sql/exec/parallel.h"
 #include "util/status.h"
 
 namespace focus::classify {
@@ -42,23 +39,9 @@ class BulkProbeClassifier {
 
   // Selects the executor for the Figure 3 plans. Defaults to the
   // vectorized batch engine; the scalar Volcano path stays available for
-  // comparison benchmarks and equivalence tests, kParallel runs the
-  // batch plans morsel-parallel, and kEncoded dictionary-encodes the tid
-  // join key (dictionary.h) so the per-node joins run on int32 codes with
-  // the access path — index probe vs sort-merge — chosen per node by the
-  // cost model (cost_model.h). All engines are bit-identical.
+  // comparison benchmarks and equivalence tests. Both are bit-identical.
   void SetEngine(sql::ExecEngine engine) { engine_ = engine; }
   sql::ExecEngine engine() const { return engine_; }
-
-  // Worker count for kParallel (including the calling thread; 1 = inline).
-  // Takes effect on the next ClassifyAll. Default 4.
-  void SetParallelThreads(int threads) {
-    if (threads != parallel_threads_) {
-      parallel_threads_ = threads;
-      dispatcher_.reset();
-    }
-  }
-  int parallel_threads() const { return parallel_threads_; }
 
   // Classifies every document materialized in `document` (did, tid, freq).
   // Returns scores keyed by did.
@@ -88,14 +71,9 @@ class BulkProbeClassifier {
       std::unordered_map<uint64_t, std::vector<double>>* acc) const;
 
   // The same plan on the vectorized engine, over the columnar
-  // sorted-DOCUMENT temp. Non-null `tid_dict` selects the encoded plan:
-  // doc_sorted's tid column then holds dictionary codes, STAT is encoded
-  // against the same dictionary per node (dropping feature rows outside
-  // the document vocabulary — a semi-join no inner join can observe), and
-  // the cost model picks each join's access path.
+  // sorted-DOCUMENT temp.
   Status BulkProbeNodeVec(
       taxonomy::Cid c0, const sql::ColumnSet& doc_sorted,
-      const sql::ColumnDictionary* tid_dict,
       std::unordered_map<uint64_t, std::vector<double>>* acc) const;
 
   Result<std::unordered_map<uint64_t, ClassScores>> ClassifyAllScalar(
@@ -110,15 +88,9 @@ class BulkProbeClassifier {
                          std::unordered_map<uint64_t, std::vector<double>>>*
           node_acc) const;
 
-  // The dispatcher for kParallel plans, created on first use (mutable:
-  // ClassifyAll is const but lazily builds the worker pool).
-  sql::MorselDispatcher* dispatcher() const;
-
   const HierarchicalClassifier* ref_;
   const ClassifierTables* tables_;
   sql::ExecEngine engine_ = sql::ExecEngine::kVectorized;
-  int parallel_threads_ = 4;
-  mutable std::unique_ptr<sql::MorselDispatcher> dispatcher_;
   mutable Stats stats_;
   // Non-null only inside ClassifyWithPlan.
   mutable sql::PlanStats* plan_ = nullptr;

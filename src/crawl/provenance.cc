@@ -13,7 +13,6 @@
 #include "sql/exec/basic.h"
 #include "sql/exec/batch_ops.h"
 #include "sql/exec/join.h"
-#include "sql/exec/parallel.h"
 #include "sql/exec/scan.h"
 #include "sql/exec/sort.h"
 
@@ -98,54 +97,31 @@ Result<std::vector<sql::Tuple>> DiscoveryEdgesScalar(const sql::Table* events,
   return Collect(by_seq.get());
 }
 
-sql::BatchPredicate AdmitWithParentPred() {
-  // Over the scanned (seq, type, oid, parent_oid, value) projection.
-  return [](const sql::Batch& in, std::vector<int64_t>* sel) {
-    const auto& type = in.col(1).i32;
-    const auto& parent = in.col(3).i64;
-    for (size_t i = 0; i < type.size(); ++i) {
-      if (type[i] == kAdmit && parent[i] != -1) {
-        sel->push_back(static_cast<int64_t>(i));
-      }
-    }
-  };
-}
-
-std::vector<sql::BatchExpr> AdmitProjection() {
-  std::vector<sql::BatchExpr> exprs;
-  exprs.push_back(sql::BatchExpr::Passthrough("seq", TypeId::kInt64, 0));
-  exprs.push_back(sql::BatchExpr::Passthrough("oid", TypeId::kInt64, 2));
-  exprs.push_back(
-      sql::BatchExpr::Passthrough("parent_oid", TypeId::kInt64, 3));
-  exprs.push_back(sql::BatchExpr::Passthrough("value", TypeId::kDouble, 4));
-  return exprs;
-}
-
-std::vector<sql::BatchExpr> EdgeProjection() {
-  std::vector<sql::BatchExpr> exprs;
-  exprs.push_back(sql::BatchExpr::Passthrough("seq", TypeId::kInt64, 0));
-  exprs.push_back(sql::BatchExpr::Passthrough("oid", TypeId::kInt64, 1));
-  exprs.push_back(
-      sql::BatchExpr::Passthrough("parent_oid", TypeId::kInt64, 2));
-  exprs.push_back(sql::BatchExpr::Passthrough("value", TypeId::kDouble, 3));
-  exprs.push_back(sql::BatchExpr::Passthrough("wgt_fwd", TypeId::kDouble, 8));
-  return exprs;
-}
-
-// Scan columns shared by the vectorized and parallel plans: the URL
-// strings never leave EVENTS/LINK, so only the joined numerics are read.
-const std::vector<int> kEventScanCols = {kColSeq, kColType, kColOid,
-                                         kColParent, kColValue};
-
 Result<std::vector<sql::Tuple>> DiscoveryEdgesVectorized(
     const sql::Table* events, const sql::Table* link) {
   using namespace sql;
-  BatchOperatorPtr scan =
-      std::make_unique<BatchTableScan>(events, kEventScanCols);
-  BatchOperatorPtr filtered =
-      std::make_unique<BatchFilter>(std::move(scan), AdmitWithParentPred());
-  BatchOperatorPtr projected =
-      std::make_unique<BatchProject>(std::move(filtered), AdmitProjection());
+  // The URL strings never leave EVENTS/LINK, so only the joined numerics
+  // are read: 0 seq, 1 type, 2 oid, 3 parent_oid, 4 value.
+  BatchOperatorPtr scan = std::make_unique<BatchTableScan>(
+      events,
+      std::vector<int>{kColSeq, kColType, kColOid, kColParent, kColValue});
+  BatchOperatorPtr filtered = std::make_unique<BatchFilter>(
+      std::move(scan), [](const Batch& in, std::vector<int64_t>* sel) {
+        const auto& type = in.col(1).i32;
+        const auto& parent = in.col(3).i64;
+        for (size_t i = 0; i < type.size(); ++i) {
+          if (type[i] == kAdmit && parent[i] != -1) {
+            sel->push_back(static_cast<int64_t>(i));
+          }
+        }
+      });
+  BatchOperatorPtr projected = std::make_unique<BatchProject>(
+      std::move(filtered),
+      std::vector<BatchExpr>{
+          BatchExpr::Passthrough("seq", TypeId::kInt64, 0),
+          BatchExpr::Passthrough("oid", TypeId::kInt64, 2),
+          BatchExpr::Passthrough("parent_oid", TypeId::kInt64, 3),
+          BatchExpr::Passthrough("value", TypeId::kDouble, 4)});
   BatchOperatorPtr by_edge = std::make_unique<BatchSort>(
       std::move(projected), std::vector<SortKey>{{2, false}, {1, false}});
   BatchOperatorPtr link_sorted = std::make_unique<BatchSort>(
@@ -154,36 +130,17 @@ Result<std::vector<sql::Tuple>> DiscoveryEdgesVectorized(
   BatchOperatorPtr joined = std::make_unique<BatchMergeJoin>(
       std::move(by_edge), std::move(link_sorted), std::vector<int>{2, 1},
       std::vector<int>{0, 2});
-  BatchOperatorPtr out =
-      std::make_unique<BatchProject>(std::move(joined), EdgeProjection());
+  // joined: 0 seq, 1 oid, 2 parent_oid, 3 value, 4.. LINK (wgt_fwd at 8)
+  BatchOperatorPtr out = std::make_unique<BatchProject>(
+      std::move(joined),
+      std::vector<BatchExpr>{
+          BatchExpr::Passthrough("seq", TypeId::kInt64, 0),
+          BatchExpr::Passthrough("oid", TypeId::kInt64, 1),
+          BatchExpr::Passthrough("parent_oid", TypeId::kInt64, 2),
+          BatchExpr::Passthrough("value", TypeId::kDouble, 3),
+          BatchExpr::Passthrough("wgt_fwd", TypeId::kDouble, 8)});
   BatchOperatorPtr by_seq = std::make_unique<BatchSort>(
       std::move(out), std::vector<SortKey>{{0, false}});
-  Devectorize tail(std::move(by_seq));
-  return Collect(&tail);
-}
-
-Result<std::vector<sql::Tuple>> DiscoveryEdgesParallel(const sql::Table* events,
-                                                       const sql::Table* link,
-                                                       int num_threads) {
-  using namespace sql;
-  MorselDispatcher disp(num_threads);
-  BatchOperatorPtr scan =
-      std::make_unique<ParallelTableScan>(events, &disp, kEventScanCols);
-  BatchOperatorPtr filtered = std::make_unique<ParallelFilter>(
-      std::move(scan), AdmitWithParentPred(), &disp);
-  BatchOperatorPtr projected = std::make_unique<ParallelProject>(
-      std::move(filtered), AdmitProjection(), &disp);
-  // The parallel merge join fuses both sides' sorts (oids span the full
-  // 64-bit hash range, so the radix planner falls back to the serial sort
-  // kernels — same output either way).
-  BatchOperatorPtr link_scan = std::make_unique<ParallelTableScan>(link, &disp);
-  BatchOperatorPtr joined = std::make_unique<ParallelMergeJoin>(
-      std::move(projected), std::move(link_scan), std::vector<int>{2, 1},
-      std::vector<int>{0, 2}, &disp);
-  BatchOperatorPtr out = std::make_unique<ParallelProject>(
-      std::move(joined), EdgeProjection(), &disp);
-  BatchOperatorPtr by_seq = std::make_unique<ParallelSort>(
-      std::move(out), std::vector<SortKey>{{0, false}}, &disp);
   Devectorize tail(std::move(by_seq));
   return Collect(&tail);
 }
@@ -192,21 +149,10 @@ Result<std::vector<sql::Tuple>> DiscoveryEdgesParallel(const sql::Table* events,
 
 Result<std::vector<sql::Tuple>> DiscoveryEdges(const sql::Table* events,
                                                const sql::Table* link,
-                                               sql::ExecEngine engine,
-                                               int num_threads) {
-  switch (engine) {
-    case sql::ExecEngine::kScalar:
-      return DiscoveryEdgesScalar(events, link);
-    case sql::ExecEngine::kVectorized:
-      return DiscoveryEdgesVectorized(events, link);
-    case sql::ExecEngine::kParallel:
-      return DiscoveryEdgesParallel(events, link, num_threads);
-    case sql::ExecEngine::kEncoded:
-      // The introspection join is tiny; codes would cost more than they
-      // save. Encoded sessions fall back to the vectorized plan.
-      return DiscoveryEdgesVectorized(events, link);
-  }
-  return Status::InvalidArgument("unknown exec engine");
+                                               sql::ExecEngine engine) {
+  return engine == sql::ExecEngine::kScalar
+             ? DiscoveryEdgesScalar(events, link)
+             : DiscoveryEdgesVectorized(events, link);
 }
 
 Result<std::vector<DiscoveryHop>> DiscoveryPath(const obs::EventLog& log,

@@ -8,7 +8,7 @@
 //   EVENTS(seq:int64, type:int32, oid:int64, parent_oid:int64, sid:int32,
 //          virtual_us:int64, value:double, aux:int64)
 //
-// queryable by all three executor engines, and DiscoveryEdges is the
+// queryable by both executor engines, and DiscoveryEdges is the
 // canned §3.7-style monitoring query over it: join frontier-admit events
 // with LINK to recover, for every URL, the edge that discovered it and
 // the priority it entered at. DiscoveryPath composes those facts into the
@@ -47,8 +47,8 @@ Result<sql::Table*> MaterializeEvents(const obs::EventLog& log,
                                       const std::string& name = "EVENTS",
                                       const obs::EventFilter& filter = {});
 
-// The canned provenance query, runnable on any engine (results are
-// bit-identical across kScalar / kVectorized / kParallel):
+// The canned provenance query, runnable on either engine (results are
+// bit-identical across kScalar / kVectorized):
 //
 //   select E.seq, E.oid, E.parent_oid, E.value, L.wgt_fwd
 //   from EVENTS E, LINK L
@@ -60,11 +60,10 @@ Result<sql::Table*> MaterializeEvents(const obs::EventLog& log,
 // the exact sentinel -1, never a sign test.)
 //
 // Each row certifies one discovery: the admit event's claimed parent is
-// backed by a LINK edge. `num_threads` only applies to kParallel.
+// backed by a LINK edge.
 Result<std::vector<sql::Tuple>> DiscoveryEdges(const sql::Table* events,
                                                const sql::Table* link,
-                                               sql::ExecEngine engine,
-                                               int num_threads = 4);
+                                               sql::ExecEngine engine);
 
 // One hop of a discovery path, root (seed) first.
 struct DiscoveryHop {

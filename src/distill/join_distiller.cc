@@ -6,12 +6,10 @@
 #include "sql/exec/aggregate.h"
 #include "sql/exec/basic.h"
 #include "sql/exec/batch_ops.h"
-#include "sql/exec/cost_model.h"
 #include "sql/exec/join.h"
 #include "sql/exec/scan.h"
 #include "sql/exec/external_sort.h"
 #include "sql/exec/sort.h"
-#include "storage/page.h"
 #include "util/clock.h"
 
 namespace focus::distill {
@@ -47,12 +45,9 @@ OperatorPtr OffServerLinks(const sql::Table* link, sql::PlanStats* plan) {
 }
 
 // The batch-engine counterpart. LINK: 0 oid_src, 1 sid_src, 2 oid_dst,
-// 3 sid_dst, 4 wgt_fwd, 5 wgt_rev. When `disp` is non-null the scan and
-// filter run morsel-parallel (bit-identical selection order).
+// 3 sid_dst, 4 wgt_fwd, 5 wgt_rev.
 sql::BatchOperatorPtr BatchOffServerLinks(const sql::Table* link,
-                                          sql::PlanStats* plan,
-                                          sql::MorselDispatcher* disp) {
-  const bool par = disp != nullptr;
+                                          sql::PlanStats* plan) {
   auto pred = [](const sql::Batch& in, std::vector<int64_t>* sel) {
     const auto& src = in.col(1).i32;
     const auto& dst = in.col(3).i32;
@@ -60,28 +55,14 @@ sql::BatchOperatorPtr BatchOffServerLinks(const sql::Table* link,
       if (src[i] != dst[i]) sel->push_back(static_cast<int64_t>(i));
     }
   };
-  sql::BatchOperatorPtr scan = sql::AnalyzeBatch(
-      plan, par ? "ParallelTableScan LINK" : "BatchTableScan LINK",
-      par ? sql::BatchOperatorPtr(
-                std::make_unique<sql::ParallelTableScan>(link, disp))
-          : sql::BatchOperatorPtr(
-                std::make_unique<sql::BatchTableScan>(link)));
+  sql::BatchOperatorPtr scan =
+      sql::AnalyzeBatch(plan, "BatchTableScan LINK",
+                        std::make_unique<sql::BatchTableScan>(link));
   return sql::AnalyzeBatch(
-      plan,
-      par ? "ParallelFilter sid_src<>sid_dst" : "BatchFilter sid_src<>sid_dst",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelFilter>(
-                std::move(scan), pred, disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchFilter>(
-                std::move(scan), pred)));
+      plan, "BatchFilter sid_src<>sid_dst",
+      std::make_unique<sql::BatchFilter>(std::move(scan), pred));
 }
 }  // namespace
-
-sql::MorselDispatcher* JoinDistiller::dispatcher() {
-  if (dispatcher_ == nullptr) {
-    dispatcher_ = std::make_unique<sql::MorselDispatcher>(parallel_threads_);
-  }
-  return dispatcher_.get();
-}
 
 Status JoinDistiller::Initialize() {
   crawl_oid_col_ = tables_.crawl->schema().ColumnIndex("oid");
@@ -314,215 +295,86 @@ Status JoinDistiller::UpdateHubs() {
 
 Status JoinDistiller::UpdateAuthVec(double rho) {
   Stopwatch join_timer;
-  const bool par = engine_ == sql::ExecEngine::kParallel;
-  const bool enc = engine_ == sql::ExecEngine::kEncoded;
-  sql::MorselDispatcher* disp = par ? dispatcher() : nullptr;
   // Relevant pages, pruned at the scan: CRAWL carries URL strings the
   // plan never reads, so the batch scan copies only (oid, relevance).
-  int rel_col = crawl_rel_col_;
-  int oid_col = crawl_oid_col_;
-  auto rel_pred = [rho](const sql::Batch& in, std::vector<int64_t>* sel) {
-    const auto& rel = in.col(1).f64;
-    for (size_t i = 0; i < rel.size(); ++i) {
-      if (rel[i] > rho) sel->push_back(static_cast<int64_t>(i));
-    }
-  };
   sql::BatchOperatorPtr crawl_scan = sql::AnalyzeBatch(
-      plan_,
-      par ? "ParallelTableScan CRAWL(oid,relevance)"
-          : "BatchTableScan CRAWL(oid,relevance)",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelTableScan>(
-                tables_.crawl, disp, std::vector<int>{oid_col, rel_col}))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchTableScan>(
-                tables_.crawl, std::vector<int>{oid_col, rel_col})));
+      plan_, "BatchTableScan CRAWL(oid,relevance)",
+      std::make_unique<sql::BatchTableScan>(
+          tables_.crawl, std::vector<int>{crawl_oid_col_, crawl_rel_col_}));
   sql::BatchOperatorPtr filtered = sql::AnalyzeBatch(
-      plan_, par ? "ParallelFilter relevance>rho" : "BatchFilter relevance>rho",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelFilter>(
-                std::move(crawl_scan), rel_pred, disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchFilter>(
-                std::move(crawl_scan), rel_pred)));
-  std::vector<sql::BatchExpr> oid_exprs;
-  oid_exprs.push_back(sql::BatchExpr::Passthrough("oid", TypeId::kInt64, 0));
+      plan_, "BatchFilter relevance>rho",
+      std::make_unique<sql::BatchFilter>(
+          std::move(crawl_scan),
+          [rho](const sql::Batch& in, std::vector<int64_t>* sel) {
+            const auto& rel = in.col(1).f64;
+            for (size_t i = 0; i < rel.size(); ++i) {
+              if (rel[i] > rho) sel->push_back(static_cast<int64_t>(i));
+            }
+          }));
   sql::BatchOperatorPtr projected = sql::AnalyzeBatch(
-      plan_, par ? "ParallelProject oid" : "BatchProject oid",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelProject>(
-                std::move(filtered), std::move(oid_exprs), disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchProject>(
-                std::move(filtered), std::move(oid_exprs))));
-  // The parallel merge join fuses its inputs' sorts into the radix
-  // partition + per-partition stable sort (the same permutation), so the
-  // explicit sort nodes only exist in the serial plan.
-  sql::BatchOperatorPtr relevant =
-      par ? std::move(projected)
-          : sql::AnalyzeBatch(plan_, "BatchSort relevant by oid",
-                              std::make_unique<sql::BatchSort>(
-                                  std::move(projected),
-                                  std::vector<SortKey>{{0, false}}));
-  sql::BatchOperatorPtr links = BatchOffServerLinks(tables_.link, plan_, disp);
-  sql::BatchOperatorPtr links_sorted =
-      par ? std::move(links)
-          : sql::AnalyzeBatch(plan_, "BatchSort by oid_dst",
-                              std::make_unique<sql::BatchSort>(
-                                  std::move(links),
-                                  std::vector<SortKey>{{2, false}}));
+      plan_, "BatchProject oid",
+      std::make_unique<sql::BatchProject>(
+          std::move(filtered),
+          std::vector<sql::BatchExpr>{
+              sql::BatchExpr::Passthrough("oid", TypeId::kInt64, 0)}));
+  sql::BatchOperatorPtr relevant = sql::AnalyzeBatch(
+      plan_, "BatchSort relevant by oid",
+      std::make_unique<sql::BatchSort>(std::move(projected),
+                                       std::vector<SortKey>{{0, false}}));
+  sql::BatchOperatorPtr links_sorted = sql::AnalyzeBatch(
+      plan_, "BatchSort by oid_dst",
+      std::make_unique<sql::BatchSort>(
+          BatchOffServerLinks(tables_.link, plan_),
+          std::vector<SortKey>{{2, false}}));
   // Eligible links: off-server links whose destination is relevant, via
   // merge join on oid_dst.
-  //
-  // kEncoded materializes the relevant oids (the sorted domain of the
-  // restriction — CRAWL oids are unique, so each link matches at most
-  // once) and lets the cost model choose: an index-probe semi-join
-  // (binary-search membership filter over the domain, dropping the
-  // redundant oid(relevant) column) or the same merge join. Both emit
-  // the surviving links in identical order; `score_idx` below absorbs
-  // the one-column schema difference.
-  sql::ColumnSet rel_cols;  // must outlive the plan (BatchSource borrows)
-  sql::BatchOperatorPtr eligible;
-  int score_idx = 8;
-  if (enc) {
-    FOCUS_RETURN_IF_ERROR(sql::CollectInto(relevant.get(), &rel_cols));
-    sql::JoinStats js;
-    js.left_rows = static_cast<uint64_t>(tables_.link->num_rows());
-    js.left_distinct = static_cast<uint64_t>(tables_.crawl->num_rows());
-    js.right_rows = static_cast<uint64_t>(rel_cols.num_rows());
-    js.right_distinct = js.right_rows;
-    js.right_bytes = js.right_rows * 8;
-    js.buffer_bytes = static_cast<uint64_t>(
-                          tables_.link->buffer_pool()->num_frames()) *
-                      storage::kPageSize;
-    sql::PathChoice choice = sql::ChooseJoinPath(js);
-    sql::RecordPathChoice("distill.relevant", choice);
-    sql::BatchOperatorPtr node_op;
-    if (choice.path == sql::AccessPath::kIndexProbe) {
-      node_op = std::make_unique<sql::BatchFilter>(
-          std::move(links_sorted),
-          sql::DomainMembershipPredicate(2, rel_cols.col_ptr(0)));
-      score_idx = 7;
-    } else {
-      node_op = std::make_unique<sql::BatchMergeJoin>(
-          std::move(links_sorted),
-          std::make_unique<sql::BatchSource>(&rel_cols),
-          std::vector<int>{2}, std::vector<int>{0});
-    }
-    eligible = sql::AnalyzeBatchCost(
-        plan_, "EncJoin LINK~relevant",
-        sql::CountActualRows("distill.relevant", std::move(node_op)),
-        sql::AccessPathName(choice.path), choice.est_rows);
-  } else {
-    eligible = sql::AnalyzeBatch(
-        plan_,
-        par ? "ParallelMergeJoin LINK~relevant"
-            : "BatchMergeJoin LINK~relevant",
-        par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelMergeJoin>(
-                  std::move(links_sorted), std::move(relevant),
-                  std::vector<int>{2}, std::vector<int>{0}, disp))
-            : sql::BatchOperatorPtr(std::make_unique<sql::BatchMergeJoin>(
-                  std::move(links_sorted), std::move(relevant),
-                  std::vector<int>{2}, std::vector<int>{0})));
-  }
+  sql::BatchOperatorPtr eligible = sql::AnalyzeBatch(
+      plan_, "BatchMergeJoin LINK~relevant",
+      std::make_unique<sql::BatchMergeJoin>(
+          std::move(links_sorted), std::move(relevant), std::vector<int>{2},
+          std::vector<int>{0}));
   // eligible: 0 oid_src, 1 sid_src, 2 oid_dst, 3 sid_dst, 4 wgt_fwd,
-  //           5 wgt_rev [, 6 oid(relevant) unless the semi-join dropped it]
-  sql::BatchOperatorPtr by_src =
-      par ? std::move(eligible)
-          : sql::AnalyzeBatch(plan_, "BatchSort by oid_src",
-                              std::make_unique<sql::BatchSort>(
-                                  std::move(eligible),
-                                  std::vector<SortKey>{{0, false}}));
-  // HUBS is maintained in ascending-oid heap order: merge join directly
-  // (a stable re-sort of sorted input is the identity permutation).
-  sql::BatchOperatorPtr hubs_scan = sql::AnalyzeBatch(
-      plan_, par ? "ParallelTableScan HUBS" : "BatchTableScan HUBS",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelTableScan>(
-                tables_.hubs, disp))
-          : sql::BatchOperatorPtr(
-                std::make_unique<sql::BatchTableScan>(tables_.hubs)));
-  sql::BatchOperatorPtr with_hub;
-  if (enc) {
-    // Cascaded estimate: the relevant node's output estimate is this
-    // node's outer cardinality. HUBS is tiny and ascending-oid; probe
-    // vs merge flips with the eligible-link volume.
-    sql::JoinStats js;
-    js.left_rows = std::max<uint64_t>(
-        sql::EstimateJoinRows([&] {
-          sql::JoinStats rel;
-          rel.left_rows = static_cast<uint64_t>(tables_.link->num_rows());
-          rel.left_distinct =
-              static_cast<uint64_t>(tables_.crawl->num_rows());
-          rel.right_rows = static_cast<uint64_t>(rel_cols.num_rows());
-          rel.right_distinct = rel.right_rows;
-          return rel;
-        }()),
-        1);
-    js.left_distinct = static_cast<uint64_t>(tables_.crawl->num_rows());
-    js.right_rows = static_cast<uint64_t>(tables_.hubs->num_rows());
-    js.right_distinct = js.right_rows;
-    js.right_bytes = js.right_rows * 16;
-    js.buffer_bytes = static_cast<uint64_t>(
-                          tables_.hubs->buffer_pool()->num_frames()) *
-                      storage::kPageSize;
-    sql::PathChoice choice = sql::ChooseJoinPath(js);
-    sql::RecordPathChoice("distill.hubs", choice);
-    sql::BatchOperatorPtr node_op =
-        choice.path == sql::AccessPath::kIndexProbe
-            ? sql::BatchOperatorPtr(std::make_unique<sql::BatchProbeJoin>(
-                  std::move(by_src), std::move(hubs_scan), 0, 0))
-            : sql::BatchOperatorPtr(std::make_unique<sql::BatchMergeJoin>(
-                  std::move(by_src), std::move(hubs_scan),
-                  std::vector<int>{0}, std::vector<int>{0}));
-    with_hub = sql::AnalyzeBatchCost(
-        plan_, "EncJoin links~HUBS",
-        sql::CountActualRows("distill.hubs", std::move(node_op)),
-        sql::AccessPathName(choice.path), choice.est_rows);
-  } else {
-    with_hub = sql::AnalyzeBatch(
-        plan_,
-        par ? "ParallelMergeJoin links~HUBS" : "BatchMergeJoin links~HUBS",
-        par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelMergeJoin>(
-                  std::move(by_src), std::move(hubs_scan),
-                  std::vector<int>{0}, std::vector<int>{0}, disp))
-            : sql::BatchOperatorPtr(std::make_unique<sql::BatchMergeJoin>(
-                  std::move(by_src), std::move(hubs_scan),
-                  std::vector<int>{0}, std::vector<int>{0})));
-  }
-  // with_hub: ..., oid(hub), score at score_idx (7 after the semi-join
-  // dropped oid(relevant), 8 otherwise)
-  std::vector<sql::BatchExpr> contrib_exprs;
-  contrib_exprs.push_back(
-      sql::BatchExpr::Passthrough("oid_dst", TypeId::kInt64, 2));
-  contrib_exprs.push_back(
-      sql::BatchExpr{"w", TypeId::kDouble,
-                     [score_idx](const sql::Batch& in) {
-                       const auto& wgt = in.col(4).f64;
-                       const auto& score = in.col(score_idx).f64;
-                       sql::ColumnPtr out = sql::NewColumn(TypeId::kDouble);
-                       out->f64.reserve(wgt.size());
-                       for (size_t i = 0; i < wgt.size(); ++i) {
-                         out->f64.push_back(score[i] * wgt[i]);
-                       }
-                       return out;
-                     }});
+  //           5 wgt_rev, 6 oid(relevant)
+  sql::BatchOperatorPtr by_src = sql::AnalyzeBatch(
+      plan_, "BatchSort by oid_src",
+      std::make_unique<sql::BatchSort>(std::move(eligible),
+                                       std::vector<SortKey>{{0, false}}));
+  // HUBS is maintained in ascending-oid heap order: merge join directly.
+  sql::BatchOperatorPtr hubs_scan =
+      sql::AnalyzeBatch(plan_, "BatchTableScan HUBS",
+                        std::make_unique<sql::BatchTableScan>(tables_.hubs));
+  sql::BatchOperatorPtr with_hub = sql::AnalyzeBatch(
+      plan_, "BatchMergeJoin links~HUBS",
+      std::make_unique<sql::BatchMergeJoin>(
+          std::move(by_src), std::move(hubs_scan), std::vector<int>{0},
+          std::vector<int>{0}));
+  // with_hub: ..., 7 oid(hub), 8 score
   sql::BatchOperatorPtr contrib = sql::AnalyzeBatch(
-      plan_,
-      par ? "ParallelProject oid_dst,score*wgt_fwd"
-          : "BatchProject oid_dst,score*wgt_fwd",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelProject>(
-                std::move(with_hub), std::move(contrib_exprs), disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchProject>(
-                std::move(with_hub), std::move(contrib_exprs))));
+      plan_, "BatchProject oid_dst,score*wgt_fwd",
+      std::make_unique<sql::BatchProject>(
+          std::move(with_hub),
+          std::vector<sql::BatchExpr>{
+              sql::BatchExpr::Passthrough("oid_dst", TypeId::kInt64, 2),
+              sql::BatchExpr{"w", TypeId::kDouble,
+                             [](const sql::Batch& in) {
+                               const auto& wgt = in.col(4).f64;
+                               const auto& score = in.col(8).f64;
+                               sql::ColumnPtr out =
+                                   sql::NewColumn(TypeId::kDouble);
+                               out->f64.reserve(wgt.size());
+                               for (size_t i = 0; i < wgt.size(); ++i) {
+                                 out->f64.push_back(score[i] * wgt[i]);
+                               }
+                               return out;
+                             }}}));
   // Sorting (stably) by oid_dst keeps the oid_src arrival order within
   // each group, so the sum order matches the scalar plan's.
   sql::BatchOperatorPtr agg = sql::AnalyzeBatch(
-      plan_,
-      par ? "UpdateAuth: ParallelSortAggregate(oid_dst, sum)"
-          : "UpdateAuth: BatchSortAggregate(oid_dst, sum)",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelSortAggregate>(
-                std::move(contrib), std::vector<SortKey>{{0, false}},
-                std::vector<int>{0},
-                std::vector<AggSpec>{AggSpec{AggKind::kSum, 1, "score"}},
-                disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchSortAggregate>(
-                std::move(contrib), std::vector<SortKey>{{0, false}},
-                std::vector<int>{0},
-                std::vector<AggSpec>{AggSpec{AggKind::kSum, 1, "score"}})));
+      plan_, "UpdateAuth: BatchSortAggregate(oid_dst, sum)",
+      std::make_unique<sql::BatchSortAggregate>(
+          std::move(contrib), std::vector<SortKey>{{0, false}},
+          std::vector<int>{0},
+          std::vector<AggSpec>{AggSpec{AggKind::kSum, 1, "score"}}));
   sql::Devectorize tail(std::move(agg));
   FOCUS_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Collect(&tail));
   stats_.join_seconds += join_timer.ElapsedSeconds();
@@ -531,97 +383,46 @@ Status JoinDistiller::UpdateAuthVec(double rho) {
 
 Status JoinDistiller::UpdateHubsVec() {
   Stopwatch join_timer;
-  const bool par = engine_ == sql::ExecEngine::kParallel;
-  const bool enc = engine_ == sql::ExecEngine::kEncoded;
-  sql::MorselDispatcher* disp = par ? dispatcher() : nullptr;
-  sql::BatchOperatorPtr links = BatchOffServerLinks(tables_.link, plan_, disp);
-  // The parallel merge join sorts internally, so the explicit sort node
-  // only exists in the serial plan.
-  sql::BatchOperatorPtr by_dst =
-      par ? std::move(links)
-          : sql::AnalyzeBatch(plan_, "BatchSort by oid_dst",
-                              std::make_unique<sql::BatchSort>(
-                                  std::move(links),
-                                  std::vector<SortKey>{{2, false}}));
+  sql::BatchOperatorPtr by_dst = sql::AnalyzeBatch(
+      plan_, "BatchSort by oid_dst",
+      std::make_unique<sql::BatchSort>(
+          BatchOffServerLinks(tables_.link, plan_),
+          std::vector<SortKey>{{2, false}}));
   // AUTH is in ascending-oid heap order (ReplaceNormalized preserved the
   // aggregate's order).
-  sql::BatchOperatorPtr auth_scan = sql::AnalyzeBatch(
-      plan_, par ? "ParallelTableScan AUTH" : "BatchTableScan AUTH",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelTableScan>(
-                tables_.auth, disp))
-          : sql::BatchOperatorPtr(
-                std::make_unique<sql::BatchTableScan>(tables_.auth)));
-  sql::BatchOperatorPtr with_auth;
-  if (enc) {
-    sql::JoinStats js;
-    js.left_rows = static_cast<uint64_t>(tables_.link->num_rows());
-    js.left_distinct = static_cast<uint64_t>(tables_.crawl->num_rows());
-    js.right_rows = static_cast<uint64_t>(tables_.auth->num_rows());
-    js.right_distinct = js.right_rows;
-    js.right_bytes = js.right_rows * 16;
-    js.buffer_bytes = static_cast<uint64_t>(
-                          tables_.auth->buffer_pool()->num_frames()) *
-                      storage::kPageSize;
-    sql::PathChoice choice = sql::ChooseJoinPath(js);
-    sql::RecordPathChoice("distill.auth", choice);
-    sql::BatchOperatorPtr node_op =
-        choice.path == sql::AccessPath::kIndexProbe
-            ? sql::BatchOperatorPtr(std::make_unique<sql::BatchProbeJoin>(
-                  std::move(by_dst), std::move(auth_scan), 2, 0))
-            : sql::BatchOperatorPtr(std::make_unique<sql::BatchMergeJoin>(
-                  std::move(by_dst), std::move(auth_scan),
-                  std::vector<int>{2}, std::vector<int>{0}));
-    with_auth = sql::AnalyzeBatchCost(
-        plan_, "EncJoin links~AUTH",
-        sql::CountActualRows("distill.auth", std::move(node_op)),
-        sql::AccessPathName(choice.path), choice.est_rows);
-  } else {
-    with_auth = sql::AnalyzeBatch(
-        plan_,
-        par ? "ParallelMergeJoin links~AUTH" : "BatchMergeJoin links~AUTH",
-        par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelMergeJoin>(
-                  std::move(by_dst), std::move(auth_scan),
-                  std::vector<int>{2}, std::vector<int>{0}, disp))
-            : sql::BatchOperatorPtr(std::make_unique<sql::BatchMergeJoin>(
-                  std::move(by_dst), std::move(auth_scan),
-                  std::vector<int>{2}, std::vector<int>{0})));
-  }
+  sql::BatchOperatorPtr auth_scan =
+      sql::AnalyzeBatch(plan_, "BatchTableScan AUTH",
+                        std::make_unique<sql::BatchTableScan>(tables_.auth));
+  sql::BatchOperatorPtr with_auth = sql::AnalyzeBatch(
+      plan_, "BatchMergeJoin links~AUTH",
+      std::make_unique<sql::BatchMergeJoin>(
+          std::move(by_dst), std::move(auth_scan), std::vector<int>{2},
+          std::vector<int>{0}));
   // with_auth: 0 oid_src .. 5 wgt_rev, 6 oid(auth), 7 score
-  std::vector<sql::BatchExpr> contrib_exprs;
-  contrib_exprs.push_back(
-      sql::BatchExpr::Passthrough("oid_src", TypeId::kInt64, 0));
-  contrib_exprs.push_back(
-      sql::BatchExpr{"w", TypeId::kDouble, [](const sql::Batch& in) {
-                       const auto& wgt = in.col(5).f64;
-                       const auto& score = in.col(7).f64;
-                       sql::ColumnPtr out = sql::NewColumn(TypeId::kDouble);
-                       out->f64.reserve(wgt.size());
-                       for (size_t i = 0; i < wgt.size(); ++i) {
-                         out->f64.push_back(score[i] * wgt[i]);
-                       }
-                       return out;
-                     }});
   sql::BatchOperatorPtr contrib = sql::AnalyzeBatch(
-      plan_,
-      par ? "ParallelProject oid_src,score*wgt_rev"
-          : "BatchProject oid_src,score*wgt_rev",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelProject>(
-                std::move(with_auth), std::move(contrib_exprs), disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchProject>(
-                std::move(with_auth), std::move(contrib_exprs))));
+      plan_, "BatchProject oid_src,score*wgt_rev",
+      std::make_unique<sql::BatchProject>(
+          std::move(with_auth),
+          std::vector<sql::BatchExpr>{
+              sql::BatchExpr::Passthrough("oid_src", TypeId::kInt64, 0),
+              sql::BatchExpr{"w", TypeId::kDouble,
+                             [](const sql::Batch& in) {
+                               const auto& wgt = in.col(5).f64;
+                               const auto& score = in.col(7).f64;
+                               sql::ColumnPtr out =
+                                   sql::NewColumn(TypeId::kDouble);
+                               out->f64.reserve(wgt.size());
+                               for (size_t i = 0; i < wgt.size(); ++i) {
+                                 out->f64.push_back(score[i] * wgt[i]);
+                               }
+                               return out;
+                             }}}));
   sql::BatchOperatorPtr agg = sql::AnalyzeBatch(
-      plan_,
-      par ? "UpdateHubs: ParallelSortAggregate(oid_src, sum)"
-          : "UpdateHubs: BatchSortAggregate(oid_src, sum)",
-      par ? sql::BatchOperatorPtr(std::make_unique<sql::ParallelSortAggregate>(
-                std::move(contrib), std::vector<SortKey>{{0, false}},
-                std::vector<int>{0},
-                std::vector<AggSpec>{AggSpec{AggKind::kSum, 1, "score"}},
-                disp))
-          : sql::BatchOperatorPtr(std::make_unique<sql::BatchSortAggregate>(
-                std::move(contrib), std::vector<SortKey>{{0, false}},
-                std::vector<int>{0},
-                std::vector<AggSpec>{AggSpec{AggKind::kSum, 1, "score"}})));
+      plan_, "UpdateHubs: BatchSortAggregate(oid_src, sum)",
+      std::make_unique<sql::BatchSortAggregate>(
+          std::move(contrib), std::vector<SortKey>{{0, false}},
+          std::vector<int>{0},
+          std::vector<AggSpec>{AggSpec{AggKind::kSum, 1, "score"}}));
   sql::Devectorize tail(std::move(agg));
   FOCUS_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Collect(&tail));
   stats_.join_seconds += join_timer.ElapsedSeconds();

@@ -11,11 +11,8 @@
 #ifndef FOCUS_DISTILL_JOIN_DISTILLER_H_
 #define FOCUS_DISTILL_JOIN_DISTILLER_H_
 
-#include <memory>
-
 #include "distill/distiller.h"
 #include "sql/exec/analyze.h"
-#include "sql/exec/parallel.h"
 
 namespace focus::distill {
 
@@ -33,25 +30,9 @@ class JoinDistiller final : public Distiller {
 
   // Selects the executor for the Figure 4 plans. Defaults to the
   // vectorized batch engine; the scalar Volcano path stays available for
-  // comparison benchmarks and equivalence tests, and kParallel runs the
-  // batch plans morsel-parallel with bit-identical results. kEncoded
-  // lets the cost model (cost_model.h) pick the access path per join
-  // node: the relevant-page restriction becomes a semi-join against the
-  // sorted oid domain when probing wins, and the HUBS/AUTH joins switch
-  // between index probe and sort-merge as their sizes dictate — all
-  // bit-identical to the other engines.
+  // comparison benchmarks and equivalence tests (bit-identical results).
   void SetEngine(sql::ExecEngine engine) { engine_ = engine; }
   sql::ExecEngine engine() const { return engine_; }
-
-  // Worker count for kParallel (including the calling thread; 1 = inline).
-  // Takes effect on the next RunIteration. Default 4.
-  void SetParallelThreads(int threads) {
-    if (threads != parallel_threads_) {
-      parallel_threads_ = threads;
-      dispatcher_.reset();
-    }
-  }
-  int parallel_threads() const { return parallel_threads_; }
 
  private:
   // Replaces `table`'s rows with `rows` scaled to sum 1, in input order
@@ -64,7 +45,7 @@ class JoinDistiller final : public Distiller {
   // The scalar engine's audit: a LINK scan with memoized by_oid probes.
   Status AuditDanglingEdges();
 
-  // The batch engines' Initialize pass: one projected LINK scan of
+  // The batch engine's Initialize pass: one projected LINK scan of
   // (oid_src, oid_dst), checked against CRAWL's sorted oid set, yields the
   // distinct sources (ascending) and both dangling-edge counts.
   Result<std::vector<int64_t>> SourcesAndDanglingEdgesVec();
@@ -74,12 +55,7 @@ class JoinDistiller final : public Distiller {
   Status UpdateAuthVec(double rho);
   Status UpdateHubsVec();
 
-  // The dispatcher for kParallel plans, created on first use.
-  sql::MorselDispatcher* dispatcher();
-
   sql::ExecEngine engine_ = sql::ExecEngine::kVectorized;
-  int parallel_threads_ = 4;
-  std::unique_ptr<sql::MorselDispatcher> dispatcher_;
   int crawl_oid_col_ = -1;
   int crawl_rel_col_ = -1;
   // Non-null only inside RunIterationWithPlan.

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -26,8 +27,9 @@ std::string PercentDecode(const std::string& s) {
   for (size_t i = 0; i < s.size(); ++i) {
     if (s[i] == '+') {
       out.push_back(' ');
-    } else if (s[i] == '%' && i + 2 < s.size() && std::isxdigit(s[i + 1]) &&
-               std::isxdigit(s[i + 2])) {
+    } else if (s[i] == '%' && i + 2 < s.size() &&
+               std::isxdigit(static_cast<unsigned char>(s[i + 1])) &&
+               std::isxdigit(static_cast<unsigned char>(s[i + 2]))) {
       out.push_back(static_cast<char>(
           std::strtol(s.substr(i + 1, 2).c_str(), nullptr, 16)));
       i += 2;
@@ -37,6 +39,11 @@ std::string PercentDecode(const std::string& s) {
   }
   return out;
 }
+
+// Per-connection send/receive timeout. Connections are served one at a
+// time, so a client that stalls mid-request must not hold the port (or
+// Stop(), which joins the serving thread) for longer than this.
+constexpr timeval kConnectionTimeout{1, 0};
 
 const char* StatusLine(int status) {
   switch (status) {
@@ -224,14 +231,18 @@ void AdminServer::AcceptLoop() {
       // either way this thread is done.
       return;
     }
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &kConnectionTimeout,
+                 sizeof(kConnectionTimeout));
+    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &kConnectionTimeout,
+                 sizeof(kConnectionTimeout));
     ServeConnection(conn);
     ::close(conn);
   }
 }
 
 void AdminServer::ServeConnection(int fd) {
-  // Read until the end of the request head. Serial, bounded, blocking:
-  // the client is curl/a scraper on loopback.
+  // Read until the end of the request head. Serial, bounded, blocking
+  // up to kConnectionTimeout: the client is curl/a scraper on loopback.
   std::string head;
   char buf[4096];
   while (head.find("\r\n\r\n") == std::string::npos &&

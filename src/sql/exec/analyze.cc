@@ -76,12 +76,6 @@ class AnalyzedBatchOperator final : public BatchOperator {
     node_->is_batch = true;
   }
 
-  void AnnotateCost(const char* access_path, uint64_t est_rows) {
-    node_->access_path = access_path;
-    node_->est_rows = est_rows;
-    node_->has_cost = true;
-  }
-
   Status Open() override {
     if (!linked_) {
       linked_ = true;
@@ -110,11 +104,6 @@ class AnalyzedBatchOperator final : public BatchOperator {
     if (more.ok() && more.value()) {
       ++node_->batches;
       node_->rows_out += out->num_rows();
-    }
-    if (const ParallelOpStats* ps = child_->parallel_stats()) {
-      node_->morsels = ps->morsels;
-      node_->partitions = ps->partitions;
-      node_->max_partition_rows = ps->max_partition_rows;
     }
     return more;
   }
@@ -160,25 +149,12 @@ void FormatNode(const PlanStats::Node& node, const std::string& prefix,
   uint64_t children = ChildMicros(node);
   uint64_t self = total > children ? total - children : 0;
   std::string line = root ? "" : StrCat(prefix, last ? "`- " : "|- ");
-  std::string cost;
-  if (node.has_cost) {
-    cost = StrCat(" path=", node.access_path, " est_rows=", node.est_rows);
-  }
   if (node.is_batch) {
-    std::string par;
-    if (node.morsels > 0) {
-      par = StrCat(" morsels=", node.morsels);
-      if (node.partitions > 0) {
-        par += StrCat(" partitions=", node.partitions,
-                      " max_part_rows=", node.max_partition_rows);
-      }
-    }
-    *out += StrCat(line, node.label, cost, "  rows=", node.rows_out,
-                   " batches=", node.batches, par,
-                   " total=", FormatMicros(total),
+    *out += StrCat(line, node.label, "  rows=", node.rows_out,
+                   " batches=", node.batches, " total=", FormatMicros(total),
                    " self=", FormatMicros(self), "\n");
   } else {
-    *out += StrCat(line, node.label, cost, "  rows=", node.rows_out,
+    *out += StrCat(line, node.label, "  rows=", node.rows_out,
                    " next=", node.next_calls, " total=", FormatMicros(total),
                    " self=", FormatMicros(self), "\n");
   }
@@ -200,15 +176,6 @@ void NodeToJson(const PlanStats::Node& node, obs::JsonWriter* w) {
       .Field("total_micros", total)
       .Field("self_micros", total > children ? total - children : 0);
   if (node.is_batch) w->Field("batches", node.batches);
-  if (node.has_cost) {
-    w->Field("access_path", node.access_path)
-        .Field("est_rows", node.est_rows);
-  }
-  if (node.morsels > 0) {
-    w->Field("morsels", node.morsels)
-        .Field("partitions", node.partitions)
-        .Field("max_partition_rows", node.max_partition_rows);
-  }
   w->Key("children").BeginArray();
   for (const PlanStats::Node* child : node.children) NodeToJson(*child, w);
   w->EndArray().EndObject();
@@ -243,17 +210,6 @@ BatchOperatorPtr AnalyzeBatch(PlanStats* stats, std::string label,
   if (stats == nullptr) return child;
   return std::make_unique<AnalyzedBatchOperator>(stats, std::move(label),
                                                  std::move(child));
-}
-
-BatchOperatorPtr AnalyzeBatchCost(PlanStats* stats, std::string label,
-                                  BatchOperatorPtr child,
-                                  const char* access_path,
-                                  uint64_t est_rows) {
-  if (stats == nullptr) return child;
-  auto wrapper = std::make_unique<AnalyzedBatchOperator>(
-      stats, std::move(label), std::move(child));
-  wrapper->AnnotateCost(access_path, est_rows);
-  return wrapper;
 }
 
 }  // namespace focus::sql

@@ -44,18 +44,6 @@ class PlanStats {
     // Batch operators report batches instead of per-row Next calls.
     uint64_t batches = 0;
     bool is_batch = false;
-    // Parallel operators (parallel.h) additionally report their morsel/
-    // partition fan-out; all zero for serial operators. max_partition_rows
-    // against rows_out/partitions shows partition skew at a glance.
-    uint64_t morsels = 0;
-    uint64_t partitions = 0;
-    uint64_t max_partition_rows = 0;
-    // Cost-model annotation (cost_model.h): the access path chosen at
-    // plan-build time and its cardinality estimate, rendered next to the
-    // actual rows_out so estimate quality is visible per node.
-    std::string access_path;
-    uint64_t est_rows = 0;
-    bool has_cost = false;
     std::vector<Node*> children;
     bool has_parent = false;
   };
@@ -96,14 +84,6 @@ OperatorPtr Analyze(PlanStats* stats, std::string label, OperatorPtr child);
 // open stack, so mixed plans still render as one tree).
 BatchOperatorPtr AnalyzeBatch(PlanStats* stats, std::string label,
                               BatchOperatorPtr child);
-
-// AnalyzeBatch plus the cost-model annotation: the node renders
-// `path=<access_path> est_rows=<n>` next to its actual row count. As with
-// the plain wrappers, null `stats` returns the child unchanged.
-BatchOperatorPtr AnalyzeBatchCost(PlanStats* stats, std::string label,
-                                  BatchOperatorPtr child,
-                                  const char* access_path,
-                                  uint64_t est_rows);
 
 }  // namespace focus::sql
 

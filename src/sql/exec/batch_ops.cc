@@ -203,8 +203,8 @@ double NumericAt(const ColumnData& col, size_t row) {
   return 0;
 }
 
-}  // namespace
-
+// Output schema of a sorted-run aggregate: the group columns followed by
+// one column per spec (types exactly as HashAggregate).
 Schema SortedAggSchema(const Schema& in, const std::vector<int>& group_cols,
                        const std::vector<AggSpec>& aggs) {
   std::vector<Column> cols;
@@ -215,15 +215,11 @@ Schema SortedAggSchema(const Schema& in, const std::vector<int>& group_cols,
   return Schema(std::move(cols));
 }
 
-void SetBatchMetricsRegistry(obs::MetricsRegistry* registry) {
-  g_batch_registry.store(registry, std::memory_order_relaxed);
-}
-
-obs::MetricsRegistry* BatchMetricsRegistry() {
-  return obs::MetricsRegistry::OrGlobal(
-      g_batch_registry.load(std::memory_order_relaxed));
-}
-
+// Stable sort permutation of `rows` on `keys`. Uses the packed-int fast
+// path when the keys are 1-2 NULL-free int columns whose compressed ranges
+// fit one 64-bit word — `packed` is then filled with the row-indexed
+// injective sort words (equal words <=> equal key values) — and falls back
+// to a generic stable comparison sort (`packed` left empty).
 void SortPermutation(const ColumnSet& rows, const std::vector<SortKey>& keys,
                      std::vector<int64_t>* order,
                      std::vector<uint64_t>* packed) {
@@ -240,30 +236,27 @@ void SortPermutation(const ColumnSet& rows, const std::vector<SortKey>& keys,
                    });
 }
 
+// Emits the (left, right) row-index pairs of the sorted merge join
+// lrows ⋈ rrows. Inputs must arrive sorted ascending on their key columns.
+// Output is left-major within each key group — the scalar MergeJoin's
+// order; right index -1 = NULL padding under left_outer. Appends to li/ri.
 void MergeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
                       const std::vector<int>& left_keys,
                       const std::vector<int>& right_keys, bool left_outer,
-                      const int64_t* lidx, size_t nl, const int64_t* ridx,
-                      size_t nr, std::vector<int64_t>* li,
-                      std::vector<int64_t>* ri) {
-  auto lrow = [lidx](size_t p) {
-    return lidx ? static_cast<size_t>(lidx[p]) : p;
-  };
-  auto rrow = [ridx](size_t p) {
-    return ridx ? static_cast<size_t>(ridx[p]) : p;
-  };
+                      std::vector<int64_t>* li, std::vector<int64_t>* ri) {
+  const size_t nl = lrows.num_rows();
+  const size_t nr = rrows.num_rows();
   auto key_cmp = [&](size_t l, size_t r) {
     for (size_t k = 0; k < left_keys.size(); ++k) {
-      int c = CompareColumnRows(lrows.col(left_keys[k]), lrow(l),
-                                rrows.col(right_keys[k]), rrow(r));
+      int c = CompareColumnRows(lrows.col(left_keys[k]), l,
+                                rrows.col(right_keys[k]), r);
       if (c != 0) return c;
     }
     return 0;
   };
   auto right_eq = [&](size_t a, size_t b) {
     for (int key : right_keys) {
-      if (CompareColumnRows(rrows.col(key), rrow(a), rrows.col(key),
-                            rrow(b)) != 0) {
+      if (CompareColumnRows(rrows.col(key), a, rrows.col(key), b) != 0) {
         return false;
       }
     }
@@ -273,7 +266,7 @@ void MergeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
   while (l < nl) {
     if (r >= nr) {
       if (left_outer) {
-        li->push_back(static_cast<int64_t>(lrow(l)));
+        li->push_back(static_cast<int64_t>(l));
         ri->push_back(-1);
       }
       ++l;
@@ -282,7 +275,7 @@ void MergeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
     int c = key_cmp(l, r);
     if (c < 0) {
       if (left_outer) {
-        li->push_back(static_cast<int64_t>(lrow(l)));
+        li->push_back(static_cast<int64_t>(l));
         ri->push_back(-1);
       }
       ++l;
@@ -295,8 +288,8 @@ void MergeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
       // output order.
       while (l < nl && key_cmp(l, r) == 0) {
         for (size_t rr = r; rr < rend; ++rr) {
-          li->push_back(static_cast<int64_t>(lrow(l)));
-          ri->push_back(static_cast<int64_t>(rrow(rr)));
+          li->push_back(static_cast<int64_t>(l));
+          ri->push_back(static_cast<int64_t>(rr));
         }
         ++l;
       }
@@ -305,6 +298,8 @@ void MergeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
   }
 }
 
+// True when `packed` sort words decide group boundaries: the group columns
+// are exactly the sort-key columns (packing is injective).
 bool GroupsMatchSortKeys(const std::vector<int>& group_cols,
                          const std::vector<SortKey>& sort_keys) {
   return group_cols.size() == sort_keys.size() &&
@@ -314,9 +309,14 @@ bool GroupsMatchSortKeys(const std::vector<int>& group_cols,
          });
 }
 
+// Aggregates the sorted runs of `rows` visited through `order` and appends
+// one row per group to `out` (schema = SortedAggSchema). Group boundaries
+// compare packed words (row-indexed; pass nullptr to compare the group
+// columns directly). Sums accumulate in double in visit order — the exact
+// arithmetic of BatchSortedAggregate.
 void AggregateSortedRuns(const ColumnSet& rows,
-                         const std::vector<int64_t>& order, size_t begin,
-                         size_t end, const uint64_t* packed,
+                         const std::vector<int64_t>& order,
+                         const uint64_t* packed,
                          const std::vector<int>& group_cols,
                          const std::vector<AggSpec>& aggs, ColumnSet* out) {
   auto same_group = [&](size_t a, size_t b) {
@@ -330,7 +330,8 @@ void AggregateSortedRuns(const ColumnSet& rows,
   };
   std::vector<double> sums(aggs.size());
   std::vector<int64_t> counts(aggs.size());
-  size_t pos = begin;
+  const size_t end = order.size();
+  size_t pos = 0;
   while (pos < end) {
     size_t rep = static_cast<size_t>(order[pos]);
     sums.assign(aggs.size(), 0.0);
@@ -370,6 +371,12 @@ void AggregateSortedRuns(const ColumnSet& rows,
       }
     }
   }
+}
+
+}  // namespace
+
+void SetBatchMetricsRegistry(obs::MetricsRegistry* registry) {
+  g_batch_registry.store(registry, std::memory_order_relaxed);
 }
 
 Result<bool> BatchOperator::NextBatch(Batch* out) {
@@ -645,9 +652,8 @@ Status BatchMergeJoin::Merge() {
     if (!more) break;
     rrows_.AppendBatch(b);
   }
-  MergeJoinIndices(lrows_, rrows_, left_keys_, right_keys_, left_outer_,
-                   nullptr, lrows_.num_rows(), nullptr, rrows_.num_rows(),
-                   &li_, &ri_);
+  MergeJoinIndices(lrows_, rrows_, left_keys_, right_keys_, left_outer_, &li_,
+                   &ri_);
   return Status::OK();
 }
 
@@ -668,213 +674,6 @@ Result<bool> BatchMergeJoin::DoNextBatch(Batch* out) {
   }
   pos_ = end;
   return true;
-}
-
-// ---------------------------------------------------------- probe join --
-
-DenseRunTable BuildDenseRunTable(const ColumnData& rk, int64_t domain) {
-  DenseRunTable t;
-  t.lo.assign(static_cast<size_t>(domain), 0);
-  t.hi.assign(static_cast<size_t>(domain), 0);
-  const size_t nr = rk.size();
-  size_t j = 0;
-  while (j < nr) {
-    int32_t code = rk.i32[j];
-    size_t end = j + 1;
-    while (end < nr && rk.i32[end] == code) ++end;
-    FOCUS_DCHECK(code >= 0 && code < domain);
-    t.lo[code] = static_cast<int64_t>(j);
-    t.hi[code] = static_cast<int64_t>(end);
-    j = end;
-  }
-  return t;
-}
-
-void ProbeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
-                      int left_key, int right_key, bool left_outer,
-                      const DenseRunTable* dense, size_t lbegin, size_t lend,
-                      std::vector<int64_t>* li, std::vector<int64_t>* ri) {
-  const ColumnData& lk = lrows.col(left_key);
-  const ColumnData& rk = rrows.col(right_key);
-  const size_t nr = rrows.num_rows();
-
-  size_t i = lbegin;
-  size_t rpos = 0;  // both sides ascend, so searches never look back
-  while (i < lend) {
-    size_t run_end = i + 1;
-    while (run_end < lend && CompareColumnRows(lk, run_end, lk, i) == 0) {
-      ++run_end;
-    }
-    size_t rlo = 0, rhi = 0;
-    if (dense != nullptr) {
-      int32_t code = lk.IsNull(i) ? -1 : lk.i32[i];
-      if (code >= 0 && code < static_cast<int64_t>(dense->lo.size())) {
-        rlo = static_cast<size_t>(dense->lo[code]);
-        rhi = static_cast<size_t>(dense->hi[code]);
-      }
-    } else {
-      size_t lo = rpos, hi = nr;
-      while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        if (CompareColumnRows(rk, mid, lk, i) < 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      rlo = lo;
-      hi = nr;
-      while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        if (CompareColumnRows(rk, mid, lk, i) <= 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      rhi = lo;
-      rpos = rhi;
-    }
-    // Left-major within the key group — MergeJoinIndices' emission order.
-    for (size_t l = i; l < run_end; ++l) {
-      if (rlo == rhi) {
-        if (left_outer) {
-          li->push_back(static_cast<int64_t>(l));
-          ri->push_back(-1);
-        }
-        continue;
-      }
-      for (size_t r = rlo; r < rhi; ++r) {
-        li->push_back(static_cast<int64_t>(l));
-        ri->push_back(static_cast<int64_t>(r));
-      }
-    }
-    i = run_end;
-  }
-}
-
-BatchProbeJoin::BatchProbeJoin(BatchOperatorPtr left, BatchOperatorPtr right,
-                               int left_key, int right_key, bool left_outer,
-                               int64_t dense_domain, int batch_rows)
-    : BatchOperator("probe_join"),
-      left_(std::move(left)),
-      right_(std::move(right)),
-      left_key_(left_key),
-      right_key_(right_key),
-      left_outer_(left_outer),
-      dense_domain_(dense_domain),
-      batch_rows_(batch_rows),
-      schema_(Schema::Concat(left_->schema(), right_->schema())) {}
-
-Status BatchProbeJoin::Open() {
-  lrows_ = ColumnSet(left_->schema());
-  rrows_ = ColumnSet(right_->schema());
-  li_.clear();
-  ri_.clear();
-  pos_ = 0;
-  probed_ = false;
-  FOCUS_RETURN_IF_ERROR(left_->Open());
-  return right_->Open();
-}
-
-void BatchProbeJoin::Close() {
-  lrows_ = ColumnSet();
-  rrows_ = ColumnSet();
-  li_.clear();
-  ri_.clear();
-  left_->Close();
-  right_->Close();
-}
-
-Status BatchProbeJoin::Probe() {
-  Batch b;
-  for (;;) {
-    FOCUS_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&b));
-    if (!more) break;
-    lrows_.AppendBatch(b);
-  }
-  for (;;) {
-    FOCUS_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&b));
-    if (!more) break;
-    rrows_.AppendBatch(b);
-  }
-  DenseRunTable table;
-  if (dense_domain_ > 0) {
-    table = BuildDenseRunTable(rrows_.col(right_key_), dense_domain_);
-  }
-  ProbeJoinIndices(lrows_, rrows_, left_key_, right_key_, left_outer_,
-                   dense_domain_ > 0 ? &table : nullptr, 0,
-                   lrows_.num_rows(), &li_, &ri_);
-  return Status::OK();
-}
-
-Result<bool> BatchProbeJoin::DoNextBatch(Batch* out) {
-  out->Reset();
-  if (!probed_) {
-    probed_ = true;
-    FOCUS_RETURN_IF_ERROR(Probe());
-  }
-  if (pos_ >= li_.size()) return false;
-  size_t end = std::min(li_.size(), pos_ + static_cast<size_t>(batch_rows_));
-  size_t n = end - pos_;
-  for (int i = 0; i < lrows_.num_columns(); ++i) {
-    out->AddColumn(Gather(lrows_.col(i), li_.data() + pos_, n));
-  }
-  for (int i = 0; i < rrows_.num_columns(); ++i) {
-    out->AddColumn(Gather(rrows_.col(i), ri_.data() + pos_, n));
-  }
-  pos_ = end;
-  return true;
-}
-
-// ---------------------------------------------- dictionary predicates --
-
-BatchPredicate CodeRangePredicate(int col, int32_t lo_code,
-                                  int32_t hi_code) {
-  return [col, lo_code, hi_code](const Batch& in,
-                                 std::vector<int64_t>* sel) {
-    const ColumnData& c = in.col(col);
-    for (size_t i = 0; i < c.i32.size(); ++i) {
-      int32_t v = c.i32[i];
-      if (v >= lo_code && v < hi_code && !c.IsNull(i)) {
-        sel->push_back(static_cast<int64_t>(i));
-      }
-    }
-  };
-}
-
-BatchPredicate DomainMembershipPredicate(int col, ColumnPtr domain) {
-  return [col, domain = std::move(domain)](const Batch& in,
-                                           std::vector<int64_t>* sel) {
-    const ColumnData& c = in.col(col);
-    const ColumnData& d = *domain;
-    const size_t n = c.size();
-    if (d.type == TypeId::kInt64 && c.type == TypeId::kInt64 &&
-        !c.has_nulls()) {
-      for (size_t i = 0; i < n; ++i) {
-        if (std::binary_search(d.i64.begin(), d.i64.end(), c.i64[i])) {
-          sel->push_back(static_cast<int64_t>(i));
-        }
-      }
-      return;
-    }
-    const size_t nd = d.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (c.IsNull(i)) continue;
-      size_t lo = 0, hi = nd;
-      while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        if (CompareColumnRows(d, mid, c, i) < 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo < nd && CompareColumnRows(d, lo, c, i) == 0) {
-        sel->push_back(static_cast<int64_t>(i));
-      }
-    }
-  };
 }
 
 // ---------------------------------------------------------- cross join --
@@ -1090,9 +889,8 @@ Result<bool> BatchSortAggregate::DoNextBatch(Batch* out) {
     bool use_packed =
         !packed.empty() && GroupsMatchSortKeys(group_cols_, sort_keys_);
     agg_ = ColumnSet(schema_);
-    AggregateSortedRuns(rows_, order, 0, order.size(),
-                        use_packed ? packed.data() : nullptr, group_cols_,
-                        aggs_, &agg_);
+    AggregateSortedRuns(rows_, order, use_packed ? packed.data() : nullptr,
+                        group_cols_, aggs_, &agg_);
     rows_ = ColumnSet();
   }
   size_t n = agg_.num_rows();

@@ -37,20 +37,6 @@ namespace focus::sql {
 // registry). Takes effect for operators that have not yet executed.
 void SetBatchMetricsRegistry(obs::MetricsRegistry* registry);
 
-// The registry batch-engine metrics currently resolve to (the redirected
-// one, else the process-wide registry). The parallel engine (parallel.h)
-// reports its morsel/partition counters here too.
-obs::MetricsRegistry* BatchMetricsRegistry();
-
-// Per-operator counters a parallel operator exposes so EXPLAIN ANALYZE can
-// render morsel/partition fan-out and skew (analyze.cc copies these into
-// the plan node after each NextBatch).
-struct ParallelOpStats {
-  uint64_t morsels = 0;             // morsel tasks dispatched
-  uint64_t partitions = 0;          // radix partitions formed (0 = serial)
-  uint64_t max_partition_rows = 0;  // largest partition (skew signal)
-};
-
 // Base interface: Open / NextBatch / Close, mirroring the scalar
 // Operator. NextBatch resets `out` and fills it; returns false when
 // exhausted (out left empty). The non-virtual NextBatch wraps the
@@ -63,10 +49,6 @@ class BatchOperator {
   Result<bool> NextBatch(Batch* out);
   virtual void Close() {}
   virtual const Schema& schema() const = 0;
-
-  // Non-null for parallel operators (parallel.h): morsel/partition counts
-  // of the work done so far, for EXPLAIN ANALYZE.
-  virtual const ParallelOpStats* parallel_stats() const { return nullptr; }
 
  protected:
   // `op_name` keys the per-operator obs metrics; nullptr (used by the
@@ -290,50 +272,6 @@ class BatchMergeJoin final : public BatchOperator {
   bool merged_ = false;
 };
 
-// Index-probe join: the access path the cost model (cost_model.h) pits
-// against BatchMergeJoin. Both inputs must arrive sorted ascending on
-// their single join key (exactly the merge join's precondition); instead
-// of scanning the inner side row by row, each distinct outer key run
-// binary-searches the inner for its matching run — or, when the inner key
-// is a dense dictionary-code domain (kInt32, NULL-free, values in
-// [0, dense_domain)), looks it up in an O(1) run table built in one pass.
-// Emission is left-major within key groups, identical pair-for-pair to
-// BatchMergeJoin, so swapping the two operators never changes results —
-// only which side's size dominates the cost (Fig. 8).
-class BatchProbeJoin final : public BatchOperator {
- public:
-  // `dense_domain` > 0 enables the run-table fast path (the inner key
-  // column must then hold codes in [0, dense_domain)).
-  BatchProbeJoin(BatchOperatorPtr left, BatchOperatorPtr right, int left_key,
-                 int right_key, bool left_outer = false,
-                 int64_t dense_domain = 0,
-                 int batch_rows = kDefaultBatchRows);
-
-  Status Open() override;
-  void Close() override;
-  const Schema& schema() const override { return schema_; }
-
- protected:
-  Result<bool> DoNextBatch(Batch* out) override;
-
- private:
-  Status Probe();
-
-  BatchOperatorPtr left_;
-  BatchOperatorPtr right_;
-  int left_key_;
-  int right_key_;
-  bool left_outer_;
-  int64_t dense_domain_;
-  int batch_rows_;
-  Schema schema_;
-
-  ColumnSet lrows_, rrows_;
-  std::vector<int64_t> li_, ri_;
-  size_t pos_ = 0;
-  bool probed_ = false;
-};
-
 // Cross join against a small materialized right side (the DOCLEN x
 // children step of Figure 3).
 class BatchCrossJoin final : public BatchOperator {
@@ -433,89 +371,6 @@ class BatchSortAggregate final : public BatchOperator {
 
 // Drains `op` into `out` (Open/NextBatch/Close included).
 Status CollectInto(BatchOperator* op, ColumnSet* out);
-
-// ---- shared executor kernels -------------------------------------------
-//
-// The serial batch operators above and the morsel-driven parallel
-// operators (parallel.h) must produce bit-identical results, so the row
-// kernels they share live here rather than being duplicated.
-
-// Stable sort permutation of `rows` on `keys`. Uses the packed-int fast
-// path when the keys are 1-2 NULL-free int columns whose compressed ranges
-// fit one 64-bit word — `packed` is then filled with the row-indexed
-// injective sort words (equal words <=> equal key values) — and falls back
-// to a generic stable comparison sort (`packed` left empty).
-void SortPermutation(const ColumnSet& rows, const std::vector<SortKey>& keys,
-                     std::vector<int64_t>* order,
-                     std::vector<uint64_t>* packed);
-
-// Emits the (left, right) row-index pairs of the sorted merge join
-// lrows[lidx[0..nl)] ⋈ rrows[ridx[0..nr)]; a null lidx/ridx means the
-// identity over all rows. Inputs must arrive sorted ascending on their key
-// columns (through the index arrays). Output is left-major within each key
-// group — the scalar MergeJoin's order; right index -1 = NULL padding
-// under left_outer. Appends to li/ri.
-void MergeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
-                      const std::vector<int>& left_keys,
-                      const std::vector<int>& right_keys, bool left_outer,
-                      const int64_t* lidx, size_t nl, const int64_t* ridx,
-                      size_t nr, std::vector<int64_t>* li,
-                      std::vector<int64_t>* ri);
-
-// Run bounds per dictionary code over a sorted inner side: code c's
-// matching rows are rk[lo[c] .. hi[c]). Built in one sequential pass;
-// turns every probe into two array reads.
-struct DenseRunTable {
-  std::vector<int64_t> lo, hi;
-};
-DenseRunTable BuildDenseRunTable(const ColumnData& rk, int64_t domain);
-
-// Emits the (left, right) row-index pairs of lrows[lbegin..lend) ⋈ rrows
-// on one key column each, both sorted ascending, by binary-searching (or,
-// given a dense run table, looking up) the right run for each left key
-// run. Produces exactly the pairs MergeJoinIndices produces for the same
-// inputs, in the same order; any [lbegin, lend) split of the left
-// concatenates to the full result, which is what lets the parallel
-// engine probe morsels independently. Appends to li/ri.
-void ProbeJoinIndices(const ColumnSet& lrows, const ColumnSet& rrows,
-                      int left_key, int right_key, bool left_outer,
-                      const DenseRunTable* dense, size_t lbegin, size_t lend,
-                      std::vector<int64_t>* li, std::vector<int64_t>* ri);
-
-// Equality/range predicate on a dictionary-code column: keeps rows whose
-// code lies in [lo_code, hi_code). The caller turns a value predicate
-// into code bounds with one dictionary probe (ColumnDictionary::
-// LowerBound/UpperBound), so the per-row work is two int compares — no
-// value comparisons, no string walks. NULL (negative) codes never pass.
-BatchPredicate CodeRangePredicate(int col, int32_t lo_code, int32_t hi_code);
-
-// Membership (semi-join) predicate: keeps rows whose column value is in
-// the sorted value column `domain` (no NULLs), one binary search per row
-// — the dictionary-probe replacement for joining against a distinct-key
-// side that contributes no payload. `domain` is shared, not copied.
-BatchPredicate DomainMembershipPredicate(int col, ColumnPtr domain);
-
-// Output schema of a sorted-run aggregate: the group columns followed by
-// one column per spec (types exactly as HashAggregate).
-Schema SortedAggSchema(const Schema& in, const std::vector<int>& group_cols,
-                       const std::vector<AggSpec>& aggs);
-
-// True when `packed` sort words decide group boundaries: the group columns
-// are exactly the sort-key columns (packing is injective), the condition
-// both run-aggregation operators share.
-bool GroupsMatchSortKeys(const std::vector<int>& group_cols,
-                         const std::vector<SortKey>& sort_keys);
-
-// Aggregates the sorted runs of `rows` visited through order[begin..end)
-// and appends one row per group to `out` (schema = SortedAggSchema).
-// Group boundaries compare packed words (row-indexed; pass nullptr to
-// compare the group columns directly). Sums accumulate in double in
-// visit order — the exact arithmetic of BatchSortedAggregate.
-void AggregateSortedRuns(const ColumnSet& rows,
-                         const std::vector<int64_t>& order, size_t begin,
-                         size_t end, const uint64_t* packed,
-                         const std::vector<int>& group_cols,
-                         const std::vector<AggSpec>& aggs, ColumnSet* out);
 
 }  // namespace focus::sql
 

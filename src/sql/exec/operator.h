@@ -16,15 +16,11 @@
 namespace focus::sql {
 
 // Which executor runs a hot relational plan: the scalar Volcano engine
-// (one Tuple per Next call), the vectorized batch engine (batch_ops.h),
-// the morsel-driven parallel batch engine (parallel.h), which runs the
-// vectorized operators' work partitioned across a thread pool, or the
-// dictionary-encoded engine (dictionary.h), which runs the vectorized
-// operators over dictionary codes with cost-based access-path selection
-// (cost_model.h) and late materialization. All four produce identical
-// results (tested, bit-exact); vectorized is the default for the
-// Figure 3 / Figure 4 consumers.
-enum class ExecEngine { kScalar, kVectorized, kParallel, kEncoded };
+// (one Tuple per Next call; the paper's executor and the differential
+// oracle) or the vectorized batch engine (batch_ops.h). Both produce
+// identical results (tested, bit-exact); vectorized is the default for
+// the Figure 3 / Figure 4 consumers.
+enum class ExecEngine { kScalar, kVectorized };
 
 class Operator {
  public:

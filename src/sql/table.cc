@@ -284,15 +284,6 @@ int Table::IndexId(std::string_view index_name) const {
   return -1;
 }
 
-Status Table::ScanRecords(std::vector<std::string>* out) const {
-  out->reserve(out->size() + heap_->num_records());
-  storage::HeapFile::Iterator it = heap_->Scan();
-  storage::Rid rid;
-  std::string record;
-  while (it.Next(&rid, &record)) out->push_back(record);
-  return it.status();
-}
-
 bool Table::Iterator::Next(storage::Rid* rid, Tuple* tuple) {
   std::string record;
   if (!it_.Next(rid, &record)) {

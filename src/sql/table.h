@@ -121,12 +121,6 @@ class Table {
 
   Iterator Scan() const { return Iterator(this, heap_->Scan()); }
 
-  // Appends every serialized heap record in scan order, undecoded. The
-  // parallel table scan collects records through one pass here (the heap
-  // and buffer pool are not safe for concurrent iteration), then splits
-  // the tuple deserialization across morsels.
-  Status ScanRecords(std::vector<std::string>* out) const;
-
  private:
   struct Index {
     IndexSpec spec;

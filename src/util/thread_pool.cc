@@ -4,12 +4,9 @@ namespace focus {
 
 namespace {
 thread_local int tls_worker_index = -1;
-thread_local const ThreadPool* tls_pool = nullptr;
 }  // namespace
 
 int ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
-
-const ThreadPool* ThreadPool::CurrentPool() { return tls_pool; }
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 1) num_threads = 1;
@@ -44,7 +41,6 @@ void ThreadPool::Wait() {
 
 void ThreadPool::WorkerLoop(int worker_index) {
   tls_worker_index = worker_index;
-  tls_pool = this;
   for (;;) {
     std::function<void()> task;
     {

@@ -34,12 +34,6 @@ class ThreadPool {
   // callback.
   static int CurrentWorkerIndex();
 
-  // The pool whose worker is running the calling task, or nullptr when
-  // called off-pool. Lets nested fork-join helpers (sql::MorselDispatcher)
-  // detect re-entrant dispatch onto their own pool and degrade to inline
-  // execution instead of deadlocking on their own workers.
-  static const ThreadPool* CurrentPool();
-
  private:
   void WorkerLoop(int worker_index);
 

@@ -3,18 +3,23 @@
 // Most coverage goes through Handle() — the exact function the accept
 // thread calls — so the tests are deterministic; one test exercises the
 // actual loopback socket end to end (ephemeral port, raw GET, non-GET
-// rejection, idempotent Stop).
+// rejection, idempotent Stop), and one checks that a stalled client
+// cannot wedge the serving thread.
 
 #include "obs/admin_server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +46,11 @@ TEST(ParseRequestTargetTest, PercentDecodesAndPlusMeansSpace) {
   // A bare key (no '=') is present with an empty value.
   EXPECT_EQ(req.query.count("flag"), 1u);
   EXPECT_EQ(req.Param("flag", "def"), "");
+  // Escapes that decode to bytes >= 0x80, and '%' followed by such
+  // bytes, pass through verbatim.
+  AdminRequest high = ParseRequestTarget("/x?v=%\xff\xfe&w=%e9");
+  EXPECT_EQ(high.Param("v"), "%\xff\xfe");
+  EXPECT_EQ(high.Param("w"), "\xe9");
 }
 
 TEST(ParseRequestTargetTest, NegativeAndMalformedInts) {
@@ -156,19 +166,29 @@ TEST(AdminServerTest, AddHandlerRegistersAndReplacesRoutes) {
   EXPECT_EQ(server.Handle(ParseRequestTarget("/custom")).body, "v2");
 }
 
-// Sends one raw HTTP request to 127.0.0.1:port and returns the full
-// response (headers + body), empty on any socket error.
-std::string RawRequest(int port, const std::string& request) {
+// Opens a connection to 127.0.0.1:port with a 5 s receive timeout (so a
+// wedged server fails the test instead of hanging it); -1 on error.
+int ConnectLoopback(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+// Sends one raw HTTP request to 127.0.0.1:port and returns the full
+// response (headers + body), empty on any socket error.
+std::string RawRequest(int port, const std::string& request) {
+  int fd = ConnectLoopback(port);
+  if (fd < 0) return "";
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
@@ -230,6 +250,43 @@ TEST(AdminServerSocketTest, ServesGetRejectsOthersOnEphemeralPort) {
       RawRequest(again.port(), "GET /healthz HTTP/1.1\r\n\r\n");
   EXPECT_NE(health2.find("HTTP/1.1 200 OK"), std::string::npos);
   again.Stop();
+}
+
+// A client that sends a partial request head and then goes silent holds
+// its connection open. The server must give up on it after its
+// per-connection timeout, serve the next client, and still stop cleanly
+// while another stalled client is connected.
+TEST(AdminServerSocketTest, StalledClientDoesNotWedgeServer) {
+  AdminServer::Options opts;
+  opts.port = 0;
+  AdminServer server(opts);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string partial = "GET /healthz HTTP/1.1\r\nHost: x\r\n";
+
+  int stalled = ConnectLoopback(server.port());
+  ASSERT_GE(stalled, 0);
+  ASSERT_EQ(::send(stalled, partial.data(), partial.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(partial.size()));
+  std::string health =
+      RawRequest(server.port(), "GET /healthz HTTP/1.1\r\n\r\n");
+  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos) << health;
+
+  int stalled2 = ConnectLoopback(server.port());
+  ASSERT_GE(stalled2, 0);
+  ASSERT_EQ(::send(stalled2, partial.data(), partial.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(partial.size()));
+  // Let the accept thread pick stalled2 up and block reading from it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto stopped = std::async(std::launch::async, [&server] { server.Stop(); });
+  bool returned =
+      stopped.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  // Closing the stalled clients unblocks a server without a timeout, so a
+  // regression fails here instead of hanging the suite.
+  ::close(stalled);
+  ::close(stalled2);
+  stopped.wait();
+  EXPECT_TRUE(returned) << "Stop() blocked behind a stalled client";
+  EXPECT_FALSE(server.running());
 }
 
 }  // namespace

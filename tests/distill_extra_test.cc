@@ -346,7 +346,7 @@ void FillRandomGraph(MiniGraph* g, uint64_t seed) {
   }
 }
 
-// The batch engines' one-pass Initialize seeds HUBS with exactly the
+// The batch engine's one-pass Initialize seeds HUBS with exactly the
 // scalar group-by's distinct sources, in the same order, and counts the
 // same dangling edges as the scalar index-probe audit.
 TEST(JoinInitializeTest, BatchPassMatchesScalarPlan) {
@@ -360,19 +360,15 @@ TEST(JoinInitializeTest, BatchPassMatchesScalarPlan) {
     ASSERT_FALSE(expected.empty());
     ASSERT_GT(scalar.stats().dangling_src_edges, 0u);
     ASSERT_GT(scalar.stats().dangling_dst_edges, 0u);
-    for (sql::ExecEngine engine :
-         {sql::ExecEngine::kVectorized, sql::ExecEngine::kParallel,
-          sql::ExecEngine::kEncoded}) {
-      JoinDistiller batch(g.tables);
-      batch.SetEngine(engine);
-      ASSERT_TRUE(batch.Initialize().ok());
-      EXPECT_EQ(HeapRows(g.tables.hubs), expected) << "seed " << seed;
-      EXPECT_TRUE(HeapRows(g.tables.auth).empty());
-      EXPECT_EQ(batch.stats().dangling_src_edges,
-                scalar.stats().dangling_src_edges);
-      EXPECT_EQ(batch.stats().dangling_dst_edges,
-                scalar.stats().dangling_dst_edges);
-    }
+    JoinDistiller batch(g.tables);
+    batch.SetEngine(sql::ExecEngine::kVectorized);
+    ASSERT_TRUE(batch.Initialize().ok());
+    EXPECT_EQ(HeapRows(g.tables.hubs), expected) << "seed " << seed;
+    EXPECT_TRUE(HeapRows(g.tables.auth).empty());
+    EXPECT_EQ(batch.stats().dangling_src_edges,
+              scalar.stats().dangling_src_edges);
+    EXPECT_EQ(batch.stats().dangling_dst_edges,
+              scalar.stats().dangling_dst_edges);
   }
 }
 

@@ -1,5 +1,5 @@
 // Crawl provenance: EVENTS materialization, the canned discovery-edges
-// query on all three engines, and full discovery-path reconstruction —
+// query on both engines, and full discovery-path reconstruction —
 // including across a crash/recover boundary, where admits are reconciled
 // from the WAL-recovered tables instead of the lost in-memory rings.
 #include <gtest/gtest.h>
@@ -166,7 +166,7 @@ TEST(EventLogCrawlTest, LifecycleEventsCoverEveryVisit) {
   }
 }
 
-TEST(DiscoveryEdgesTest, BitIdenticalAcrossAllThreeEngines) {
+TEST(DiscoveryEdgesTest, BitIdenticalAcrossBothEngines) {
   obs::EventLog log;
   log.Enable();
   auto fx = RunFaultyCrawl(&log, 150, 4);
@@ -188,20 +188,12 @@ TEST(DiscoveryEdgesTest, BitIdenticalAcrossAllThreeEngines) {
                                           fx->db->link_table(),
                                           sql::ExecEngine::kVectorized);
   ASSERT_TRUE(vectorized.ok()) << vectorized.status();
-  auto parallel = crawl::DiscoveryEdges(events.value(),
-                                        fx->db->link_table(),
-                                        sql::ExecEngine::kParallel,
-                                        /*num_threads=*/3);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
 
   ASSERT_GT(scalar.value().size(), 0u);
   ASSERT_EQ(scalar.value().size(), vectorized.value().size());
-  ASSERT_EQ(scalar.value().size(), parallel.value().size());
   for (size_t i = 0; i < scalar.value().size(); ++i) {
     EXPECT_EQ(scalar.value()[i].ToString(),
               vectorized.value()[i].ToString())
-        << "row " << i;
-    EXPECT_EQ(scalar.value()[i].ToString(), parallel.value()[i].ToString())
         << "row " << i;
   }
   // Every edge certifies a discovery: parent is real (never the -1

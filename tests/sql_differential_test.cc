@@ -1,15 +1,11 @@
 // Cross-engine differential harness: seeded random plans — scans,
-// key-range filters, projections, sorts, inner/outer joins (sort-merge
-// and index-probe, dense and searched), sorted-run aggregates — run on
-// all four engines (scalar, vectorized, parallel, dictionary-encoded,
-// plus the parallel-over-codes combination) and compared row for row,
-// bit for bit, at every thread count. The scalar Volcano engine is the
+// key-range filters, projections, sorts, inner/outer sort-merge joins,
+// sorted-run aggregates — run on the scalar and vectorized engines and
+// compared row for row, bit for bit. The scalar Volcano engine is the
 // oracle; any divergence dumps a one-line repro (seed + plan) to stderr.
 //
-// Environment knobs (both optional, used by the CI matrix):
+// Environment knob (optional):
 //   FOCUS_DIFF_SEED     base seed offset (default 0)
-//   FOCUS_TEST_THREADS  pin the parallel engine to one thread count
-//                       (default: sweep 1, 2, 4, 8)
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,10 +19,8 @@
 #include "sql/exec/basic.h"
 #include "sql/exec/batch.h"
 #include "sql/exec/batch_ops.h"
-#include "sql/exec/dictionary.h"
 #include "sql/exec/join.h"
 #include "sql/exec/operator.h"
-#include "sql/exec/parallel.h"
 #include "sql/exec/sort.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -45,8 +39,6 @@ struct PlanSpec {
   bool with_project = false;         // appended x2 = 2*x
   bool with_join = false;
   bool left_outer = false;
-  bool probe_join = false;   // index-probe instead of sort-merge
-  bool dense_probe = false;  // dense run table over the code domain
   bool with_agg = false;     // group by key: sum(x), count(*)
 
   std::string Describe() const {
@@ -56,7 +48,6 @@ struct PlanSpec {
                   " str_payload=", with_string_payload,
                   " filter=", with_filter, " project=", with_project,
                   " join=", with_join, " outer=", left_outer,
-                  " probe=", probe_join, " dense=", dense_probe,
                   " agg=", with_agg);
   }
 };
@@ -89,8 +80,10 @@ PlanSpec RandomSpec(uint64_t seed) {
   s.with_project = rng.Bernoulli(0.4);
   s.with_join = rng.Bernoulli(0.6);
   s.left_outer = s.with_join && rng.Bernoulli(0.4);
-  s.probe_join = s.with_join && rng.Bernoulli(0.5);
-  s.dense_probe = s.probe_join && rng.Bernoulli(0.5);
+  // Two retired plan bits (an index-probe join and its dense variant)
+  // are still drawn, so every seed keeps generating the plan it always
+  // did.
+  if (s.with_join && rng.Bernoulli(0.5)) rng.Bernoulli(0.5);
   s.with_agg = rng.Bernoulli(0.5);
   return s;
 }
@@ -198,71 +191,25 @@ std::vector<std::string> RunScalar(const PlanSpec& s, const Inputs& in) {
   return RowStrings(op.get());
 }
 
-// ---- The three columnar engines (+ the parallel-over-codes combo) ----
+// ---- The vectorized engine ----
 
-std::vector<std::string> RunColumnar(const PlanSpec& s, const Inputs& in,
-                                     bool par, bool enc,
-                                     MorselDispatcher* disp) {
+std::vector<std::string> RunVectorized(const PlanSpec& s, const Inputs& in) {
   ColumnSet limg(in.lschema), rimg(in.rschema);
   for (const Tuple& t : in.left) limg.AppendTuple(t);
   for (const Tuple& t : in.right) rimg.AppendTuple(t);
 
-  // Dictionary-encode the join/group key; a join gets one unified code
-  // domain so equal merged codes mean equal values across sides.
-  DictionaryPtr dict;
-  ColumnSet lenc, renc;
-  const ColumnSet* lsrc = &limg;
-  const ColumnSet* rsrc = &rimg;
-  if (enc) {
-    if (s.with_join) {
-      DictionaryPtr ld = ColumnDictionary::Build(limg.col(0));
-      DictionaryPtr rd = ColumnDictionary::Build(rimg.col(0));
-      dict = UnifyDictionaries(*ld, *rd).dict;
-    } else {
-      dict = ColumnDictionary::Build(limg.col(0));
-    }
-    auto encode_set = [&dict](const ColumnSet& img) {
-      std::vector<ColumnPtr> cols;
-      for (int c = 0; c < img.num_columns(); ++c) {
-        cols.push_back(img.col_ptr(c));
-      }
-      cols[0] = EncodeColumn(img.col(0), *dict);
-      std::vector<Column> sch = img.schema().columns();
-      sch[0].type = TypeId::kInt32;
-      return ColumnSet(Schema(std::move(sch)), std::move(cols));
-    };
-    lenc = encode_set(limg);
-    lsrc = &lenc;
-    if (s.with_join) {
-      renc = encode_set(rimg);
-      rsrc = &renc;
-    }
-  }
-
-  BatchOperatorPtr op = std::make_unique<BatchSource>(lsrc);
+  BatchOperatorPtr op = std::make_unique<BatchSource>(&limg);
   if (s.with_filter) {
-    BatchPredicate pred;
-    if (enc) {
-      // The dictionary probe: one binary search per bound turns the
-      // value range into a code range.
-      auto [lo, hi] = FilterBounds(s);
-      pred = CodeRangePredicate(0, dict->LowerBound(lo),
-                                dict->LowerBound(hi));
-    } else {
-      auto [lo, hi] = FilterBounds(s);
-      pred = [lo, hi](const Batch& b, std::vector<int64_t>* sel) {
-        for (size_t i = 0; i < b.num_rows(); ++i) {
-          Value v = b.ValueAt(i, 0);
-          if (v.Compare(lo) >= 0 && v.Compare(hi) < 0) {
-            sel->push_back(static_cast<int64_t>(i));
+    auto [lo, hi] = FilterBounds(s);
+    op = std::make_unique<BatchFilter>(
+        std::move(op), [lo, hi](const Batch& b, std::vector<int64_t>* sel) {
+          for (size_t i = 0; i < b.num_rows(); ++i) {
+            Value v = b.ValueAt(i, 0);
+            if (v.Compare(lo) >= 0 && v.Compare(hi) < 0) {
+              sel->push_back(static_cast<int64_t>(i));
+            }
           }
-        }
-      };
-    }
-    op = par ? BatchOperatorPtr(std::make_unique<ParallelFilter>(
-                   std::move(op), std::move(pred), disp))
-             : BatchOperatorPtr(std::make_unique<BatchFilter>(
-                   std::move(op), std::move(pred)));
+        });
   }
   if (s.with_project) {
     std::vector<BatchExpr> exprs;
@@ -278,97 +225,44 @@ std::vector<std::string> RunColumnar(const PlanSpec& s, const Inputs& in,
                                 for (double v : x) out->f64.push_back(2 * v);
                                 return out;
                               }});
-    op = par ? BatchOperatorPtr(std::make_unique<ParallelProject>(
-                   std::move(op), std::move(exprs), disp))
-             : BatchOperatorPtr(std::make_unique<BatchProject>(
-                   std::move(op), std::move(exprs)));
+    op = std::make_unique<BatchProject>(std::move(op), std::move(exprs));
   }
 
   std::vector<SortKey> by_key{{0, false}};
-  if (!s.with_join) {
-    op = par ? BatchOperatorPtr(std::make_unique<ParallelSort>(
-                   std::move(op), by_key, disp))
-             : BatchOperatorPtr(std::make_unique<BatchSort>(std::move(op),
-                                                            by_key));
-  } else {
-    BatchOperatorPtr r = std::make_unique<BatchSource>(rsrc);
-    // The parallel merge join fuses its inputs' sorts; the probe join
-    // (either engine) needs both sides pre-sorted.
-    if (!par || s.probe_join) {
-      auto sort_side = [&](BatchOperatorPtr side) {
-        return par ? BatchOperatorPtr(std::make_unique<ParallelSort>(
-                         std::move(side), by_key, disp))
-                   : BatchOperatorPtr(std::make_unique<BatchSort>(
-                         std::move(side), by_key));
-      };
-      op = sort_side(std::move(op));
-      r = sort_side(std::move(r));
-    }
-    int64_t dense_domain =
-        (enc && s.dense_probe && dict->size() > 0) ? dict->size() : 0;
-    if (s.probe_join) {
-      op = par ? BatchOperatorPtr(std::make_unique<ParallelProbeJoin>(
-                     std::move(op), std::move(r), 0, 0, disp, s.left_outer,
-                     dense_domain))
-               : BatchOperatorPtr(std::make_unique<BatchProbeJoin>(
-                     std::move(op), std::move(r), 0, 0, s.left_outer,
-                     dense_domain));
-    } else {
-      op = par ? BatchOperatorPtr(std::make_unique<ParallelMergeJoin>(
-                     std::move(op), std::move(r), std::vector<int>{0},
-                     std::vector<int>{0}, disp, s.left_outer))
-               : BatchOperatorPtr(std::make_unique<BatchMergeJoin>(
-                     std::move(op), std::move(r), std::vector<int>{0},
-                     std::vector<int>{0}, s.left_outer));
-    }
+  op = std::make_unique<BatchSort>(std::move(op), by_key);
+  if (s.with_join) {
+    op = std::make_unique<BatchMergeJoin>(
+        std::move(op),
+        std::make_unique<BatchSort>(std::make_unique<BatchSource>(&rimg),
+                                    by_key),
+        std::vector<int>{0}, std::vector<int>{0}, s.left_outer);
   }
   if (s.with_agg) {
-    op = par ? BatchOperatorPtr(std::make_unique<ParallelSortAggregate>(
-                   std::move(op), by_key, std::vector<int>{0}, Aggs(s),
-                   disp))
-             : BatchOperatorPtr(std::make_unique<BatchSortedAggregate>(
-                   std::move(op), std::vector<int>{0}, Aggs(s)));
+    op = std::make_unique<BatchSortedAggregate>(
+        std::move(op), std::vector<int>{0}, Aggs(s));
   }
 
   ColumnSet out;
   Status st = CollectInto(op.get(), &out);
   EXPECT_TRUE(st.ok()) << st;
 
-  if (enc) {
-    // Late materialization: decode every surviving code column.
-    std::vector<int> code_cols{0};
-    if (s.with_join && !s.with_agg) {
-      int lcols = in.lschema.num_columns() + (s.with_project ? 1 : 0);
-      code_cols.push_back(lcols);  // the right side's join key
-    }
-    std::vector<ColumnPtr> cols;
-    std::vector<Column> sch = out.schema().columns();
-    for (int c = 0; c < out.num_columns(); ++c) cols.push_back(out.col_ptr(c));
-    for (int c : code_cols) {
-      cols[c] = DecodeColumn(out.col(c), *dict);
-      sch[c].type = s.key_type;
-    }
-    out = ColumnSet(Schema(std::move(sch)), std::move(cols));
-  }
-
   Devectorize scalar_tail(std::make_unique<BatchSource>(&out));
   return RowStrings(&scalar_tail);
 }
 
 void ExpectSame(const PlanSpec& s, const std::vector<std::string>& expected,
-                const std::vector<std::string>& got, const char* engine,
-                int threads) {
+                const std::vector<std::string>& got) {
   if (got == expected) return;
   // The one line a human (or CI log grepper) needs to replay this case.
-  std::cerr << "REPRO: seed=" << s.seed << " engine=" << engine
-            << " threads=" << threads << " plan={" << s.Describe() << "}\n";
+  std::cerr << "REPRO: seed=" << s.seed << " plan={" << s.Describe()
+            << "}\n";
   size_t first = 0;
   while (first < expected.size() && first < got.size() &&
          expected[first] == got[first]) {
     ++first;
   }
-  ADD_FAILURE() << engine << " (threads=" << threads
-                << ") diverged from scalar on seed " << s.seed << ": "
+  ADD_FAILURE() << "vectorized diverged from scalar on seed " << s.seed
+                << ": "
                 << expected.size() << " vs " << got.size()
                 << " rows, first divergence at row " << first << "\n  want: "
                 << (first < expected.size() ? expected[first] : "<none>")
@@ -376,31 +270,9 @@ void ExpectSame(const PlanSpec& s, const std::vector<std::string>& expected,
                 << (first < got.size() ? got[first] : "<none>");
 }
 
-void RunDifferential(const PlanSpec& spec,
-                     const std::vector<int>& thread_counts,
-                     std::vector<std::unique_ptr<MorselDispatcher>>* disps) {
+void RunDifferential(const PlanSpec& spec) {
   Inputs in = MakeInputs(spec);
-  std::vector<std::string> expected = RunScalar(spec, in);
-  ExpectSame(spec, expected,
-             RunColumnar(spec, in, false, false, nullptr), "vectorized", 1);
-  ExpectSame(spec, expected,
-             RunColumnar(spec, in, false, true, nullptr), "encoded", 1);
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    ExpectSame(spec, expected,
-               RunColumnar(spec, in, true, false, (*disps)[i].get()),
-               "parallel", thread_counts[i]);
-    ExpectSame(spec, expected,
-               RunColumnar(spec, in, true, true, (*disps)[i].get()),
-               "parallel-encoded", thread_counts[i]);
-  }
-}
-
-std::vector<int> ThreadCounts() {
-  if (const char* env = std::getenv("FOCUS_TEST_THREADS")) {
-    int t = std::atoi(env);
-    if (t > 0) return {t};
-  }
-  return {1, 2, 4, 8};
+  ExpectSame(spec, RunScalar(spec, in), RunVectorized(spec, in));
 }
 
 uint64_t BaseSeed() {
@@ -411,10 +283,6 @@ uint64_t BaseSeed() {
 }
 
 TEST(SqlDifferentialTest, HandPickedEdgeCases) {
-  std::vector<int> threads = ThreadCounts();
-  std::vector<std::unique_ptr<MorselDispatcher>> disps;
-  for (int t : threads) disps.push_back(std::make_unique<MorselDispatcher>(t));
-
   std::vector<PlanSpec> cases;
   {
     PlanSpec s;  // empty left, outer join, aggregate
@@ -444,8 +312,6 @@ TEST(SqlDifferentialTest, HandPickedEdgeCases) {
     s.right_rows = 150;
     s.key_range = 1;
     s.with_join = true;
-    s.probe_join = true;
-    s.dense_probe = true;
     cases.push_back(s);
   }
   {
@@ -469,7 +335,7 @@ TEST(SqlDifferentialTest, HandPickedEdgeCases) {
     cases.push_back(s);
   }
   for (const PlanSpec& s : cases) {
-    RunDifferential(s, threads, &disps);
+    RunDifferential(s);
     if (HasFailure()) break;
   }
 }
@@ -477,12 +343,8 @@ TEST(SqlDifferentialTest, HandPickedEdgeCases) {
 TEST(SqlDifferentialTest, RandomPlansBitIdenticalAcrossEngines) {
   constexpr int kPlans = 220;
   uint64_t base = BaseSeed();
-  std::vector<int> threads = ThreadCounts();
-  std::vector<std::unique_ptr<MorselDispatcher>> disps;
-  for (int t : threads) disps.push_back(std::make_unique<MorselDispatcher>(t));
   for (int i = 0; i < kPlans; ++i) {
-    RunDifferential(RandomSpec(base + static_cast<uint64_t>(i)), threads,
-                    &disps);
+    RunDifferential(RandomSpec(base + static_cast<uint64_t>(i)));
     // One repro line is worth more than two hundred: stop at the first.
     if (HasFailure()) break;
   }
