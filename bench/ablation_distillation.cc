@@ -37,10 +37,11 @@ int Run() {
   FOCUS_CHECK(system->Train().ok());
   auto cycling = system->tax().FindByName("cycling").value();
 
-  auto session = system
-                     ->NewCrawl(system->web().KeywordSeeds(cycling, 15),
-                                crawl::CrawlerOptions{.max_fetches = 3000})
-                     .TakeValue();
+  crawl::CrawlerOptions copts;
+  copts.max_fetches = 3000;
+  auto session =
+      system->NewCrawl(system->web().KeywordSeeds(cycling, 15), copts)
+          .TakeValue();
   FOCUS_CHECK(session->crawler().Crawl().ok());
 
   // Edge list + relevance from the crawl state.

@@ -67,10 +67,10 @@ int Run(bool json, bool fast_disk, bool explain) {
   FOCUS_CHECK(system->MarkGood("cycling").ok());
   FOCUS_CHECK(system->Train().ok());
   auto cycling = system->tax().FindByName("cycling").value();
+  crawl::CrawlerOptions copts;
+  copts.max_fetches = kCrawlBudget;
   auto session =
-      system
-          ->NewCrawl(system->web().KeywordSeeds(cycling, 15),
-                     crawl::CrawlerOptions{.max_fetches = kCrawlBudget})
+      system->NewCrawl(system->web().KeywordSeeds(cycling, 15), copts)
           .TakeValue();
   FOCUS_CHECK(session->crawler().Crawl().ok());
   FOCUS_CHECK(session->db().RefreshEdgeWeights().ok());

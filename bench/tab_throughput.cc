@@ -366,11 +366,7 @@ int Run(const Flags& flags) {
     std::printf("%d,%zu,%.2f,%.0f,%.1f,%.1f,%.1f\n", row.threads,
                 row.pages, row.wall_s, row.PerWallSecond(), row.virtual_s,
                 row.PerVirtualSecond(), row.batch_occupancy);
-    bool faulty = flags.fail_prob > 0 || flags.dead_servers > 0 ||
-                  flags.outage_servers > 0;
-    if (threads > 1 || faulty) {
-      std::printf("%s", crawl::FormatStageMetrics(metrics).c_str());
-    }
+    std::printf("%s", crawl::FormatStageMetrics(metrics).c_str());
     row.pool = session->pool()->stats();
     std::printf("  pool: hit_ratio=%.4f readahead issued=%llu used=%llu\n",
                 row.pool.hit_ratio(),

@@ -20,8 +20,8 @@ namespace {
 
 int ResolveShardCount(const CrawlerOptions& options) {
   if (options.frontier_shards > 0) return options.frontier_shards;
-  // Single-threaded crawls keep one shard: ShardedFrontier::PopBest is
-  // then bit-for-bit the classic frontier order.
+  // Single-threaded crawls keep one shard: the lone worker's
+  // PopPreferShard(0) is then bit-for-bit the classic frontier order.
   if (options.num_threads <= 1) return 1;
   return std::min(options.num_threads * 2, 16);
 }
@@ -39,6 +39,12 @@ Crawler::Crawler(webgraph::SimulatedWeb* web, RelevanceEvaluator* evaluator,
       stage_metrics_(std::make_unique<StageMetrics>(options.metrics_registry)),
       retry_policy_(options.retry, options.max_retries),
       breaker_(options.breaker) {
+  // A single worker judges page by page, so it expands each page's links
+  // before its next pop: the classic fetch-classify-expand order.
+  if (options_.num_threads <= 1) {
+    options_.num_threads = 1;
+    options_.classify_batch_size = 1;
+  }
   if (options_.classify_batch_size < 1) options_.classify_batch_size = 1;
   // -1 = inherit: FocusSystem::NewCrawl resolves it from FocusOptions;
   // a standalone crawler falls back to the same default interval.
@@ -85,187 +91,6 @@ Status Crawler::CommitBatch() {
     return db_->Checkpoint();
   }
   return db_->Commit();
-}
-
-Result<bool> Crawler::Step() {
-  if (options_.interrupt) {
-    // Scheduled shard deaths (dist::ShardFaultPlan) land between steps —
-    // i.e. between durable batches, like any other crash point.
-    FOCUS_RETURN_IF_ERROR(options_.interrupt(clock_.NowMicros()));
-  }
-  webgraph::SimulatedWeb::FetchResult fetch;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (static_cast<int>(visits_.size()) + in_flight_.load() >=
-        options_.max_fetches) {
-      return false;
-    }
-    std::optional<FrontierEntry> entry;
-    for (;;) {
-      int64_t now = clock_.NowMicros();
-      entry = frontier_.PopBest(now);
-      if (entry.has_value()) {
-        if (options_.breaker.enabled) {
-          BreakerOutcome adm = breaker_.Admit(ServerIdOf(entry->url), now);
-          NoteBreakerOutcome(adm);
-          if (!adm.allow) {
-            // Quarantined server: re-park until the breaker's next
-            // probe/cooldown deadline (never earlier than now + 1 so the
-            // pop loop can't spin).
-            if (options_.event_log != nullptr) {
-              options_.event_log->Record(
-                  obs::CrawlEventType::kBreakerDenied,
-                  static_cast<int64_t>(entry->oid), /*parent_oid=*/-1,
-                  ServerIdOf(entry->url), now, /*value=*/0.0,
-                  /*aux=*/adm.retry_at_us);
-            }
-            FrontierEntry parked = std::move(*entry);
-            parked.ready_at_us = std::max(adm.retry_at_us, now + 1);
-            frontier_.AddOrUpdate(parked);
-            ++stats_.breaker_skips;
-            stage_metrics_->RecordBreakerSkips(1);
-            continue;
-          }
-        }
-        break;
-      }
-      if (frontier_.empty()) {
-        stats_.stagnated = true;
-        return false;
-      }
-      // Entries exist but none is ready yet: fast-forward the virtual
-      // clock to the earliest retry/probe deadline.
-      std::optional<int64_t> at = frontier_.NextReadyMicros();
-      if (!at.has_value()) {
-        stats_.stagnated = true;
-        return false;
-      }
-      if (*at > now) clock_.AdvanceMicros(*at - now);
-    }
-    stage_metrics_->RecordPop(/*stolen=*/false);
-    ++stats_.attempts;
-    if (options_.event_log != nullptr) {
-      options_.event_log->Record(obs::CrawlEventType::kFetchAttempt,
-                                 static_cast<int64_t>(entry->oid),
-                                 /*parent_oid=*/-1, ServerIdOf(entry->url),
-                                 clock_.NowMicros(), entry->relevance,
-                                 /*aux=*/entry->numtries + 1);
-    }
-    // Attempts are numbered from durable state (numtries) so a crashed
-    // crawler's refetch of an attempt whose bookkeeping was lost replays
-    // the same outcome — the visited set becomes a deterministic fixpoint
-    // ResumeFromDb can converge to (tests/robustness_test.cc).
-    auto fetched = web_->Fetch(entry->url, &clock_, entry->numtries + 1);
-    if (!fetched.ok()) {
-      if (options_.breaker.enabled) {
-        NoteBreakerOutcome(
-            breaker_.OnFailure(ServerIdOf(entry->url), clock_.NowMicros()));
-      }
-      FOCUS_RETURN_IF_ERROR(
-          HandleFetchFailure(*entry, fetched.status(), clock_.NowMicros()));
-      FOCUS_RETURN_IF_ERROR(FlushBreakerState());
-      // Failure bookkeeping (numtries, nextretry, breaker rows) is a
-      // batch of its own; a crash after this point must not replay it.
-      FOCUS_RETURN_IF_ERROR(CommitBatch());
-      return true;
-    }
-    if (options_.breaker.enabled) {
-      NoteBreakerOutcome(breaker_.OnSuccess(ServerIdOf(entry->url)));
-      FOCUS_RETURN_IF_ERROR(FlushBreakerState());
-    }
-    fetch = fetched.TakeValue();
-    if (options_.event_log != nullptr) {
-      options_.event_log->Record(obs::CrawlEventType::kFetchSuccess,
-                                 static_cast<int64_t>(entry->oid),
-                                 /*parent_oid=*/-1, ServerIdOf(entry->url),
-                                 clock_.NowMicros(), /*value=*/0.0,
-                                 /*aux=*/entry->numtries + 1);
-    }
-    in_flight_.fetch_add(1);
-  }
-
-  // Classification runs outside the lock (the CPU-heavy part; the paper
-  // runs ~30 fetch threads against one classifier).
-  text::TermVector terms = text::BuildTermVector(fetch.tokens);
-  Stopwatch classify_timer;
-  auto judged = evaluator_->Judge(terms);
-  stage_metrics_->AddClassifyMicros(
-      static_cast<uint64_t>(classify_timer.ElapsedMicros()));
-  if (!judged.ok()) {
-    in_flight_.fetch_sub(1);
-    return judged.status();
-  }
-  PageJudgment judgment = judged.value();
-
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  in_flight_.fetch_sub(1);
-  uint64_t oid = UrlOid(fetch.url);
-  FOCUS_RETURN_IF_ERROR(db_->RecordVisit(oid, judgment.relevance,
-                                         judgment.best_leaf,
-                                         clock_.NowMicros()));
-  ++server_fetches_[fetch.server_id];
-  Visit visit;
-  visit.fetch_index = static_cast<int>(visits_.size());
-  visit.oid = oid;
-  visit.url = fetch.url;
-  visit.relevance = judgment.relevance;
-  visit.best_leaf = judgment.best_leaf;
-  visit.virtual_time_us = clock_.NowMicros();
-  visits_.push_back(visit);
-  stage_metrics_->RecordVisitRelevance(judgment.relevance);
-  if (options_.event_log != nullptr) {
-    options_.event_log->Record(obs::CrawlEventType::kClassifyVerdict,
-                               static_cast<int64_t>(oid), /*parent_oid=*/-1,
-                               ServerIdOf(fetch.url), visit.virtual_time_us,
-                               judgment.relevance,
-                               /*aux=*/static_cast<int64_t>(
-                                   judgment.best_leaf));
-  }
-
-  FOCUS_RETURN_IF_ERROR(ExpandLinks(fetch, judgment, visit.virtual_time_us));
-
-  if (options_.expand_backlinks &&
-      judgment.relevance > options_.backlink_relevance_threshold) {
-    // Pages pointing to a relevant page are likely hubs (radius-2 rule).
-    FOCUS_ASSIGN_OR_RETURN(
-        std::vector<std::string> citers,
-        web_->Backlinks(fetch.url, options_.backlinks_per_page));
-    for (const std::string& citer : citers) {
-      uint64_t citer_oid = UrlOid(citer);
-      if (options_.link_sink != nullptr &&
-          !options_.link_sink->Owns(citer)) {
-        FOCUS_RETURN_IF_ERROR(ExportRemoteLink(oid, citer,
-                                               judgment.relevance,
-                                               /*raise_if_known=*/false));
-        continue;
-      }
-      FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> known,
-                             db_->Lookup(citer_oid));
-      if (known.has_value()) continue;
-      FOCUS_RETURN_IF_ERROR(
-          db_->AddUrl(citer, judgment.relevance,
-                      server_fetches_[ServerIdOf(citer)]));
-      FrontierEntry entry;
-      entry.oid = citer_oid;
-      entry.url = citer;
-      entry.relevance = judgment.relevance;
-      entry.serverload = server_fetches_[ServerIdOf(citer)];
-      frontier_.AddOrUpdate(entry);
-      if (options_.event_log != nullptr) {
-        options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
-                                   static_cast<int64_t>(citer_oid),
-                                   static_cast<int64_t>(oid),
-                                   ServerIdOf(citer), clock_.NowMicros(),
-                                   judgment.relevance, /*aux=*/2);
-      }
-    }
-  }
-
-  FOCUS_RETURN_IF_ERROR(RunPeriodicBoosts());
-  // Single-threaded batch boundary: the visit, its link expansion and any
-  // boosts commit atomically (no-op without a WAL-backed CrawlDb).
-  FOCUS_RETURN_IF_ERROR(CommitBatch());
-  return true;
 }
 
 Status Crawler::HandleFetchFailure(const FrontierEntry& entry,
@@ -915,6 +740,8 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
   for (;;) {
     if (abort_.load()) return Status::OK();
     if (options_.interrupt) {
+      // Scheduled shard deaths (dist::ShardFaultPlan) land between batches,
+      // i.e. between durable commits, like any other crash point.
       FOCUS_RETURN_IF_ERROR(options_.interrupt(worker_clock->NowMicros()));
     }
     std::vector<FrontierEntry> batch = GatherBatch(worker, worker_clock);
@@ -970,8 +797,11 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
                                      entry.relevance,
                                      /*aux=*/entry.numtries + 1);
         }
-        // Same durable attempt numbering as the single-threaded path. Fetch
-        // is reentrant, so workers fetch concurrently.
+        // Attempts are numbered from durable state (numtries) so a crashed
+        // crawler's refetch of an attempt whose bookkeeping was lost replays
+        // the same outcome — the visited set becomes a deterministic
+        // fixpoint ResumeFromDb can converge to (tests/robustness_test.cc).
+        // Fetch is reentrant, so workers fetch concurrently.
         Result<webgraph::SimulatedWeb::FetchResult> result =
             web_->Fetch(entry.url, worker_clock, entry.numtries + 1);
         if (!result.ok()) {
@@ -1014,6 +844,10 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
       }
       FOCUS_RETURN_IF_ERROR(FlushBreakerState());
       in_flight_.fetch_sub(static_cast<int>(failures.size()));
+      // A batch whose fetches all failed never reaches RecordBatch, so its
+      // failure bookkeeping (numtries, nextretry, breaker rows) commits
+      // here: every batch ends in exactly one durable commit.
+      if (fetched.empty()) FOCUS_RETURN_IF_ERROR(CommitBatch());
     }
     if (!failures.empty()) work_cv_.notify_all();
     if (fetched.empty()) continue;
@@ -1021,9 +855,8 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
     // --- classify stage (no locks; one batched evaluator call) ---
     std::vector<text::TermVector> docs;
     docs.reserve(fetched.size());
-    for (FetchedPage& page : fetched) {
-      page.terms = text::BuildTermVector(page.fetch.tokens);
-      docs.push_back(page.terms);
+    for (const FetchedPage& page : fetched) {
+      docs.push_back(text::BuildTermVector(page.fetch.tokens));
     }
     Stopwatch classify_timer;
     auto judged = [&] {
@@ -1047,6 +880,10 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
 }
 
 Status Crawler::RunPipeline() {
+  // No worker runs between Crawl() calls, so a failed earlier call's abort
+  // flag and unreleased reservations can be cleared for this one.
+  abort_.store(false);
+  in_flight_.store(0);
   ThreadPool pool(options_.num_threads);
   std::mutex status_mutex;
   Status first_error;
@@ -1082,16 +919,7 @@ Status Crawler::RunPipeline() {
 }
 
 Status Crawler::Crawl() {
-  Status result;
-  if (options_.num_threads <= 1) {
-    for (;;) {
-      auto more = Step();
-      result = more.status();
-      if (!result.ok() || !more.value()) break;
-    }
-  } else {
-    result = RunPipeline();
-  }
+  Status result = RunPipeline();
   // Persist any breaker transitions still queued (e.g. from the last
   // successful fetches) so a resume sees the final quarantine state.
   {

@@ -20,7 +20,6 @@
 #include "crawl/retry_policy.h"
 #include "distill/distiller.h"
 #include "sql/catalog.h"
-#include "text/tokenizer.h"
 #include "util/clock.h"
 #include "webgraph/simulated_web.h"
 
@@ -96,8 +95,9 @@ struct CrawlerOptions {
   int num_threads = 1;
   // Pages accumulated by a fetch worker before one batched classify call
   // (the paper's §2.1.3 batching insight applied to the live crawl loop).
-  // Only the multi-threaded pipeline batches; single-threaded crawls judge
-  // page-by-page for exact historical determinism.
+  // Applies when num_threads > 1. A single-threaded crawl runs one worker
+  // with batch size 1, so it judges and expands page by page in the
+  // classic, deterministic order.
   int classify_batch_size = 32;
   // Frontier shards, keyed by ServerIdOf(url). 0 = auto: one shard
   // single-threaded (exactly the classic frontier), else two per thread.
@@ -130,7 +130,7 @@ struct CrawlerOptions {
   // Distributed crawl hooks (src/dist). `link_sink` diverts expansion of
   // non-owned URLs into the cross-shard exchange; nullptr = single-shard
   // behavior. `interrupt` is polled with the current virtual time at every
-  // step/batch boundary; a non-OK return aborts the crawl with that status
+  // batch boundary; a non-OK return aborts the crawl with that status
   // (the ShardFaultPlan's scheduled shard deaths). Both borrowed/copied;
   // the sink must outlive the crawler.
   CrossShardLinkSink* link_sink = nullptr;
@@ -230,14 +230,11 @@ class Crawler {
     FrontierEntry entry;
     webgraph::SimulatedWeb::FetchResult fetch;
     int64_t fetched_at_us = 0;  // the fetching worker's virtual time
-    text::TermVector terms;
   };
 
-  // One fetch-classify-expand step (single-threaded path); false when the
-  // frontier is empty or the budget is spent.
-  Result<bool> Step();
-  // The concurrent pipeline (num_threads > 1): sharded frontier pops,
-  // micro-batched classification, fine-grained critical sections.
+  // The crawl loop: num_threads workers with sharded frontier pops,
+  // micro-batched classification and fine-grained critical sections. One
+  // thread is one worker with batch size 1.
   Status RunPipeline();
   // One worker's loop. `worker` indexes its preferred frontier shard;
   // `worker_clock` accumulates the worker's virtual fetch timeline.
@@ -287,7 +284,6 @@ class Crawler {
   CrawlerOptions options_;
   ShardedFrontier frontier_;  // internally locked, one lock per shard
   VirtualClock clock_;
-  text::Tokenizer tokenizer_;
   distill::DistillTables distill_tables_;
   bool distill_tables_ready_ = false;
   sql::Catalog* catalog_;

@@ -115,22 +115,6 @@ std::optional<FrontierEntry> Frontier::PopBest(int64_t now_us) {
   return std::nullopt;
 }
 
-void Frontier::CleanTop() {
-  while (!heap_.empty()) {
-    const HeapItem& top = heap_.front();
-    auto it = live_.find(top.oid);
-    if (it != live_.end() && it->second.first == top.version) return;
-    std::pop_heap(heap_.begin(), heap_.end(), HeapLess{policy_});
-    heap_.pop_back();
-  }
-}
-
-const FrontierEntry* Frontier::PeekBest(int64_t now_us) {
-  Promote(now_us);
-  CleanTop();
-  return heap_.empty() ? nullptr : &heap_.front().entry;
-}
-
 void Frontier::CleanParkedTop() {
   while (!parked_.empty()) {
     const ParkedItem& top = parked_.front();
@@ -179,14 +163,6 @@ std::optional<int64_t> Frontier::NextReadyMicros() {
   CleanParkedTop();
   if (parked_.empty()) return std::nullopt;
   return parked_.front().ready_at_us;
-}
-
-bool Frontier::HigherPriority(const FrontierEntry& a, const FrontierEntry& b,
-                              PriorityPolicy policy) {
-  HeapItem ia{a.oid, 0, a};
-  HeapItem ib{b.oid, 0, b};
-  // HeapLess(x, y) == "x ranks below y".
-  return HeapLess{policy}(ib, ia);
 }
 
 void Frontier::Erase(uint64_t oid) { live_.erase(oid); }
@@ -245,30 +221,6 @@ void ShardedFrontier::AddOrUpdate(const FrontierEntry& entry) {
   Shard& shard = *shards_[ShardOf(e.url)];
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.frontier.AddOrUpdate(e);
-}
-
-std::optional<FrontierEntry> ShardedFrontier::PopBest(int64_t now_us) {
-  // Lock every shard (index order) and take the best of the shard bests —
-  // with one shard this is exactly Frontier::PopBest.
-  for (auto& shard : shards_) shard->mu.lock();
-  Shard* best = nullptr;
-  const FrontierEntry* best_entry = nullptr;
-  PriorityPolicy policy = shards_[0]->frontier.policy();
-  for (auto& shard : shards_) {
-    const FrontierEntry* top = shard->frontier.PeekBest(now_us);
-    if (top == nullptr) continue;
-    if (best_entry == nullptr ||
-        Frontier::HigherPriority(*top, *best_entry, policy)) {
-      best = shard.get();
-      best_entry = top;
-    }
-  }
-  std::optional<FrontierEntry> out;
-  if (best != nullptr) out = best->frontier.PopBest(now_us);
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    (*it)->mu.unlock();
-  }
-  return out;
 }
 
 std::optional<FrontierEntry> ShardedFrontier::PopPreferShard(int shard,

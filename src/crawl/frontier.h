@@ -85,19 +85,10 @@ class Frontier {
   // nullopt when none qualifies.
   std::optional<FrontierEntry> PopBest(int64_t now_us = kNoTimeGate);
 
-  // The best live entry with ready_at_us <= now_us without removing it
-  // (nullptr when none). The pointer is invalidated by any mutating call.
-  const FrontierEntry* PeekBest(int64_t now_us = kNoTimeGate);
-
   // Earliest ready_at_us among parked (not yet promoted) entries; nullopt
   // when nothing is parked. Lets an idle crawler fast-forward its virtual
   // clock instead of spinning.
   std::optional<int64_t> NextReadyMicros();
-
-  // True when `a` outranks `b` under `policy` (same total order the heap
-  // uses, including the deterministic seq/oid tie-break).
-  static bool HigherPriority(const FrontierEntry& a, const FrontierEntry& b,
-                             PriorityPolicy policy);
 
   // Removes `oid` from the frontier (e.g. once visited).
   void Erase(uint64_t oid);
@@ -148,9 +139,6 @@ class Frontier {
   };
 
   void RebuildHeap();
-  // Discards stale items from the heap top so heap_.front() (if any) is
-  // the live best entry.
-  void CleanTop();
   // Moves parked entries whose ready time has arrived into the main heap.
   void Promote(int64_t now_us);
   // Discards stale items from the parked-heap top.
@@ -175,7 +163,8 @@ class Frontier {
 // lock; fetch workers pop from a preferred shard and steal from the others
 // when it runs dry. Insertion sequence numbers are issued from one atomic
 // counter so the cross-shard tie-break order stays globally consistent —
-// with a single shard, PopBest is exactly equivalent to a plain Frontier.
+// with a single shard, PopPreferShard(0) is exactly equivalent to a plain
+// Frontier's PopBest.
 class ShardedFrontier {
  public:
   explicit ShardedFrontier(
@@ -188,10 +177,6 @@ class ShardedFrontier {
   // Inserts or re-ranks `entry` (keyed by oid; sharded by its URL's
   // server).
   void AddOrUpdate(const FrontierEntry& entry);
-
-  // Removes and returns the globally best ready entry (best among the
-  // shard bests with ready_at_us <= now_us), or nullopt when none.
-  std::optional<FrontierEntry> PopBest(int64_t now_us = kNoTimeGate);
 
   // Work-stealing pop: takes the best ready entry of `shard`, or — when
   // that shard has none — of the nearest shard with one. `stolen`

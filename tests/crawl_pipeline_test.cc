@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -19,8 +20,10 @@
 #include "sql/catalog.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/wal.h"
 #include "text/document.h"
 #include "util/clock.h"
+#include "util/hash.h"
 
 namespace focus::core {
 namespace {
@@ -70,7 +73,7 @@ TEST(ShardedFrontierTest, SingleShardMatchesPlainFrontierOrder) {
   ASSERT_EQ(plain.size(), sharded.size());
   while (!plain.empty()) {
     auto expected = plain.PopBest();
-    auto got = sharded.PopBest();
+    auto got = sharded.PopPreferShard(0);
     ASSERT_TRUE(expected.has_value());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(expected->oid, got->oid);
@@ -360,6 +363,102 @@ TEST(CrawlPipelineTest, ExplicitShardCountIsRespected) {
   EXPECT_EQ(session->crawler().frontier()->num_shards(), 3);
   ASSERT_TRUE(session->crawler().Crawl().ok());
   EXPECT_EQ(session->crawler().visits().size(), 80u);
+}
+
+TEST(CrawlPipelineTest, CrawlContinuesAfterAFailedCall) {
+  // An aborted Crawl() must not poison the next one on the same crawler:
+  // the second call picks up where the first stopped and spends the rest
+  // of the budget.
+  auto system = TrainedSystem(33);
+  Cid cycling = system->tax().FindByName("cycling").value();
+  int polls = 0;
+  CrawlerOptions copts;
+  copts.max_fetches = 100;
+  copts.interrupt = [&polls](int64_t) {
+    return ++polls == 40 ? Status::Internal("injected abort") : Status::OK();
+  };
+  auto session = system->NewCrawl(system->web().KeywordSeeds(cycling, 6),
+                                  copts)
+                     .TakeValue();
+  EXPECT_FALSE(session->crawler().Crawl().ok());
+  size_t after_abort = session->crawler().visits().size();
+  EXPECT_GT(after_abort, 0u);
+  EXPECT_LT(after_abort, 100u);
+  ASSERT_TRUE(session->crawler().Crawl().ok());
+  EXPECT_EQ(session->crawler().visits().size(), 100u);
+}
+
+TEST(CrawlPipelineTest, SingleThreadCrawlKeepsClassicOrderOnHostileWeb) {
+  // A 1-thread crawl is one pipeline worker with batch size 1, so it must
+  // keep the classic fetch-classify-expand order exactly: the same visit
+  // sequence, virtual times, counters and WAL commit boundaries as the
+  // dedicated single-threaded loop it replaced. The constants below were
+  // recorded by running this body at commit 68b0483, the last one with
+  // that loop (Crawler::Step). Every hostile-web
+  // device is on (failures, dead servers, outages, the breaker) together
+  // with backlink expansion, URL truncation and distillation boosts.
+  FocusOptions options = TinyOptions(41);
+  options.web.fetch_latency_mean_ms = 120;
+  options.web.fetch_failure_prob = 0.3;
+  options.web.faults.permanent_prob = 0.06;
+  options.web.faults.timeout_prob = 0.06;
+  options.web.faults.truncate_prob = 0.15;
+  options.web.faults.timeout_ms = 500;
+  options.web.faults.dead_server_fraction = 0.1;
+  for (int32_t s = 0; s < 4; ++s) {
+    double start = 5.0 + 10.0 * s;
+    options.web.faults.outages.push_back(
+        webgraph::ServerOutage{s, start, start + 60.0});
+  }
+  Taxonomy tax = BuildSampleTaxonomy();
+  auto created = FocusSystem::Create(std::move(tax), options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  std::unique_ptr<FocusSystem> system = created.TakeValue();
+  ASSERT_TRUE(system->MarkGood("cycling").ok());
+  ASSERT_TRUE(system->Train().ok());
+  Cid cycling = system->tax().FindByName("cycling").value();
+
+  storage::MemDiskManager data;
+  storage::MemDiskManager log;
+  auto wal = storage::WalDiskManager::Open(&data, &log).TakeValue();
+  storage::BufferPool pool(wal.get(), 4096);
+  sql::Catalog catalog(&pool);
+  auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
+  ClassifierEvaluator evaluator(&system->classifier());
+  CrawlerOptions copts;
+  copts.max_fetches = 300;
+  copts.num_threads = 1;
+  copts.distill_every = 100;
+  copts.expand_backlinks = true;
+  copts.try_truncated_urls = true;
+  copts.breaker.enabled = true;
+  copts.checkpoint_every_batches = 16;
+  Crawler crawler(&system->web(), &evaluator, &db, &catalog, copts);
+  for (const std::string& url : system->web().KeywordSeeds(cycling, 8)) {
+    ASSERT_TRUE(crawler.AddSeed(url).ok());
+  }
+  ASSERT_TRUE(crawler.Crawl().ok());
+
+  uint64_t visit_hash = 0;
+  for (const crawl::Visit& v : crawler.visits()) {
+    visit_hash = HashCombine(visit_hash, v.oid);
+    visit_hash = HashCombine(visit_hash, std::bit_cast<uint64_t>(v.relevance));
+    visit_hash =
+        HashCombine(visit_hash, static_cast<uint64_t>(v.virtual_time_us));
+  }
+  const crawl::CrawlStats& stats = crawler.stats();
+  const storage::WalStats wal_stats = wal->wal_stats();
+  EXPECT_EQ(crawler.visits().size(), 300u);
+  EXPECT_EQ(visit_hash, 427302753439002336u);
+  EXPECT_EQ(stats.attempts, 629u);
+  EXPECT_EQ(stats.transient_failures, 194u);
+  EXPECT_EQ(stats.dropped_urls, 135u);
+  EXPECT_EQ(stats.breaker_skips, 37u);
+  EXPECT_EQ(stats.distill_rounds, 3u);
+  EXPECT_FALSE(stats.stagnated);
+  // One durable commit per attempt, successful or failed.
+  EXPECT_EQ(wal_stats.commits, 629u);
+  EXPECT_EQ(wal_stats.checkpoints, 39u);
 }
 
 }  // namespace

@@ -421,7 +421,9 @@ TEST(FrontierReadyGateTest, ShardedPopHonorsGateAndReportsNextReady) {
   EXPECT_EQ(f.size(), 4u);
   EXPECT_EQ(f.NextReadyMicros().value(), 5'000'000);
   int ready_later = 0;
-  while (f.PopBest(/*now_us=*/5'000'000).has_value()) ++ready_later;
+  while (f.PopPreferShard(0, /*now_us=*/5'000'000, &stolen).has_value()) {
+    ++ready_later;
+  }
   EXPECT_EQ(ready_later, 4);
   EXPECT_TRUE(f.empty());
 }

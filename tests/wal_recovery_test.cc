@@ -156,7 +156,9 @@ void CopyDevice(storage::DiskManager* from, MemDiskManager* to) {
   Page buf;
   for (PageId p = 0; p < from->NumPages(); ++p) {
     ASSERT_TRUE(from->ReadPage(p, buf.data).ok());
-    if (to->NumPages() <= p) ASSERT_TRUE(to->AllocatePage().ok());
+    if (to->NumPages() <= p) {
+      ASSERT_TRUE(to->AllocatePage().ok());
+    }
     ASSERT_TRUE(to->WritePage(p, buf.data).ok());
   }
 }
