@@ -3,8 +3,8 @@
 // Two modes:
 //   (default)  google-benchmark micro-benchmarks (BM_* below).
 //   --json     the buffer-pool workload sweep: point-read vs
-//              sequential-scan vs mixed workloads across pool sizes and
-//              shard counts, against a latency-modeled disk. Prints one
+//              sequential-scan vs mixed workloads across pool sizes,
+//              against a latency-modeled disk. Prints one
 //              JSON array (one object per configuration) for the CI
 //              storage job and the scripts/append_bench_trajectory.py
 //              --storage flow.
@@ -124,8 +124,8 @@ BENCHMARK(BM_HeapFileScan);
 // --json workload sweep
 //
 // A latency-modeled disk (a seek per read op, a small per-page transfer
-// cost) seeded with a fixed working set, swept across pool sizes and
-// shard counts under three access patterns:
+// cost) seeded with a fixed working set, swept across pool sizes under
+// three access patterns:
 //   point — 4 threads of uniform random page fetches (latch + replacement
 //           pressure; hit ratio tracks frames/working-set)
 //   seq   — one thread sweeping the working set in order twice (the
@@ -145,8 +145,6 @@ constexpr uint32_t kSweepReadaheadWindow = 16;
 struct SweepRow {
   const char* workload;
   size_t frames;
-  uint32_t shards_requested;
-  size_t shards;
   int threads;
   uint64_t ops;
   double wall_s;
@@ -155,7 +153,7 @@ struct SweepRow {
 };
 
 // One thread's worth of uniform random fetches. Each thread gets its own
-// seed so the shards see independent streams.
+// seed so the threads issue independent streams.
 void PointReads(BufferPool* pool, uint64_t seed, size_t ops) {
   Rng rng(seed);
   for (size_t i = 0; i < ops; ++i) {
@@ -179,14 +177,13 @@ void SequentialSweeps(BufferPool* pool, int sweeps) {
 }
 
 SweepRow RunSweepConfig(const char* workload, MemDiskManager* disk,
-                        size_t frames, uint32_t shards) {
+                        size_t frames) {
   BufferPool pool(disk, frames,
-                  BufferPool::Options{.shards = shards,
-                                      .readahead_window =
+                  BufferPool::Options{.readahead_window =
                                           kSweepReadaheadWindow,
                                       .auto_readahead = true});
   uint64_t batch_reads_before = disk->stats().batch_reads;
-  SweepRow row{workload, frames, shards, pool.num_shards(), 1, 0, 0, {}, 0};
+  SweepRow row{workload, frames, 1, 0, 0, {}, 0};
   Stopwatch wall;
   if (std::strcmp(workload, "point") == 0) {
     row.threads = kPointThreads;
@@ -237,9 +234,7 @@ int RunWorkloadSweep() {
   std::vector<SweepRow> rows;
   for (const char* workload : {"point", "seq", "mixed"}) {
     for (size_t frames : {64, 256, 1024}) {
-      for (uint32_t shards : {1u, 4u, 8u}) {
-        rows.push_back(RunSweepConfig(workload, &disk, frames, shards));
-      }
+      rows.push_back(RunSweepConfig(workload, &disk, frames));
     }
   }
 
@@ -252,13 +247,13 @@ int RunWorkloadSweep() {
             : static_cast<double>(r.pool.readahead_used) /
                   static_cast<double>(r.pool.readahead_issued);
     std::printf(
-        "  {\"workload\":\"%s\",\"frames\":%zu,\"shards_requested\":%u,"
-        "\"shards\":%zu,\"threads\":%d,\"ops\":%llu,"
+        "  {\"workload\":\"%s\",\"frames\":%zu,"
+        "\"threads\":%d,\"ops\":%llu,"
         "\"wall_seconds\":%.6f,\"ops_per_second\":%.0f,"
         "\"hit_ratio\":%.4f,\"misses\":%llu,"
         "\"readahead_issued\":%llu,\"readahead_used\":%llu,"
         "\"readahead_used_frac\":%.4f,\"batch_reads\":%llu}%s\n",
-        r.workload, r.frames, r.shards_requested, r.shards, r.threads,
+        r.workload, r.frames, r.threads,
         static_cast<unsigned long long>(r.ops), r.wall_s,
         r.wall_s == 0 ? 0 : r.ops / r.wall_s, r.pool.hit_ratio(),
         static_cast<unsigned long long>(r.pool.misses),

@@ -112,15 +112,15 @@ def throughput_point(runs):
 
 
 def storage_point(runs):
-    """workload/frames/shards -> median throughput and pool behaviour.
+    """workload/frames -> median throughput and pool behaviour.
 
-    The micro_storage --json sweep: one row per (workload, frames,
-    shards) configuration; keys look like "seq/256f/4s".
+    The micro_storage --json sweep: one row per (workload, frames)
+    configuration; keys look like "seq/256f".
     """
     by_config = {}
     for run in runs:
         for row in run:
-            key = f"{row['workload']}/{row['frames']}f/{row['shards']}s"
+            key = f"{row['workload']}/{row['frames']}f"
             by_config.setdefault(key, []).append(row)
     return {
         key: {

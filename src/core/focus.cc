@@ -144,13 +144,9 @@ Result<std::unique_ptr<CrawlSession>> FocusSystem::NewCrawl(
   if (session->wal_ != nullptr) session->db_->BindWal(session->wal_.get());
   session->evaluator_ =
       std::make_unique<crawl::ClassifierEvaluator>(classifier_.get());
-  crawl::CrawlerOptions resolved = crawler_options;
-  if (resolved.checkpoint_every_batches < 0) {
-    resolved.checkpoint_every_batches = options_.checkpoint_every_batches;
-  }
   session->crawler_ = std::make_unique<crawl::Crawler>(
       web_.get(), session->evaluator_.get(), session->db_.get(),
-      session->catalog_.get(), resolved);
+      session->catalog_.get(), crawler_options);
   for (const std::string& url : seed_urls) {
     FOCUS_RETURN_IF_ERROR(session->crawler_->AddSeed(url));
   }

@@ -49,12 +49,6 @@ struct FocusOptions {
   // commits and the session survives storage-level crashes. Empty (the
   // default) keeps sessions in memory with no WAL — the fast test path.
   std::string session_db_dir;
-  // Every Nth committed crawl batch is promoted to a full
-  // CrawlDb::Checkpoint (overlay flush + log truncation), so crash
-  // recovery replays at most one interval of commits. 0 disables periodic
-  // checkpoints. Sessions inherit this unless their CrawlerOptions set
-  // checkpoint_every_batches >= 0 explicitly.
-  int checkpoint_every_batches = 64;
 };
 
 struct RankedPage {
@@ -90,8 +84,7 @@ class CrawlSession {
   // The session's write-ahead log, or nullptr for in-memory sessions.
   storage::WalDiskManager* wal() const { return wal_.get(); }
 
-  // The session's sharded buffer pool (hit ratios, readahead counters,
-  // per-shard stats).
+  // The session's buffer pool (hit ratios, readahead counters).
   storage::BufferPool* pool() const { return pool_.get(); }
 
   // The label ("session-<id>") under which this session's storage and

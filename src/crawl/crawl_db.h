@@ -170,9 +170,6 @@ class CrawlDb {
   // admissions it covers — that atomicity is the exactly-once guarantee.
   Status SetExchangeWatermark(int32_t src_shard, int64_t seq);
 
-  // Highest seq ever assigned by AppendOutbox (0 when empty).
-  int64_t outbox_tail_seq() const { return next_outbox_seq_ - 1; }
-
   sql::Table* crawl_table() const { return crawl_; }
   sql::Table* link_table() const { return link_; }
   sql::Table* breaker_table() const { return breaker_; }

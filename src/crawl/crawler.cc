@@ -46,11 +46,6 @@ Crawler::Crawler(webgraph::SimulatedWeb* web, RelevanceEvaluator* evaluator,
     options_.classify_batch_size = 1;
   }
   if (options_.classify_batch_size < 1) options_.classify_batch_size = 1;
-  // -1 = inherit: FocusSystem::NewCrawl resolves it from FocusOptions;
-  // a standalone crawler falls back to the same default interval.
-  if (options_.checkpoint_every_batches < 0) {
-    options_.checkpoint_every_batches = 64;
-  }
   next_distill_at_ = options_.distill_every;
   next_pagerank_at_ = options_.pagerank_every;
   if (options_.event_log != nullptr) {
@@ -204,7 +199,6 @@ Status Crawler::ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
     }
     if (!expand_frontier) continue;
 
-    uint64_t dst_oid = UrlOid(dst);
     if (options_.link_sink != nullptr && !options_.link_sink->Owns(dst)) {
       // Cross-shard target (its whole server belongs to another shard, so
       // its host root does too): journal the admission for the owner and
@@ -227,63 +221,13 @@ Status Crawler::ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
       // excellent resource lists).
       std::string root = TruncateToHostRoot(dst);
       if (root != dst) {
-        FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> known,
-                               db_->Lookup(UrlOid(root)));
-        if (!known.has_value()) {
-          FOCUS_RETURN_IF_ERROR(
-              db_->AddUrl(root, judgment.relevance,
-                          server_fetches_[ServerIdOf(root)]));
-          FrontierEntry entry;
-          entry.oid = UrlOid(root);
-          entry.url = root;
-          entry.relevance = judgment.relevance;
-          entry.serverload = server_fetches_[ServerIdOf(root)];
-          frontier_.AddOrUpdate(entry);
-          if (options_.event_log != nullptr) {
-            options_.event_log->Record(
-                obs::CrawlEventType::kFrontierAdmit,
-                static_cast<int64_t>(entry.oid), src_oid,
-                ServerIdOf(root), at_us, judgment.relevance, /*aux=*/1);
-          }
-        }
+        FOCUS_RETURN_IF_ERROR(AdmitLink(root, judgment.relevance, src_oid,
+                                        at_us, /*raise_if_known=*/false,
+                                        /*aux=*/1));
       }
     }
-    FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> existing,
-                           db_->Lookup(dst_oid));
-    double estimate = judgment.relevance;
-    int32_t load = server_fetches_[ServerIdOf(dst)];
-    if (!existing.has_value()) {
-      FOCUS_RETURN_IF_ERROR(db_->AddUrl(dst, estimate, load));
-      FrontierEntry entry;
-      entry.oid = dst_oid;
-      entry.url = dst;
-      entry.relevance = estimate;
-      entry.serverload = load;
-      entry.backlinks = ++backlink_counts_[dst_oid];
-      frontier_.AddOrUpdate(entry);
-      if (options_.event_log != nullptr) {
-        options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
-                                   static_cast<int64_t>(dst_oid), src_oid,
-                                   ServerIdOf(dst), at_us, estimate,
-                                   /*aux=*/0);
-      }
-    } else if (!existing->visited) {
-      // A better citation raises the unvisited page's priority; every
-      // citation raises its backlink count (Cho ordering signal).
-      int32_t backlinks = ++backlink_counts_[dst_oid];
-      if (estimate > existing->relevance) {
-        FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(dst_oid, estimate));
-      }
-      if (std::optional<FrontierEntry> in_frontier =
-              frontier_.PeekCopy(dst_oid);
-          in_frontier.has_value()) {
-        FrontierEntry updated = *in_frontier;
-        updated.relevance = std::max(updated.relevance, estimate);
-        updated.serverload = load;
-        updated.backlinks = backlinks;
-        frontier_.AddOrUpdate(updated);
-      }
-    }
+    FOCUS_RETURN_IF_ERROR(AdmitLink(dst, judgment.relevance, src_oid, at_us,
+                                    /*raise_if_known=*/true, /*aux=*/0));
   }
   return Status::OK();
 }
@@ -309,32 +253,35 @@ Status Crawler::ExportRemoteLink(uint64_t src_oid, const std::string& dst_url,
                                         raise_if_known);
 }
 
-Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
-                                int64_t parent_oid, bool raise_if_known) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
+Status Crawler::AdmitLink(std::string_view url, double relevance,
+                          int64_t parent_oid, int64_t at_us,
+                          bool raise_if_known, int64_t aux) {
   uint64_t oid = UrlOid(url);
   int32_t sid = ServerIdOf(url);
+  int32_t load = server_fetches_[sid];
   FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> existing,
                          db_->Lookup(oid));
   if (!existing.has_value()) {
-    FOCUS_RETURN_IF_ERROR(db_->AddUrl(url, relevance, server_fetches_[sid]));
+    FOCUS_RETURN_IF_ERROR(db_->AddUrl(url, relevance, load));
     FrontierEntry entry;
     entry.oid = oid;
     entry.url = std::string(url);
     entry.relevance = relevance;
-    entry.serverload = server_fetches_[sid];
-    entry.backlinks = ++backlink_counts_[oid];
+    entry.serverload = load;
+    // Only a citation counts as a backlink; a host root or a citer is
+    // admitted without one.
+    if (raise_if_known) entry.backlinks = ++backlink_counts_[oid];
     frontier_.AddOrUpdate(entry);
     if (options_.event_log != nullptr) {
       options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
                                  static_cast<int64_t>(oid), parent_oid, sid,
-                                 clock_.NowMicros(), relevance, /*aux=*/3);
+                                 at_us, relevance, aux);
     }
     return Status::OK();
   }
   if (!raise_if_known || existing->visited) return Status::OK();
-  // Same as the local ExpandLinks path for a known unvisited citation:
-  // count the backlink, raise the estimate (max), re-rank if live.
+  // A better citation raises the unvisited page's priority; every citation
+  // raises its backlink count (Cho ordering signal).
   int32_t backlinks = ++backlink_counts_[oid];
   if (relevance > existing->relevance) {
     FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(oid, relevance));
@@ -343,10 +290,18 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
       in_frontier.has_value()) {
     FrontierEntry updated = *in_frontier;
     updated.relevance = std::max(updated.relevance, relevance);
+    updated.serverload = load;
     updated.backlinks = backlinks;
     frontier_.AddOrUpdate(updated);
   }
   return Status::OK();
+}
+
+Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
+                                int64_t parent_oid, bool raise_if_known) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return AdmitLink(url, relevance, parent_oid, clock_.NowMicros(),
+                   raise_if_known, /*aux=*/3);
 }
 
 Status Crawler::RunDistillationBoost() {
@@ -690,7 +645,6 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
           std::vector<std::string> citers,
           web_->Backlinks(page.fetch.url, options_.backlinks_per_page));
       for (const std::string& citer : citers) {
-        uint64_t citer_oid = UrlOid(citer);
         if (options_.link_sink != nullptr &&
             !options_.link_sink->Owns(citer)) {
           FOCUS_RETURN_IF_ERROR(ExportRemoteLink(oid, citer,
@@ -698,25 +652,9 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
                                                  /*raise_if_known=*/false));
           continue;
         }
-        FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> known,
-                               db_->Lookup(citer_oid));
-        if (known.has_value()) continue;
-        FOCUS_RETURN_IF_ERROR(
-            db_->AddUrl(citer, judgment.relevance,
-                        server_fetches_[ServerIdOf(citer)]));
-        FrontierEntry entry;
-        entry.oid = citer_oid;
-        entry.url = citer;
-        entry.relevance = judgment.relevance;
-        entry.serverload = server_fetches_[ServerIdOf(citer)];
-        frontier_.AddOrUpdate(entry);
-        if (options_.event_log != nullptr) {
-          options_.event_log->Record(obs::CrawlEventType::kFrontierAdmit,
-                                     static_cast<int64_t>(citer_oid),
-                                     static_cast<int64_t>(oid),
-                                     ServerIdOf(citer), page.fetched_at_us,
-                                     judgment.relevance, /*aux=*/2);
-        }
+        FOCUS_RETURN_IF_ERROR(AdmitLink(
+            citer, judgment.relevance, static_cast<int64_t>(oid),
+            page.fetched_at_us, /*raise_if_known=*/false, /*aux=*/2));
       }
     }
     in_flight_.fetch_sub(1);

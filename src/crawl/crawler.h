@@ -112,10 +112,9 @@ struct CrawlerOptions {
 
   // Every Nth committed crawl batch is promoted to a CrawlDb::Checkpoint
   // (overlay flush + log truncation), so crash recovery replays at most
-  // one interval of commits. 0 disables periodic checkpoints; -1 inherits
-  // core::FocusOptions::checkpoint_every_batches (64 when the crawler is
-  // built standalone). No-op without a WAL-backed CrawlDb.
-  int checkpoint_every_batches = -1;
+  // one interval of commits. 0 disables periodic checkpoints. No-op
+  // without a WAL-backed CrawlDb.
+  int checkpoint_every_batches = 64;
 
   // Registry for the crawler's stage metrics; nullptr = process-global.
   // Benchmarks pass a private registry so repeated runs start from zero.
@@ -268,6 +267,16 @@ class Crawler {
   // `at_us` is the visit's virtual time (stamps admit events).
   Status ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,
                      const PageJudgment& judgment, int64_t at_us);
+  // The one admission rule behind every expansion path (outlinks, host
+  // roots, backlink citers, cross-shard deliveries; see
+  // ExchangeLink::raise_if_known). An unknown URL enters CRAWL and the
+  // frontier with `relevance` as its estimate, counting a backlink only
+  // when `raise_if_known`. A known unvisited row, when `raise_if_known`,
+  // counts the backlink, is raised to `relevance` (max) and re-ranked with
+  // its server's current load; other known rows are left alone. `aux`
+  // tags the kFrontierAdmit event. Caller holds state_mutex_.
+  Status AdmitLink(std::string_view url, double relevance, int64_t parent_oid,
+                   int64_t at_us, bool raise_if_known, int64_t aux);
   // Journals a non-owned link target into the sink, suppressing exports
   // the owner would no-op (same estimate or lower for raise-mode targets;
   // any repeat for admit-if-unknown targets). Caller holds state_mutex_.

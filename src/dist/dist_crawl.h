@@ -112,8 +112,7 @@ struct DistCrawlOptions {
   crawl::CrawlerOptions crawler;
   // Buffer-pool frames per shard.
   size_t buffer_frames = 4096;
-  // Per-shard buffer-pool tuning (sub-pool count, readahead); the default
-  // auto-shards by size with readahead off.
+  // Per-shard buffer-pool tuning (readahead); off by default.
   storage::BufferPool::Options pool_options;
   // Per-shard WAL tuning (group-commit linger, log-segment size and
   // recycling threshold, end-of-recovery checkpoint).

@@ -1,7 +1,6 @@
 #include "sql/exec/batch_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <numeric>
 
@@ -11,8 +10,6 @@
 namespace focus::sql {
 
 namespace {
-
-std::atomic<obs::MetricsRegistry*> g_batch_registry{nullptr};
 
 // Result type of a sorted-run aggregate; mirrors HashAggregate's
 // AggOutputType so the two engines emit identical schemas.
@@ -375,15 +372,10 @@ void AggregateSortedRuns(const ColumnSet& rows,
 
 }  // namespace
 
-void SetBatchMetricsRegistry(obs::MetricsRegistry* registry) {
-  g_batch_registry.store(registry, std::memory_order_relaxed);
-}
-
 Result<bool> BatchOperator::NextBatch(Batch* out) {
   if (op_name_ == nullptr) return DoNextBatch(out);
   if (batches_total_ == nullptr) {
-    obs::MetricsRegistry* reg = obs::MetricsRegistry::OrGlobal(
-        g_batch_registry.load(std::memory_order_relaxed));
+    obs::MetricsRegistry* reg = &obs::MetricsRegistry::Global();
     batches_total_ = reg->GetCounter("focus_sql_batches_total");
     rows_per_batch_ = reg->GetHistogram("focus_sql_rows_per_batch");
     self_micros_ = reg->GetCounter("focus_sql_batch_op_micros_total",

@@ -33,10 +33,6 @@
 
 namespace focus::sql {
 
-// Redirects batch-engine metrics (nullptr = back to the process-wide
-// registry). Takes effect for operators that have not yet executed.
-void SetBatchMetricsRegistry(obs::MetricsRegistry* registry);
-
 // Base interface: Open / NextBatch / Close, mirroring the scalar
 // Operator. NextBatch resets `out` and fills it; returns false when
 // exhausted (out left empty). The non-virtual NextBatch wraps the

@@ -1,23 +1,18 @@
-// Sharded, scan-resistant buffer pool.
+// Scan-resistant buffer pool behind one latch.
 //
 // Every table and index access in focus goes through this pool, so the
 // hit/miss counters directly measure the access-path behaviour that the
 // paper's Figure 8 experiments are about (random index probes vs sequential
 // sort-merge scans under a bounded number of 4 KiB frames).
 //
-// Layout. Frames are partitioned by PageId hash into K sub-pools
-// ("shards"), each with its own reader/writer latch, page table and free
-// list. A fetch that finds its page resident takes only the shard latch in
-// shared mode and bumps the pin count atomically — concurrent hits on
-// different pages (or even the same page) never serialize on a writer
-// lock. Misses, evictions and prefetch installs take the shard latch
-// exclusively; raw device I/O is serialized pool-wide by a separate I/O
-// mutex (DiskManager implementations are not thread safe), so a miss in
-// one shard never blocks hits in any shard. Frames are owned by shards
-// but not imprisoned in them: a fetch into a fully-pinned shard steals an
-// evictable frame from a neighbour, so pin capacity stays pool-global —
-// callers holding up to num_frames concurrent pins never see a spurious
-// ResourceExhausted just because PageId hashing concentrated their pins.
+// Layout. One frame array, one page table and one free-frame list, all
+// guarded by a single mutex that every public call takes for its whole
+// duration, device I/O included (DiskManager implementations are not
+// thread safe). The pool is thread-safe, but the crawl store, the
+// classifier tables and the distiller each reach their pool from one
+// thread at a time, so the latch is uncontended where it matters. Pin
+// capacity is pool-global: callers may hold up to num_frames concurrent
+// pins before a fetch fails with ResourceExhausted.
 //
 // Replacement is a 2Q variant keyed on a per-frame use count:
 //   A1   — fetched exactly once (the "cold" A1 queue of 2Q): evicted
@@ -29,7 +24,7 @@
 //          ahead; protected from the flood, second in line otherwise.
 //   hot  — fetched two or more times (index upper levels, roots, hot STAT
 //          pages). Use counts only grow, so 2Q's Am bound applies: once
-//          hot frames exceed half a shard, the LRU hot frame is evicted
+//          hot frames exceed half the pool, the LRU hot frame is evicted
 //          ahead of speculation — otherwise every frame eventually looks
 //          hot and readahead is squeezed into a handful of churn frames.
 //
@@ -57,12 +52,9 @@
 #ifndef FOCUS_STORAGE_BUFFER_POOL_H_
 #define FOCUS_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -78,10 +70,6 @@ namespace focus::storage {
 class BufferPool {
  public:
   struct Options {
-    // Number of sub-pools. 0 = auto: one shard per 64 frames, capped at 8,
-    // so small test pools stay single-sharded (exact LRU-observable
-    // behaviour) and big pools spread latch pressure.
-    size_t shards = 0;
     // Pages fetched per readahead batch (explicit Prefetch callers may ask
     // for more; auto-detected streams use exactly this). 0 disables
     // auto-readahead issue even when auto_readahead is set.
@@ -134,15 +122,13 @@ class BufferPool {
   // Registers a snapshot-time collector exporting this pool's hit/miss/
   // eviction/readahead counters and hit ratio (and the backing DiskManager's
   // read/write counters) as focus_bufferpool_* / focus_disk_* samples
-  // labeled {pool=pool_name}, plus per-shard fetch/hit/miss samples labeled
-  // {pool=pool_name, shard=i}. Rebinding replaces the previous binding; the
+  // labeled {pool=pool_name}. Rebinding replaces the previous binding; the
   // destructor unregisters.
   void BindMetrics(obs::MetricsRegistry* registry, std::string pool_name);
 
   // Pins page `id` in memory and returns it. The caller must balance with
-  // UnpinPage. When the page's shard is fully pinned, a frame is stolen
-  // from another shard, so pin capacity is pool-global: this fails only
-  // when no shard in the whole pool has an evictable frame.
+  // UnpinPage. Fails with ResourceExhausted only when every frame of the
+  // pool is pinned.
   Result<Page*> FetchPage(PageId id);
 
   // Pins a zeroed page for new content and returns its id via `out_id`:
@@ -171,8 +157,10 @@ class BufferPool {
   // Advisory batched readahead: reads pages [first, first + n) in one
   // ReadPages op and installs the non-resident ones as evict-first
   // speculation. Returns immediately if the first page is already resident
-  // (the common mid-window case for chained iterators). Never fails the
-  // caller: I/O errors and frame exhaustion just mean no speculation.
+  // (the common mid-window case for chained iterators). Stops installing
+  // once the pool has no frame to spare, rather than evict pages this same
+  // batch installed. Never fails the caller: I/O errors and frame
+  // exhaustion just mean less speculation.
   void Prefetch(PageId first, uint32_t n);
 
   // Iterator cooperation: HeapFile and B+-tree iterators call this when
@@ -195,48 +183,22 @@ class BufferPool {
   Status EvictAll();
 
   size_t num_frames() const { return num_frames_; }
-  size_t num_shards() const { return shards_.size(); }
   uint32_t readahead_window() const { return options_.readahead_window; }
-  // Aggregated over shards; a point-in-time snapshot, not a reference.
+  // A point-in-time snapshot, not a reference.
   Stats stats() const;
-  // Counters of one shard (i < num_shards()).
-  Stats shard_stats(size_t i) const;
   void ResetStats();
 
  private:
+  // Every field is guarded by latch_.
   struct Frame {
     Page page;
     PageId page_id = kInvalidPageId;
-    std::atomic<int32_t> pin_count{0};
-    std::atomic<uint64_t> last_used{0};
+    int32_t pin_count = 0;
+    uint64_t last_used = 0;
     // 0 = prefetched & untouched, 1 = fetched once, >= 2 = hot. Saturating
     // in spirit: only the 0/1/2+ distinction matters for eviction.
-    std::atomic<uint32_t> uses{0};
-    std::atomic<bool> dirty{false};
-  };
-
-  // Per-shard atomic counters (bumped on the shared-latch hit path).
-  struct ShardStats {
-    std::atomic<uint64_t> fetches{0}, hits{0}, misses{0}, evictions{0},
-        dirty_writebacks{0}, readahead_issued{0}, readahead_used{0};
-  };
-
-  struct Shard {
-    mutable std::shared_mutex latch;
-    // Slots may be null: a fully-pinned shard steals frames from its
-    // neighbours (StealFrameLocked), leaving holes behind. Holes are never
-    // referenced by `table` or `free_frames`; index scans must skip them.
-    std::vector<std::unique_ptr<Frame>> frames;
-    std::unordered_map<PageId, size_t> table;
-    std::vector<size_t> free_frames;
-    std::atomic<uint64_t> clock{0};
-    // Advances on every write-back of one of this shard's pages. Prefetch
-    // samples it under io_mutex_ when it batch-reads, and refuses to
-    // install any page of a shard whose generation moved since: a page
-    // fetched, modified, and evicted inside that window would otherwise be
-    // resurrected from the pre-modification disk image.
-    std::atomic<uint64_t> writeback_gen{0};
-    ShardStats stats;
+    uint32_t uses = 0;
+    bool dirty = false;
   };
 
   // Ascending miss-stream tracker for auto-readahead.
@@ -249,58 +211,48 @@ class BufferPool {
     uint64_t tick = 0;  // LRU stamp for stream replacement
   };
 
-  size_t ShardOf(PageId id) const {
-    // Fibonacci hash: contiguous runs spread across shards so one scan
-    // exercises every latch instead of convoying on one.
-    return (static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull >> 32) %
-           shards_.size();
-  }
+  // The *Locked helpers require latch_ held.
 
   // Picks a frame to hold a new page: a free frame if any, else the
   // least-recently-used unpinned frame of the lowest populated level
-  // (writing it back if dirty). With `allow_steal`, a fully-pinned shard
-  // falls back to migrating an evictable frame from another shard, so
-  // fetches fail only when the whole pool is pinned. Caller holds the
-  // shard latch exclusively.
-  Result<size_t> GetVictimLocked(Shard* shard, bool allow_steal);
-  // Moves an evictable frame out of some other shard into `shard` and
-  // returns its new index there. Donor latches are try-locked (we already
-  // hold `shard`'s latch, and lock order between shards is undefined), so
-  // a contended donor is simply skipped.
-  Result<size_t> StealFrameLocked(Shard* shard);
-  // Installs a hit on `f` from the shared-latch path (pin + touch + level
-  // promotion + readahead-used accounting).
-  Page* TouchHitLocked(Shard* shard, Frame* f, bool* first_spec_use);
-  void MaybeAutoReadahead(PageId missed);
-  // Pipelined window extension: called (latch-free) when a prefetched
-  // page is consumed for the first time. If the consumer is within
-  // kStreamLead pages of its stream's issued edge, the next window is
-  // read before the consumer can miss at the edge.
-  void MaybeExtendReadahead(PageId used);
+  // (writing it back if dirty). Fails rather than evict speculation
+  // installed after clock tick `spare_spec_after`, so a readahead batch
+  // larger than the pool stops instead of evicting its own pages.
+  Result<size_t> GetVictimLocked(uint64_t spare_spec_after = UINT64_MAX);
+  // Writes `f` back if it is dirty.
+  Status WriteBackLocked(Frame* f);
+  // Pins a resident frame for a hit (touch + level promotion + readahead
+  // accounting) and extends readahead when it consumes a prefetched page.
+  Page* TouchHitLocked(Frame* f);
+  void PrefetchLocked(PageId first, uint32_t n);
+  void MaybeAutoReadaheadLocked(PageId missed);
+  // Pipelined window extension: called when a prefetched page is consumed
+  // for the first time. If the consumer is within kStreamLead pages of its
+  // stream's issued edge, the next window is read before the consumer can
+  // miss at the edge.
+  void MaybeExtendReadaheadLocked(PageId used);
 
   const Options options_;
   DiskManager* disk_;
   size_t num_frames_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Serializes every disk_ call: DiskManager implementations are not
-  // thread safe. Never held while acquiring a shard latch (the only
-  // nesting order is shard -> try-locked donor shard -> io).
-  mutable std::mutex io_mutex_;
+  mutable std::mutex latch_;
+  std::vector<Frame> frames_;
+  std::unordered_map<PageId, size_t> table_;
+  std::vector<size_t> free_frames_;
+  uint64_t clock_ = 0;
+  Stats stats_;
 
-  std::mutex streams_mutex_;
   std::vector<Stream> streams_;
   uint64_t stream_tick_ = 0;
 
-  // Free-page list (FreePages / NewPage). A leaf lock: nothing else is
-  // acquired while it is held.
-  std::mutex free_mutex_;
+  // Free-page list (FreePages / NewPage).
   std::set<PageId> free_pages_;
 
 #ifdef FOCUS_SANITIZE
   // Pin/unpin balance: every successful FetchPage/NewPage must be matched
   // by exactly one UnpinPage before the pool dies.
-  std::atomic<int64_t> outstanding_pins_{0};
+  int64_t outstanding_pins_ = 0;
 #endif
 
   obs::MetricsRegistry* metrics_registry_ = nullptr;

@@ -3,8 +3,10 @@
 // deduplication on refetch.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/focus.h"
 #include "core/sample_taxonomy.h"
@@ -306,6 +308,64 @@ TEST(CrawlerFeaturesTest, BacklinkExpansionEnqueuesCiters) {
     }
     EXPECT_TRUE(links_forward) << citer << " -> " << first.url;
   }
+}
+
+TEST(CrawlerFeaturesTest, RemoteAdmissionFollowsTheLocalAdmissionRule) {
+  // A cross-shard delivery must land exactly as the local expansion path
+  // would: an admit-if-unknown target (a truncated host root or a backlink
+  // citer) enters without a backlink, an ordinary citation counts one, and
+  // raising a known unvisited row refreshes its server's load.
+  auto system = MakeSystem(31, /*failure_prob=*/0.0);
+  Cid cycling = system->tax().FindByName("cycling").value();
+  std::vector<std::string> seeds = system->web().KeywordSeeds(cycling, 1);
+  ASSERT_EQ(seeds.size(), 1u);
+  CrawlerOptions copts;
+  copts.max_fetches = 3;
+  auto session = system->NewCrawl(seeds, copts).TakeValue();
+  crawl::Crawler& crawler = session->crawler();
+  const std::string host = crawl::TruncateToHostRoot(seeds[0]);
+  const std::string citer = host + "remote-citer.html";
+  const std::string cited = host + "remote-cited.html";
+
+  ASSERT_TRUE(crawler.AdmitRemoteLink(citer, 0.0, /*parent_oid=*/1,
+                                      /*raise_if_known=*/false)
+                  .ok());
+  ASSERT_TRUE(crawler.AdmitRemoteLink(cited, 0.0, /*parent_oid=*/1,
+                                      /*raise_if_known=*/true)
+                  .ok());
+  auto citer_entry = crawler.frontier()->PeekCopy(UrlOid(citer));
+  ASSERT_TRUE(citer_entry.has_value());
+  EXPECT_EQ(citer_entry->backlinks, 0);
+  auto cited_entry = crawler.frontier()->PeekCopy(UrlOid(cited));
+  ASSERT_TRUE(cited_entry.has_value());
+  EXPECT_EQ(cited_entry->backlinks, 1);
+  EXPECT_EQ(cited_entry->serverload, 0);
+
+  // Fetch the seed (and a little more), then resume a fresh crawler over
+  // the same CRAWL table: it recounts the per-server fetches from the
+  // visited rows, so the seed's server carries load.
+  ASSERT_TRUE(crawler.Crawl().ok());
+  int32_t server_fetches = 0;
+  for (const auto& visit : crawler.visits()) {
+    if (crawl::ServerIdOf(visit.url) == crawl::ServerIdOf(cited)) {
+      ++server_fetches;
+    }
+  }
+  ASSERT_GT(server_fetches, 0);
+  crawl::ClassifierEvaluator evaluator(&system->classifier());
+  crawl::Crawler resumed(&system->web(), &evaluator, &session->db(),
+                         &session->catalog(), copts);
+  ASSERT_TRUE(resumed.ResumeFromDb().ok());
+  cited_entry = resumed.frontier()->PeekCopy(UrlOid(cited));
+  ASSERT_TRUE(cited_entry.has_value()) << "the citation was visited";
+  EXPECT_EQ(cited_entry->serverload, 0);
+  ASSERT_TRUE(resumed.AdmitRemoteLink(cited, 0.0, /*parent_oid=*/1,
+                                      /*raise_if_known=*/true)
+                  .ok());
+  cited_entry = resumed.frontier()->PeekCopy(UrlOid(cited));
+  ASSERT_TRUE(cited_entry.has_value());
+  EXPECT_EQ(cited_entry->backlinks, 1);
+  EXPECT_EQ(cited_entry->serverload, server_fetches);
 }
 
 TEST(CrawlerFeaturesTest, DbResidentEvaluatorMatchesInMemoryCrawl) {

@@ -1,10 +1,10 @@
-// Sharded buffer pool: scan resistance, readahead, PageGuard semantics,
+// Buffer pool: scan resistance, readahead, PageGuard semantics,
 // batched device reads, and multi-threaded pin/unpin (run under TSan in
 // the CI storage job).
 //
 // The replacement-policy tests pin down the 2Q properties the Figure 8
 // benchmarks depend on: a sequential flood churns only once-used frames
-// (hot index pages survive), and a hot-monopolized shard still admits
+// (hot index pages survive), and a hot-monopolized pool still admits
 // readahead speculation (the bounded hot queue).
 #include <gtest/gtest.h>
 
@@ -37,46 +37,14 @@ std::vector<PageId> SeedPages(BufferPool* pool, int n) {
   return ids;
 }
 
-TEST(BufferPoolShardingTest, AutoShardCountScalesWithFrames) {
-  MemDiskManager disk;
-  EXPECT_EQ(BufferPool(&disk, 16).num_shards(), 1u);    // small => exact LRU
-  EXPECT_EQ(BufferPool(&disk, 256).num_shards(), 4u);   // one per 64 frames
-  EXPECT_EQ(BufferPool(&disk, 4096).num_shards(), 8u);  // capped
-  BufferPool explicit_pool(&disk, 64, BufferPool::Options{.shards = 3});
-  EXPECT_EQ(explicit_pool.num_shards(), 3u);
-}
-
-TEST(BufferPoolShardingTest, ShardStatsSumToPoolStats) {
-  MemDiskManager disk;
-  BufferPool pool(&disk, 256, BufferPool::Options{.shards = 4});
-  SeedPages(&pool, 300);
-  for (PageId id = 0; id < 300; ++id) {
-    ASSERT_TRUE(pool.FetchPage(id).ok());
-    pool.UnpinPage(id, false);
-  }
-  BufferPool::Stats total = pool.stats();
-  uint64_t fetches = 0, misses = 0, evictions = 0;
-  for (size_t s = 0; s < pool.num_shards(); ++s) {
-    BufferPool::Stats sh = pool.shard_stats(s);
-    fetches += sh.fetches;
-    misses += sh.misses;
-    evictions += sh.evictions;
-    // Fibonacci hashing really spreads the contiguous run.
-    EXPECT_GT(sh.fetches, 0u) << "shard " << s << " saw no traffic";
-  }
-  EXPECT_EQ(fetches, total.fetches);
-  EXPECT_EQ(misses, total.misses);
-  EXPECT_EQ(evictions, total.evictions);
-}
-
 TEST(BufferPoolScanResistanceTest, SequentialFloodCannotEvictHotPages) {
   MemDiskManager disk;
-  BufferPool pool(&disk, 8);  // single shard: policy-observable
+  BufferPool pool(&disk, 8);
   std::vector<PageId> ids = SeedPages(&pool, 80);
 
   // Heat two pages (an index root and an upper level, say): two fetches
   // each puts them in the hot class, and two hot frames are well under
-  // the half-shard hot budget.
+  // the half-pool hot budget.
   for (int round = 0; round < 2; ++round) {
     for (PageId id : {ids[0], ids[1]}) {
       ASSERT_TRUE(pool.FetchPage(id).ok());
@@ -107,8 +75,8 @@ TEST(BufferPoolScanResistanceTest, BoundedHotQueueStillAdmitsSpeculation) {
   BufferPool pool(&disk, 8);
   std::vector<PageId> ids = SeedPages(&pool, 16);
 
-  // Monopolize the shard: every frame hot (fetched twice). Without the
-  // half-shard bound on the hot class nothing would be evictable ahead
+  // Monopolize the pool: every frame hot (fetched twice). Without the
+  // half-pool bound on the hot class nothing would be evictable ahead
   // of speculation and prefetched pages would be destroyed on arrival.
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 8; ++i) {
@@ -166,9 +134,25 @@ TEST(BufferPoolReadaheadTest, PrefetchIsAdvisoryPastDeviceEnd) {
   EXPECT_EQ(pool.stats().readahead_issued, 4u);
 }
 
-TEST(BufferPoolPinningTest, FetchFailsOnlyWhileShardFullyPinned) {
+TEST(BufferPoolReadaheadTest, OversizedPrefetchStopsAtThePoolSize) {
   MemDiskManager disk;
-  BufferPool pool(&disk, 4);  // one shard of four frames
+  BufferPool pool(&disk, 8);
+  std::vector<PageId> ids = SeedPages(&pool, 32);
+  // A batch four times the pool installs what fits and stops: evicting
+  // its own earlier pages would only churn frames under the latch.
+  pool.Prefetch(ids[0], 32);
+  EXPECT_EQ(pool.stats().readahead_issued, 8u);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(pool.FetchPage(ids[i]).ok());
+    pool.UnpinPage(ids[i], false);
+  }
+  EXPECT_EQ(pool.stats().misses, 0u);
+  EXPECT_EQ(pool.stats().readahead_used, 8u);
+}
+
+TEST(BufferPoolPinningTest, FetchFailsOnlyWhilePoolFullyPinned) {
+  MemDiskManager disk;
+  BufferPool pool(&disk, 4);
   std::vector<PageId> ids = SeedPages(&pool, 5);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(pool.FetchPage(ids[i]).ok());
@@ -186,35 +170,11 @@ TEST(BufferPoolPinningTest, FetchFailsOnlyWhileShardFullyPinned) {
   for (int i = 1; i < 4; ++i) pool.UnpinPage(ids[i], false);
 }
 
-TEST(BufferPoolPinningTest, FullyPinnedShardStealsFrameFromNeighbour) {
-  MemDiskManager disk;
-  BufferPool pool(&disk, 8, BufferPool::Options{.shards = 2});
-  std::vector<PageId> ids = SeedPages(&pool, 32);
-  // Replicate ShardOf's Fibonacci hash to collect pages of one shard.
-  auto shard_of = [](PageId id) {
-    return (static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull >> 32) % 2;
-  };
-  std::vector<PageId> same;
-  for (PageId id : ids) {
-    if (shard_of(id) == shard_of(ids[0])) same.push_back(id);
-  }
-  // Two shards of four frames: the fifth pin overflows its shard and must
-  // be served by stealing a frame from the other (entirely idle) shard.
-  ASSERT_GE(same.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    auto page = pool.FetchPage(same[i]);
-    ASSERT_TRUE(page.ok()) << "pin " << i << ": " << page.status().message();
-    EXPECT_EQ(page.value()->Read<uint32_t>(0), same[i]);
-  }
-  for (size_t i = 0; i < 5; ++i) pool.UnpinPage(same[i], false);
-}
-
 TEST(BufferPoolPinningTest, PinCapacityIsPoolGlobal) {
   MemDiskManager disk;
-  BufferPool pool(&disk, 8, BufferPool::Options{.shards = 2});
+  BufferPool pool(&disk, 8);
   std::vector<PageId> ids = SeedPages(&pool, 9);
-  // However the hash distributes pages over shards, callers may hold
-  // num_frames concurrent pins — the guarantee of the pre-sharding pool.
+  // Callers may hold num_frames concurrent pins.
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(pool.FetchPage(ids[i]).ok()) << "pin " << i;
   }
@@ -313,7 +273,7 @@ TEST(BufferPoolConcurrencyTest, ParallelPinUnpinKeepsContentsIntact) {
   constexpr int kPages = 512;
   constexpr int kIters = 4000;
   MemDiskManager disk;
-  BufferPool pool(&disk, 256, BufferPool::Options{.shards = 4});
+  BufferPool pool(&disk, 256);
   std::vector<PageId> ids = SeedPages(&pool, kPages);
 
   std::atomic<int> failures{0};
@@ -325,7 +285,7 @@ TEST(BufferPoolConcurrencyTest, ParallelPinUnpinKeepsContentsIntact) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         PageId id = ids[(state >> 33) % kPages];
         auto page = pool.FetchPage(id);
-        if (!page.ok()) {  // transiently full shard is legal under load
+        if (!page.ok()) {  // transiently full pool is legal under load
           continue;
         }
         bool dirty = false;
@@ -362,14 +322,14 @@ TEST(BufferPoolConcurrencyTest, PrefetchNeverResurrectsStalePages) {
   constexpr int kWriters = 4;
   constexpr int kIters = 20000;
   MemDiskManager disk;
-  BufferPool pool(&disk, 16, BufferPool::Options{.shards = 2});
+  BufferPool pool(&disk, 16);
   std::vector<PageId> ids = SeedPages(&pool, kPages);
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread prefetcher([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      // One whole-range batch: the long install loop (64 latched installs
-      // racing the writers) is the window a modify+evict cycle must beat.
+      // One whole-range batch: a long read-then-install window that a
+      // writer's modify+evict cycle would have to slip into.
       pool.Prefetch(ids[0], kPages);
     }
   });
@@ -382,7 +342,7 @@ TEST(BufferPoolConcurrencyTest, PrefetchNeverResurrectsStalePages) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         size_t idx = (state >> 33) % kPages;
         auto page = pool.FetchPage(ids[idx]);
-        if (!page.ok()) continue;  // transiently full shard: legal
+        if (!page.ok()) continue;  // transiently full pool: legal
         uint32_t v = page.value()->Read<uint32_t>(8 + 4 * t);
         if (v != last[idx]) failures.fetch_add(1);
         last[idx] = v + 1;
@@ -399,14 +359,13 @@ TEST(BufferPoolConcurrencyTest, PrefetchNeverResurrectsStalePages) {
 
 TEST(BufferPoolConcurrencyTest, ConcurrentReadaheadAndFetchesAgree) {
   // Threads walk disjoint ascending ranges through one auto-readahead
-  // pool: stream detection, prefetch installs and hits race on the shard
-  // latches. Contents must stay correct and the pool balanced.
+  // pool: stream detection, prefetch installs and hits race on the pool
+  // latch. Contents must stay correct and the pool balanced.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 256;
   MemDiskManager disk;
   BufferPool pool(&disk, 256,
-                  BufferPool::Options{.shards = 4,
-                                      .readahead_window = 8,
+                  BufferPool::Options{.readahead_window = 8,
                                       .auto_readahead = true});
   std::vector<PageId> ids = SeedPages(&pool, kThreads * kPerThread);
   std::atomic<int> failures{0};
@@ -494,10 +453,10 @@ TEST(WalBatchedReadTest, OverlayPagesSplitTheForwardedRuns) {
   EXPECT_FALSE(wal->ReadPages(6, 4, buf.data()).ok());
 }
 
-TEST(BufferPoolMetricsTest, PerShardSamplesExport) {
+TEST(BufferPoolMetricsTest, PoolSamplesExport) {
   obs::MetricsRegistry registry;
   MemDiskManager disk;
-  BufferPool pool(&disk, 128, BufferPool::Options{.shards = 2});
+  BufferPool pool(&disk, 128);
   pool.BindMetrics(&registry, "test_pool");
   SeedPages(&pool, 32);
   for (PageId id = 0; id < 32; ++id) {
@@ -508,10 +467,8 @@ TEST(BufferPoolMetricsTest, PerShardSamplesExport) {
   EXPECT_NE(json.find("focus_bufferpool_hit_ratio"), std::string::npos);
   EXPECT_NE(json.find("focus_bufferpool_readahead_issued_total"),
             std::string::npos);
-  EXPECT_NE(json.find("focus_bufferpool_shard_fetches_total"),
-            std::string::npos);
   EXPECT_NE(json.find("focus_disk_batch_reads_total"), std::string::npos);
-  EXPECT_NE(json.find("\"shard\""), std::string::npos);
+  EXPECT_EQ(json.find("focus_bufferpool_shard"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -551,7 +508,7 @@ TEST(FreePageListTest, FreedDirtyFrameIsDroppedWithoutWriteBack) {
 
 TEST(FreePageListTest, RecycledResidentPageReusesItsFrameZeroed) {
   MemDiskManager disk;
-  BufferPool pool(&disk, 4);  // one shard of four frames
+  BufferPool pool(&disk, 4);
   PageId id;
   Page* page = pool.NewPage(&id).TakeValue();
   std::memcpy(page->data, "stale", 5);
