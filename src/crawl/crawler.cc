@@ -320,6 +320,9 @@ Status Crawler::RunDistillationBoost() {
   hits_options.iterations = options_.distill_iterations;
   hits_options.rho = options_.distill_rho;
   FOCUS_RETURN_IF_ERROR(distiller.Run(hits_options));
+  // Sessions label their own distillations "session-N", so the boost's
+  // health gauges never overwrite theirs.
+  distiller.ExportMetrics(options_.metrics_registry, "crawl_boost");
   stage_metrics_->RecordDistillResiduals(distiller.residuals());
   ++stats_.distill_rounds;
 

@@ -116,7 +116,8 @@ struct CrawlerOptions {
   // without a WAL-backed CrawlDb.
   int checkpoint_every_batches = 64;
 
-  // Registry for the crawler's stage metrics; nullptr = process-global.
+  // Registry for the crawler's stage metrics and its boosts' distiller
+  // gauges ({distiller="crawl_boost"}); nullptr = process-global.
   // Benchmarks pass a private registry so repeated runs start from zero.
   obs::MetricsRegistry* metrics_registry = nullptr;
 

@@ -65,6 +65,8 @@ sql::BatchOperatorPtr BatchOffServerLinks(const sql::Table* link,
 }  // namespace
 
 Status JoinDistiller::Initialize() {
+  links_by_dst_ = sql::ColumnSet();
+  eligible_by_src_ = sql::ColumnSet();
   crawl_oid_col_ = tables_.crawl->schema().ColumnIndex("oid");
   crawl_rel_col_ = tables_.crawl->schema().ColumnIndex("relevance");
   if (crawl_oid_col_ < 0 || crawl_rel_col_ < 0) {
@@ -293,52 +295,76 @@ Status JoinDistiller::UpdateHubs() {
   return ReplaceNormalized(tables_.hubs, rows);
 }
 
-Status JoinDistiller::UpdateAuthVec(double rho) {
-  Stopwatch join_timer;
-  // Relevant pages, pruned at the scan: CRAWL carries URL strings the
-  // plan never reads, so the batch scan copies only (oid, relevance).
-  sql::BatchOperatorPtr crawl_scan = sql::AnalyzeBatch(
-      plan_, "BatchTableScan CRAWL(oid,relevance)",
-      std::make_unique<sql::BatchTableScan>(
-          tables_.crawl, std::vector<int>{crawl_oid_col_, crawl_rel_col_}));
-  sql::BatchOperatorPtr filtered = sql::AnalyzeBatch(
-      plan_, "BatchFilter relevance>rho",
-      std::make_unique<sql::BatchFilter>(
-          std::move(crawl_scan),
-          [rho](const sql::Batch& in, std::vector<int64_t>* sel) {
-            const auto& rel = in.col(1).f64;
-            for (size_t i = 0; i < rel.size(); ++i) {
-              if (rel[i] > rho) sel->push_back(static_cast<int64_t>(i));
-            }
-          }));
-  sql::BatchOperatorPtr projected = sql::AnalyzeBatch(
-      plan_, "BatchProject oid",
-      std::make_unique<sql::BatchProject>(
-          std::move(filtered),
-          std::vector<sql::BatchExpr>{
-              sql::BatchExpr::Passthrough("oid", TypeId::kInt64, 0)}));
-  sql::BatchOperatorPtr relevant = sql::AnalyzeBatch(
-      plan_, "BatchSort relevant by oid",
-      std::make_unique<sql::BatchSort>(std::move(projected),
-                                       std::vector<SortKey>{{0, false}}));
-  sql::BatchOperatorPtr links_sorted = sql::AnalyzeBatch(
-      plan_, "BatchSort by oid_dst",
-      std::make_unique<sql::BatchSort>(
-          BatchOffServerLinks(tables_.link, plan_),
-          std::vector<SortKey>{{2, false}}));
-  // Eligible links: off-server links whose destination is relevant, via
-  // merge join on oid_dst.
-  sql::BatchOperatorPtr eligible = sql::AnalyzeBatch(
-      plan_, "BatchMergeJoin LINK~relevant",
-      std::make_unique<sql::BatchMergeJoin>(
-          std::move(links_sorted), std::move(relevant), std::vector<int>{2},
-          std::vector<int>{0}));
+sql::BatchOperatorPtr JoinDistiller::OffServerLinksByDst() {
+  sql::BatchOperatorPtr fill;
+  if (links_by_dst_.num_columns() == 0) {
+    fill = sql::AnalyzeBatch(
+        plan_, "BatchSort by oid_dst",
+        std::make_unique<sql::BatchSort>(
+            BatchOffServerLinks(tables_.link, plan_),
+            std::vector<SortKey>{{2, false}}));
+  }
+  return sql::AnalyzeBatch(
+      plan_, "BatchMaterialize LINK by oid_dst",
+      std::make_unique<sql::BatchMaterialize>(&links_by_dst_,
+                                              std::move(fill)));
+}
+
+sql::BatchOperatorPtr JoinDistiller::EligibleLinksBySrc(double rho) {
+  sql::BatchOperatorPtr fill;
+  if (eligible_by_src_.num_columns() == 0 || eligible_rho_ != rho) {
+    eligible_by_src_ = sql::ColumnSet();
+    eligible_rho_ = rho;
+    // Relevant pages, pruned at the scan: CRAWL carries URL strings the
+    // plan never reads, so the batch scan copies only (oid, relevance).
+    sql::BatchOperatorPtr crawl_scan = sql::AnalyzeBatch(
+        plan_, "BatchTableScan CRAWL(oid,relevance)",
+        std::make_unique<sql::BatchTableScan>(
+            tables_.crawl,
+            std::vector<int>{crawl_oid_col_, crawl_rel_col_}));
+    sql::BatchOperatorPtr filtered = sql::AnalyzeBatch(
+        plan_, "BatchFilter relevance>rho",
+        std::make_unique<sql::BatchFilter>(
+            std::move(crawl_scan),
+            [rho](const sql::Batch& in, std::vector<int64_t>* sel) {
+              const auto& rel = in.col(1).f64;
+              for (size_t i = 0; i < rel.size(); ++i) {
+                if (rel[i] > rho) sel->push_back(static_cast<int64_t>(i));
+              }
+            }));
+    sql::BatchOperatorPtr projected = sql::AnalyzeBatch(
+        plan_, "BatchProject oid",
+        std::make_unique<sql::BatchProject>(
+            std::move(filtered),
+            std::vector<sql::BatchExpr>{
+                sql::BatchExpr::Passthrough("oid", TypeId::kInt64, 0)}));
+    sql::BatchOperatorPtr relevant = sql::AnalyzeBatch(
+        plan_, "BatchSort relevant by oid",
+        std::make_unique<sql::BatchSort>(std::move(projected),
+                                         std::vector<SortKey>{{0, false}}));
+    // Eligible links: off-server links whose destination is relevant, via
+    // merge join on oid_dst.
+    sql::BatchOperatorPtr eligible = sql::AnalyzeBatch(
+        plan_, "BatchMergeJoin LINK~relevant",
+        std::make_unique<sql::BatchMergeJoin>(
+            OffServerLinksByDst(), std::move(relevant), std::vector<int>{2},
+            std::vector<int>{0}));
+    fill = sql::AnalyzeBatch(
+        plan_, "BatchSort by oid_src",
+        std::make_unique<sql::BatchSort>(std::move(eligible),
+                                         std::vector<SortKey>{{0, false}}));
+  }
   // eligible: 0 oid_src, 1 sid_src, 2 oid_dst, 3 sid_dst, 4 wgt_fwd,
   //           5 wgt_rev, 6 oid(relevant)
-  sql::BatchOperatorPtr by_src = sql::AnalyzeBatch(
-      plan_, "BatchSort by oid_src",
-      std::make_unique<sql::BatchSort>(std::move(eligible),
-                                       std::vector<SortKey>{{0, false}}));
+  return sql::AnalyzeBatch(
+      plan_, "BatchMaterialize eligible by oid_src",
+      std::make_unique<sql::BatchMaterialize>(&eligible_by_src_,
+                                              std::move(fill)));
+}
+
+Status JoinDistiller::UpdateAuthVec(double rho) {
+  Stopwatch join_timer;
+  sql::BatchOperatorPtr by_src = EligibleLinksBySrc(rho);
   // HUBS is maintained in ascending-oid heap order: merge join directly.
   sql::BatchOperatorPtr hubs_scan =
       sql::AnalyzeBatch(plan_, "BatchTableScan HUBS",
@@ -383,11 +409,7 @@ Status JoinDistiller::UpdateAuthVec(double rho) {
 
 Status JoinDistiller::UpdateHubsVec() {
   Stopwatch join_timer;
-  sql::BatchOperatorPtr by_dst = sql::AnalyzeBatch(
-      plan_, "BatchSort by oid_dst",
-      std::make_unique<sql::BatchSort>(
-          BatchOffServerLinks(tables_.link, plan_),
-          std::vector<SortKey>{{2, false}}));
+  sql::BatchOperatorPtr by_dst = OffServerLinksByDst();
   // AUTH is in ascending-oid heap order (ReplaceNormalized preserved the
   // aggregate's order).
   sql::BatchOperatorPtr auth_scan =

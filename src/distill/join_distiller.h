@@ -55,9 +55,25 @@ class JoinDistiller final : public Distiller {
   Status UpdateAuthVec(double rho);
   Status UpdateHubsVec();
 
+  // The batch plans' loop-invariant inputs as plan leaves. Each carries
+  // the subtree that builds its set only while the set is unbuilt, so the
+  // first batch iteration after Initialize() runs (and EXPLAINs) the full
+  // Figure 4 plan and later ones replay the sets.
+  sql::BatchOperatorPtr OffServerLinksByDst();
+  sql::BatchOperatorPtr EligibleLinksBySrc(double rho);
+
   sql::ExecEngine engine_ = sql::ExecEngine::kVectorized;
   int crawl_oid_col_ = -1;
   int crawl_rel_col_ = -1;
+  // Per-query sets of the batch engine; Initialize() drops them. A set
+  // with no columns is unbuilt. LINK, CRAWL and rho do not change between
+  // iterations, so none of this depends on HUBS or AUTH.
+  //   links_by_dst_: off-server LINK rows, stable-sorted by oid_dst.
+  //   eligible_by_src_: links_by_dst_ joined with CRAWL's pages of
+  //     relevance > eligible_rho_, stable-sorted by oid_src.
+  sql::ColumnSet links_by_dst_;
+  sql::ColumnSet eligible_by_src_;
+  double eligible_rho_ = 0;
   // Non-null only inside RunIterationWithPlan.
   sql::PlanStats* plan_ = nullptr;
 };

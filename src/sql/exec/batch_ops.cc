@@ -451,27 +451,49 @@ Result<bool> BatchTableScan::DoNextBatch(Batch* out) {
 
 // -------------------------------------------------------------- source --
 
-Result<bool> BatchSource::DoNextBatch(Batch* out) {
+namespace {
+
+// Emits the next batch_rows slice of `set` from `*pos`. A set that fits
+// one batch is forwarded zero-copy.
+bool NextSlice(const ColumnSet& set, int batch_rows, size_t* pos,
+               Batch* out) {
   out->Reset();
-  size_t n = set_->num_rows();
-  if (pos_ >= n) return false;
-  if (pos_ == 0 && n <= static_cast<size_t>(batch_rows_)) {
-    // The whole set fits one batch: forward the columns zero-copy.
-    for (int i = 0; i < set_->num_columns(); ++i) {
-      out->AddColumn(set_->col_ptr(i));
-    }
-    pos_ = n;
+  size_t n = set.num_rows();
+  if (*pos >= n) return false;
+  if (*pos == 0 && n <= static_cast<size_t>(batch_rows)) {
+    for (int i = 0; i < set.num_columns(); ++i) out->AddColumn(set.col_ptr(i));
+    *pos = n;
     return true;
   }
-  size_t end = std::min(n, pos_ + static_cast<size_t>(batch_rows_));
-  for (int i = 0; i < set_->num_columns(); ++i) {
-    ColumnPtr col = NewColumn(set_->col(i).type);
-    col->Reserve(end - pos_);
-    col->AppendRange(set_->col(i), pos_, end);
+  size_t end = std::min(n, *pos + static_cast<size_t>(batch_rows));
+  for (int i = 0; i < set.num_columns(); ++i) {
+    ColumnPtr col = NewColumn(set.col(i).type);
+    col->Reserve(end - *pos);
+    col->AppendRange(set.col(i), *pos, end);
     out->AddColumn(std::move(col));
   }
-  pos_ = end;
+  *pos = end;
   return true;
+}
+
+}  // namespace
+
+Result<bool> BatchSource::DoNextBatch(Batch* out) {
+  return NextSlice(*set_, batch_rows_, &pos_, out);
+}
+
+Status BatchMaterialize::Open() {
+  pos_ = 0;
+  if (fill_ == nullptr) return Status::OK();
+  ColumnSet staged;
+  FOCUS_RETURN_IF_ERROR(CollectInto(fill_.get(), &staged));
+  *set_ = std::move(staged);
+  fill_.reset();
+  return Status::OK();
+}
+
+Result<bool> BatchMaterialize::DoNextBatch(Batch* out) {
+  return NextSlice(*set_, batch_rows_, &pos_, out);
 }
 
 // ------------------------------------------------------------ adapters --

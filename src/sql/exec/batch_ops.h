@@ -4,9 +4,10 @@
 // Tuple assembly per row; these operators move a Batch (batch.h) of ~1024
 // rows per call and work directly on flat column vectors. The set covers
 // exactly what the Figure 3 (BulkProbe) and Figure 4 (join distillation)
-// plans use: table scan, selection-vector filter, projection/expression,
-// sort, merge join (inner and left outer), cross join against a small
-// build side, and grouped sum/count over sorted runs. Vectorize/
+// plans use: table scan, materialized source (optionally filled once and
+// replayed across plan rebuilds), selection-vector filter, projection/
+// expression, sort, merge join (inner and left outer), cross join against
+// a small build side, and grouped sum/count over sorted runs. Vectorize/
 // Devectorize adapters let scalar and batch operators compose during
 // migration, so plans can move over one operator at a time.
 //
@@ -104,6 +105,36 @@ class BatchSource final : public BatchOperator {
 
  private:
   const ColumnSet* set_;
+  int batch_rows_;
+  size_t pos_ = 0;
+};
+
+// A BatchSource whose caller-owned set outlives the plan. Open() drains
+// `fill`, when given, into `*set` and drops it; every Open() then replays
+// the set. Plans rebuilt per iteration pass `fill` only while the set is
+// unbuilt, so a loop-invariant input is computed once. Because the drain
+// runs inside Open(), EXPLAIN ANALYZE nests the fill subtree under this
+// operator. `*set` is assigned only after a complete drain.
+class BatchMaterialize final : public BatchOperator {
+ public:
+  BatchMaterialize(ColumnSet* set, BatchOperatorPtr fill,
+                   int batch_rows = kDefaultBatchRows)
+      : BatchOperator("materialize"),
+        set_(set),
+        fill_(std::move(fill)),
+        batch_rows_(batch_rows) {}
+
+  Status Open() override;
+  const Schema& schema() const override {
+    return fill_ != nullptr ? fill_->schema() : set_->schema();
+  }
+
+ protected:
+  Result<bool> DoNextBatch(Batch* out) override;
+
+ private:
+  ColumnSet* set_;
+  BatchOperatorPtr fill_;
   int batch_rows_;
   size_t pos_ = 0;
 };

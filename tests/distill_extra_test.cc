@@ -306,6 +306,45 @@ TEST(JoinDanglingTest, FaultInjectedCrawlGraphDistillsFinite) {
       0.0);
 }
 
+TEST(JoinDanglingTest, CrawlBoostsExportDistillerGauges) {
+  // Hard focus records every outlink in LINK but admits only those of
+  // good pages, so each periodic boost distills a graph with dangling
+  // destinations. The boosts publish that under their own label.
+  core::FocusOptions options;
+  options.seed = 23;
+  auto system =
+      core::FocusSystem::Create(core::BuildSampleTaxonomy(), options)
+          .TakeValue();
+  ASSERT_TRUE(system->MarkGood("cycling").ok());
+  ASSERT_TRUE(system->Train().ok());
+  auto cycling = system->tax().FindByName("cycling").value();
+
+  obs::MetricsRegistry registry;
+  crawl::CrawlerOptions copts;
+  copts.max_fetches = 200;
+  copts.distill_every = 50;
+  copts.distill_iterations = 2;
+  copts.expansion = crawl::ExpansionRule::kHardFocus;
+  copts.metrics_registry = &registry;
+  auto session =
+      system->NewCrawl(system->web().KeywordSeeds(cycling, 8), copts)
+          .TakeValue();
+  ASSERT_TRUE(session->crawler().Crawl().ok());
+  ASSERT_GT(session->crawler().stats().distill_rounds, 0u);
+
+  EXPECT_GT(registry
+                .GetGauge("focus_distill_dangling_edges",
+                          {{"distiller", "crawl_boost"}, {"endpoint", "dst"}})
+                ->Value(),
+            0.0);
+  // The session has not distilled on demand: its gauge stays unset.
+  EXPECT_EQ(registry
+                .GetGauge("focus_distill_dangling_edges",
+                          {{"distiller", session->name()}, {"endpoint", "dst"}})
+                ->Value(),
+            0.0);
+}
+
 TEST(PageRankConvergenceTest, MoreIterationsAgree) {
   Rng rng(17);
   std::vector<std::pair<uint32_t, uint32_t>> edges;

@@ -354,6 +354,57 @@ TEST(BatchOperatorTest, EmptyInputThroughEveryOperator) {
                   .empty());
 }
 
+// Emits its rows as one batch, then fails: a fill that breaks mid-drain.
+class FailingSource final : public BatchOperator {
+ public:
+  explicit FailingSource(BatchOperatorPtr child)
+      : BatchOperator(nullptr), child_(std::move(child)) {}
+
+  Status Open() override { return child_->Open(); }
+  const Schema& schema() const override { return child_->schema(); }
+
+ protected:
+  Result<bool> DoNextBatch(Batch* out) override {
+    if (emitted_) return Status::IOError("injected");
+    emitted_ = true;
+    return child_->NextBatch(out);
+  }
+
+ private:
+  BatchOperatorPtr child_;
+  bool emitted_ = false;
+};
+
+TEST(BatchOperatorTest, MaterializeFillsOnceThenReplays) {
+  Rng rng(303);
+  Schema schema = MixedSchema();
+  std::vector<Tuple> rows = RandomRows(&rng, 200);
+  OperatorPtr oracle = Source(schema, rows);
+  std::vector<std::string> expected = RowStrings(oracle.get());
+  for (int bs : kBatchSizes) {
+    ColumnSet set;
+    EXPECT_EQ(RowStrings(std::make_unique<BatchMaterialize>(
+                  &set, BatchOf(schema, rows, bs), bs)),
+              expected)
+        << "batch_rows=" << bs;
+    EXPECT_EQ(set.num_rows(), rows.size());
+    // A rebuilt plan passes no fill and replays the set.
+    EXPECT_EQ(RowStrings(std::make_unique<BatchMaterialize>(&set, nullptr, bs)),
+              expected)
+        << "batch_rows=" << bs;
+  }
+}
+
+TEST(BatchOperatorTest, MaterializeLeavesSetUnbuiltWhenFillFails) {
+  Rng rng(304);
+  Schema schema = MixedSchema();
+  ColumnSet set;
+  BatchMaterialize op(&set, std::make_unique<FailingSource>(
+                                BatchOf(schema, RandomRows(&rng, 50), 7)));
+  EXPECT_FALSE(op.Open().ok());
+  EXPECT_EQ(set.num_columns(), 0);
+}
+
 // ---- Figure 3: BulkProbe scalar vs vectorized ----
 
 TEST(EngineEquivalenceTest, BulkProbeScoresWithin1em9) {
@@ -531,6 +582,66 @@ TEST(EngineEquivalenceTest, DistillerRankingsIdentical) {
       }
     }
   }
+}
+
+// The vectorized distiller reads, filters and sorts LINK once per query
+// and rebuilds its eligible-link set when rho changes: a sequence of
+// iterations at two rhos stays bit-identical to the scalar plan, which
+// recomputes everything per iteration. Enough edges for multi-batch sets.
+TEST(EngineEquivalenceTest, DistillerRhoChangeMatchesScalarBitExactly) {
+  const std::vector<double> rhos = {0.3, 0.3, 0.5, 0.5};
+  auto run = [](DistillFixture* fx, ExecEngine engine,
+                const std::vector<double>& seq) {
+    distill::JoinDistiller distiller(fx->tables);
+    distiller.SetEngine(engine);
+    EXPECT_TRUE(distiller.Initialize().ok());
+    for (double rho : seq) EXPECT_TRUE(distiller.RunIteration(rho).ok());
+    return std::pair{TableRows(fx->tables.hubs), TableRows(fx->tables.auth)};
+  };
+  DistillFixture scalar_fx, vec_fx;
+  ASSERT_TRUE(scalar_fx.Build(31, 400, 13, 3000).ok());
+  ASSERT_TRUE(vec_fx.Build(31, 400, 13, 3000).ok());
+  auto expected = run(&scalar_fx, ExecEngine::kScalar, rhos);
+  ASSERT_FALSE(expected.second.empty());
+  EXPECT_EQ(run(&vec_fx, ExecEngine::kVectorized, rhos), expected);
+  // The rho change matters on this graph, so a stale set would show.
+  EXPECT_NE(run(&scalar_fx, ExecEngine::kScalar, {0.3, 0.3, 0.3, 0.3}),
+            expected);
+}
+
+// Initialize() drops the per-query sets: after LINK grows, a reused
+// vectorized distiller equals a fresh scalar run on the grown graph.
+TEST(EngineEquivalenceTest, DistillerInitializeRereadsLink) {
+  DistillFixture scalar_fx, vec_fx;
+  ASSERT_TRUE(scalar_fx.Build(32, 300, 11, 2000).ok());
+  ASSERT_TRUE(vec_fx.Build(32, 300, 11, 2000).ok());
+  distill::JoinDistiller reused(vec_fx.tables);
+  ASSERT_TRUE(reused.Run({.iterations = 3, .rho = 0.2}).ok());
+  auto before = TableRows(vec_fx.tables.auth);
+
+  // A new relevant page, cited by 40 existing ones.
+  const int64_t kNew = 5000;
+  for (DistillFixture* fx : {&scalar_fx, &vec_fx}) {
+    ASSERT_TRUE(fx->tables.crawl
+                    ->Insert(Tuple({Value::Int64(kNew), Value::Double(0.9)}))
+                    .ok());
+    for (int64_t src = 1; src <= 40; ++src) {
+      ASSERT_TRUE(fx->tables.link
+                      ->Insert(Tuple({Value::Int64(src),
+                                      Value::Int32(static_cast<int32_t>(
+                                          src % 11)),
+                                      Value::Int64(kNew), Value::Int32(11),
+                                      Value::Double(2.0), Value::Double(2.0)}))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(reused.Run({.iterations = 3, .rho = 0.2}).ok());
+  distill::JoinDistiller fresh(scalar_fx.tables);
+  fresh.SetEngine(ExecEngine::kScalar);
+  ASSERT_TRUE(fresh.Run({.iterations = 3, .rho = 0.2}).ok());
+  EXPECT_EQ(TableRows(vec_fx.tables.hubs), TableRows(scalar_fx.tables.hubs));
+  EXPECT_EQ(TableRows(vec_fx.tables.auth), TableRows(scalar_fx.tables.auth));
+  EXPECT_NE(TableRows(vec_fx.tables.auth), before);
 }
 
 // One int64 sort key spanning INT64_MIN..INT64_MAX (hashed oids do) needs

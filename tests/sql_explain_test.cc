@@ -234,53 +234,54 @@ TEST_F(BulkProbePlanTest, ClassifyWithPlanMatchesClassifyAll) {
 
 // ---- the Figure 4 distillation plan ----
 
-TEST(DistillerPlanTest, StarGraphIterationRowCounts) {
+// Node 1 links to 2,3,4 off-server, and to 5 on the same server (the
+// nepotism filter must drop that edge); pages 1..5 all have relevance 1.
+struct StarGraph {
   storage::MemDiskManager disk;
-  storage::BufferPool pool(&disk, 1024);
-  sql::Catalog catalog(&pool);
+  storage::BufferPool pool{&disk, 1024};
+  sql::Catalog catalog{&pool};
   distill::DistillTables tables;
 
-  auto link = catalog.CreateTable(
-      "LINK",
-      Schema({{"oid_src", TypeId::kInt64},
-              {"sid_src", TypeId::kInt32},
-              {"oid_dst", TypeId::kInt64},
-              {"sid_dst", TypeId::kInt32},
-              {"wgt_fwd", TypeId::kDouble},
-              {"wgt_rev", TypeId::kDouble}}),
-      {IndexSpec{"by_src", {0}, {}}, IndexSpec{"by_dst", {2}, {}}});
-  ASSERT_TRUE(link.ok());
-  tables.link = link.value();
-  // Node 1 links to 2,3,4 off-server, and to 5 on the same server (the
-  // nepotism filter must drop that edge).
-  for (int64_t dst : {2, 3, 4}) {
-    ASSERT_TRUE(tables.link
-                    ->Insert(Tuple({Value::Int64(1), Value::Int32(10),
-                                    Value::Int64(dst),
-                                    Value::Int32(static_cast<int32_t>(
-                                        10 * dst)),
-                                    Value::Double(1.0), Value::Double(1.0)}))
-                    .ok());
+  StarGraph() {
+    tables.link =
+        catalog
+            .CreateTable(
+                "LINK",
+                Schema({{"oid_src", TypeId::kInt64},
+                        {"sid_src", TypeId::kInt32},
+                        {"oid_dst", TypeId::kInt64},
+                        {"sid_dst", TypeId::kInt32},
+                        {"wgt_fwd", TypeId::kDouble},
+                        {"wgt_rev", TypeId::kDouble}}),
+                {IndexSpec{"by_src", {0}, {}}, IndexSpec{"by_dst", {2}, {}}})
+            .TakeValue();
+    for (int64_t dst : {2, 3, 4, 5}) {
+      int32_t sid_dst = dst == 5 ? 10 : static_cast<int32_t>(10 * dst);
+      EXPECT_TRUE(tables.link
+                      ->Insert(Tuple({Value::Int64(1), Value::Int32(10),
+                                      Value::Int64(dst), Value::Int32(sid_dst),
+                                      Value::Double(1.0), Value::Double(1.0)}))
+                      .ok());
+    }
+    tables.crawl =
+        catalog
+            .CreateTable("CRAWL",
+                         Schema({{"oid", TypeId::kInt64},
+                                 {"relevance", TypeId::kDouble}}),
+                         {IndexSpec{"by_oid", {0}, {}}})
+            .TakeValue();
+    for (int64_t oid = 1; oid <= 5; ++oid) {
+      EXPECT_TRUE(tables.crawl
+                      ->Insert(Tuple({Value::Int64(oid), Value::Double(1.0)}))
+                      .ok());
+    }
+    EXPECT_TRUE(distill::CreateHubsAuthTables(&catalog, &tables).ok());
   }
-  ASSERT_TRUE(tables.link
-                  ->Insert(Tuple({Value::Int64(1), Value::Int32(10),
-                                  Value::Int64(5), Value::Int32(10),
-                                  Value::Double(1.0), Value::Double(1.0)}))
-                  .ok());
+};
 
-  auto crawl = catalog.CreateTable(
-      "CRAWL",
-      Schema({{"oid", TypeId::kInt64}, {"relevance", TypeId::kDouble}}),
-      {IndexSpec{"by_oid", {0}, {}}});
-  ASSERT_TRUE(crawl.ok());
-  tables.crawl = crawl.value();
-  for (int64_t oid = 1; oid <= 5; ++oid) {
-    ASSERT_TRUE(tables.crawl
-                    ->Insert(Tuple(
-                        {Value::Int64(oid), Value::Double(1.0)}))
-                    .ok());
-  }
-  ASSERT_TRUE(distill::CreateHubsAuthTables(&catalog, &tables).ok());
+TEST(DistillerPlanTest, StarGraphIterationRowCounts) {
+  StarGraph graph;
+  distill::DistillTables& tables = graph.tables;
 
   distill::JoinDistiller distiller(tables);
   distiller.SetEngine(ExecEngine::kScalar);
@@ -346,6 +347,47 @@ TEST(DistillerPlanTest, StarGraphIterationRowCounts) {
   EXPECT_EQ(vec_rel->rows_out, 5u);
   EXPECT_NE(vec_stats.Format().find("batches="), std::string::npos)
       << vec_stats.Format();
+}
+
+// The batch engine reads, filters and sorts LINK (and filters CRAWL) once
+// per query. Iteration 1 builds the sets inside UpdateAuth's plan, and
+// UpdateHubs replays the sorted LINK set. Later iterations read neither
+// table: the cached eligible-link source yields iteration 1's count.
+TEST(DistillerPlanTest, LaterBatchIterationsReplayInvariantSets) {
+  StarGraph graph;
+  distill::JoinDistiller distiller(graph.tables);
+  ASSERT_TRUE(distiller.Initialize().ok());
+  PlanStats first;
+  ASSERT_TRUE(distiller.RunIterationWithPlan(0.0, &first).ok());
+  const PlanStats::Node* auth_root =
+      FindNode(first, "UpdateAuth: BatchSortAggregate(oid_dst, sum)");
+  ASSERT_NE(auth_root, nullptr) << first.Format();
+  const PlanStats::Node* hub_root =
+      FindNode(first, "UpdateHubs: BatchSortAggregate(oid_src, sum)");
+  ASSERT_NE(hub_root, nullptr) << first.Format();
+  EXPECT_NE(FindNode(auth_root, "BatchTableScan LINK"), nullptr)
+      << first.Format();
+  EXPECT_NE(FindNode(auth_root, "BatchTableScan CRAWL(oid,relevance)"),
+            nullptr)
+      << first.Format();
+  EXPECT_EQ(FindNode(hub_root, "BatchTableScan LINK"), nullptr)
+      << first.Format();
+  const PlanStats::Node* eligible =
+      FindNode(auth_root, "BatchMergeJoin LINK~relevant");
+  ASSERT_NE(eligible, nullptr) << first.Format();
+  EXPECT_EQ(eligible->rows_out, 3u);
+
+  PlanStats second;
+  ASSERT_TRUE(distiller.RunIterationWithPlan(0.0, &second).ok());
+  EXPECT_EQ(FindNode(second, "BatchTableScan LINK"), nullptr)
+      << second.Format();
+  EXPECT_EQ(FindNode(second, "BatchTableScan CRAWL(oid,relevance)"), nullptr)
+      << second.Format();
+  const PlanStats::Node* cached =
+      FindNode(second, "BatchMaterialize eligible by oid_src");
+  ASSERT_NE(cached, nullptr) << second.Format();
+  EXPECT_EQ(cached->rows_out, eligible->rows_out);
+  EXPECT_TRUE(cached->children.empty());
 }
 
 }  // namespace
