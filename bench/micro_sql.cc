@@ -1,4 +1,5 @@
-// Micro-benchmarks for the executor: joins, sort, aggregation, tokenizer.
+// Micro-benchmarks for the executor: table scan, joins, sort, aggregation,
+// tokenizer.
 //
 // Operators with both engines carry a _scalar / _vectorized suffix;
 // `--engine=scalar|vectorized` selects one family (it maps to
@@ -10,11 +11,16 @@
 #include <vector>
 
 #include "sql/exec/aggregate.h"
+#include "sql/exec/basic.h"
 #include "sql/exec/batch.h"
 #include "sql/exec/batch_ops.h"
 #include "sql/exec/join.h"
 #include "sql/exec/operator.h"
+#include "sql/exec/scan.h"
 #include "sql/exec/sort.h"
+#include "sql/table.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "text/tokenizer.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -46,6 +52,70 @@ ColumnSet Columnar(const std::vector<Tuple>& rows) {
   for (const Tuple& t : rows) set.AppendTuple(t);
   return set;
 }
+
+// --- table scan projected to 2 of 4 columns (CRAWL's oid, relevance) ---
+
+// A resident 100k-row heap with a URL-like string column, built once.
+struct ScanTable {
+  storage::MemDiskManager disk;
+  storage::BufferPool pool{&disk, 4096};
+  std::unique_ptr<Table> table;
+
+  ScanTable() {
+    table = Table::Create(&pool, "T",
+                          Schema({{"oid", TypeId::kInt64},
+                                  {"url", TypeId::kString},
+                                  {"sid", TypeId::kInt32},
+                                  {"relevance", TypeId::kDouble}}),
+                          {})
+                .TakeValue();
+    Rng rng(3);
+    for (int i = 0; i < kScanRows; ++i) {
+      FOCUS_CHECK(table
+                      ->Insert(Tuple(
+                          {Value::Int64(i),
+                           Value::Str(StrCat("http://server", rng.Uniform(500),
+                                             ".example/page", i)),
+                           Value::Int32(static_cast<int32_t>(i % 500)),
+                           Value::Double(rng.NextDouble())}))
+                      .ok());
+    }
+  }
+  static constexpr int kScanRows = 100000;
+};
+
+const Table* ScanTableInstance() {
+  static ScanTable t;
+  return t.table.get();
+}
+
+void BM_TableScan_scalar(benchmark::State& state) {
+  const Table* table = ScanTableInstance();
+  for (auto _ : state) {
+    Project project(
+        std::make_unique<SeqScan>(table),
+        {ProjExpr{"oid", TypeId::kInt64,
+                  [](const Tuple& t) { return t.Get(0); }},
+         ProjExpr{"relevance", TypeId::kDouble,
+                  [](const Tuple& t) { return t.Get(3); }}});
+    auto rows = Collect(&project);
+    FOCUS_CHECK(rows.ok() && rows->size() == ScanTable::kScanRows);
+  }
+  state.SetItemsProcessed(state.iterations() * ScanTable::kScanRows);
+}
+BENCHMARK(BM_TableScan_scalar);
+
+void BM_TableScan_vectorized(benchmark::State& state) {
+  const Table* table = ScanTableInstance();
+  for (auto _ : state) {
+    BatchTableScan scan(table, {0, 3});
+    ColumnSet out;
+    FOCUS_CHECK(CollectInto(&scan, &out).ok() &&
+                out.num_rows() == ScanTable::kScanRows);
+  }
+  state.SetItemsProcessed(state.iterations() * ScanTable::kScanRows);
+}
+BENCHMARK(BM_TableScan_vectorized);
 
 // --- sort + merge join (the Figure 3 / Figure 4 access pattern) ---
 

@@ -368,10 +368,10 @@ Status CrawlDb::RefreshEdgeWeights() {
     return it != relevance.end() && it->first == oid ? it->second : 0.0;
   };
   // One LINK pass; rows whose weights are already current stay clean.
-  return link_->UpdateInPlace([&](Tuple* row) {
-    row->Mutable(4) = Value::Double(relevance_of(row->Get(2).AsInt64()));
-    row->Mutable(5) = Value::Double(relevance_of(row->Get(0).AsInt64()));
-    return Status::OK();
+  return link_->UpdateInPlace([&](sql::MutableRecordView* row) {
+    FOCUS_RETURN_IF_ERROR(
+        row->Set(4, Value::Double(relevance_of(row->GetInt64(2)))));
+    return row->Set(5, Value::Double(relevance_of(row->GetInt64(0))));
   });
 }
 

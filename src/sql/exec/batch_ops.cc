@@ -432,18 +432,31 @@ Result<bool> BatchTableScan::DoNextBatch(Batch* out) {
     cols.push_back(NewColumn(c.type));
     cols.back()->Reserve(batch_rows_);
   }
-  storage::Rid rid;
-  int n = 0;
-  while (n < batch_rows_) {
-    if (!it_->Next(&rid, &row_)) {
-      FOCUS_RETURN_IF_ERROR(it_->status());
-      break;
-    }
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      cols[i]->AppendValue(row_.Get(cols_[i]));
-    }
-    ++n;
-  }
+  size_t n = it_->Visit(
+      static_cast<size_t>(batch_rows_),
+      [&](const storage::Rid&, const RecordView& row) {
+        for (size_t i = 0; i < cols_.size(); ++i) {
+          ColumnData* col = cols[i].get();
+          switch (col->type) {
+            case TypeId::kInt32:
+              col->i32.push_back(row.GetInt32(cols_[i]));
+              break;
+            case TypeId::kInt64:
+              col->i64.push_back(row.GetInt64(cols_[i]));
+              break;
+            case TypeId::kDouble:
+              col->f64.push_back(row.GetDouble(cols_[i]));
+              break;
+            case TypeId::kString:
+              col->arena.append(row.GetString(cols_[i]));
+              col->str_offsets.push_back(
+                  static_cast<uint32_t>(col->arena.size()));
+              break;
+          }
+        }
+        return Status::OK();
+      });
+  FOCUS_RETURN_IF_ERROR(it_->status());
   if (n == 0) return false;
   for (ColumnPtr& c : cols) out->AddColumn(std::move(c));
   return true;

@@ -62,9 +62,10 @@ class BatchOperator {
 
 using BatchOperatorPtr = std::unique_ptr<BatchOperator>;
 
-// Heap scan in batches. `cols` prunes the output to those columns (empty
-// = all) — plans over CRAWL read two of its columns and never copy URL
-// payloads into the batch arena.
+// Heap scan in batches, decoded a heap page at a time: each record is
+// validated in its pinned frame and only the `cols` it projects (empty =
+// all) are appended to the batch, so plans over CRAWL read two of its
+// columns and never copy a URL.
 class BatchTableScan final : public BatchOperator {
  public:
   explicit BatchTableScan(const Table* table, std::vector<int> cols = {},
@@ -83,7 +84,6 @@ class BatchTableScan final : public BatchOperator {
   int batch_rows_;
   Schema schema_;
   std::optional<Table::Iterator> it_;
-  Tuple row_;
 };
 
 // Borrowing source over a materialized ColumnSet (the batch analogue of

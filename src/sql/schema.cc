@@ -1,5 +1,6 @@
 #include "sql/schema.h"
 
+#include "sql/record.h"
 #include "util/string_util.h"
 
 namespace focus::sql {
@@ -33,20 +34,9 @@ void Tuple::SerializeTo(const Schema& schema, std::string* out) const {
 
 Result<Tuple> Tuple::Deserialize(const Schema& schema,
                                  std::string_view data) {
-  std::vector<Value> values;
-  values.reserve(schema.num_columns());
-  size_t offset = 0;
-  for (int i = 0; i < schema.num_columns(); ++i) {
-    FOCUS_ASSIGN_OR_RETURN(Value v,
-                           Value::Deserialize(schema.column(i).type, data,
-                                              &offset));
-    values.push_back(std::move(v));
-  }
-  if (offset != data.size()) {
-    return Status::InvalidArgument(
-        StrCat("trailing bytes in record: ", data.size() - offset));
-  }
-  return Tuple(std::move(values));
+  RecordView view(&schema);
+  FOCUS_RETURN_IF_ERROR(view.Reset(data));
+  return view.ToTuple();
 }
 
 std::string Tuple::ToString() const {

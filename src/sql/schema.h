@@ -74,7 +74,7 @@ class Tuple {
     }
   }
 
-  // Serializes per `schema` column order into `out`.
+  // Serializes per `schema` column order into `out` (format: record.h).
   void SerializeTo(const Schema& schema, std::string* out) const;
   std::string Serialize(const Schema& schema) const {
     std::string out;
@@ -82,6 +82,7 @@ class Tuple {
     return out;
   }
 
+  // Decodes a whole record through RecordView.
   static Result<Tuple> Deserialize(const Schema& schema,
                                    std::string_view data);
 

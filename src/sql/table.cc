@@ -1,7 +1,5 @@
 #include "sql/table.h"
 
-#include <cstring>
-
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -236,31 +234,18 @@ Status Table::Clear() {
   return Status::OK();
 }
 
-Status Table::UpdateInPlace(const std::function<Status(Tuple*)>& fn) {
-  std::string record;
-  return heap_->RewriteInPlace([&](std::span<char> bytes) -> Result<bool> {
-    std::string_view old(bytes.data(), bytes.size());
-    FOCUS_ASSIGN_OR_RETURN(Tuple row, Tuple::Deserialize(schema_, old));
-    FOCUS_RETURN_IF_ERROR(fn(&row));
-    record.clear();
-    row.SerializeTo(schema_, &record);
-    if (record == old) return false;
-    if (record.size() != bytes.size()) {
-      return Status::InvalidArgument(
-          StrCat("in-place update size mismatch: ", record.size(), " vs ",
-                 bytes.size()));
-    }
-    FOCUS_ASSIGN_OR_RETURN(Tuple before, Tuple::Deserialize(schema_, old));
-    for (const Index& index : indexes_) {
-      FOCUS_ASSIGN_OR_RETURN(uint64_t old_key, PackKeyFromTuple(index, before));
-      FOCUS_ASSIGN_OR_RETURN(uint64_t new_key, PackKeyFromTuple(index, row));
-      if (old_key != new_key) {
-        return Status::InvalidArgument(
-            StrCat("in-place update changes key of index ", index.spec.name));
-      }
-    }
-    std::memcpy(bytes.data(), record.data(), record.size());
-    return true;
+Status Table::UpdateInPlace(
+    const std::function<Status(MutableRecordView*)>& fn) {
+  std::vector<bool> key_cols(schema_.num_columns(), false);
+  for (const Index& index : indexes_) {
+    for (int col : index.spec.key_cols) key_cols[col] = true;
+  }
+  MutableRecordView row(&schema_, std::move(key_cols));
+  return heap_->RewriteInPlace([&](std::span<char> bytes, bool* rewrote) {
+    FOCUS_RETURN_IF_ERROR(row.Reset(bytes));
+    Status status = fn(&row);
+    if (row.changed()) *rewrote = true;
+    return status;
   });
 }
 
@@ -284,19 +269,20 @@ int Table::IndexId(std::string_view index_name) const {
   return -1;
 }
 
+size_t Table::Iterator::Visit(size_t max_rows, const RowFn& fn) {
+  return it_.Visit(max_rows,
+                   [&](const storage::Rid& rid, std::string_view record) {
+                     FOCUS_RETURN_IF_ERROR(view_.Reset(record));
+                     return fn(rid, view_);
+                   });
+}
+
 bool Table::Iterator::Next(storage::Rid* rid, Tuple* tuple) {
-  std::string record;
-  if (!it_.Next(rid, &record)) {
-    status_ = it_.status();
-    return false;
-  }
-  auto t = Tuple::Deserialize(table_->schema_, record);
-  if (!t.ok()) {
-    status_ = t.status();
-    return false;
-  }
-  *tuple = t.TakeValue();
-  return true;
+  return Visit(1, [&](const storage::Rid& at, const RecordView& row) {
+           *rid = at;
+           *tuple = row.ToTuple();
+           return Status::OK();
+         }) == 1;
 }
 
 }  // namespace focus::sql

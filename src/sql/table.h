@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "sql/record.h"
 #include "sql/schema.h"
 #include "storage/bplus_tree.h"
 #include "storage/buffer_pool.h"
@@ -88,11 +89,11 @@ class Table {
   void ReleaseStorage();
 
   // Rewrites rows in place in one scan-order pass, each heap page pinned
-  // once: `fn` may modify the row it is given. A row whose serialized bytes
-  // come out unchanged is not written back, so a pass that changes nothing
-  // dirties no page. A changed row must keep its serialized length and its
-  // index keys (both checked: InvalidArgument).
-  Status UpdateInPlace(const std::function<Status(Tuple*)>& fn);
+  // once: `fn` gets a view of each row in its frame and may Set its
+  // fixed-width columns that no index keys (others: InvalidArgument). A
+  // row whose bytes do not change is not written back, so a pass that
+  // changes nothing dirties no page.
+  Status UpdateInPlace(const std::function<Status(MutableRecordView*)>& fn);
 
   // Equality lookup on index `index_idx`; appends matching RIDs to `out`.
   Status IndexLookup(int index_idx, const std::vector<Value>& key,
@@ -104,19 +105,29 @@ class Table {
   // Packs `key` values per the index spec.
   Result<uint64_t> PackKey(int index_idx, const std::vector<Value>& key) const;
 
-  // Forward scan over rows.
+  // Forward scan over rows, a heap page at a time.
   class Iterator {
    public:
+    using RowFn =
+        std::function<Status(const storage::Rid&, const RecordView&)>;
+
+    // Calls `fn` on up to `max_rows` rows, each validated and viewed in
+    // place in its pinned page (HeapFile::Iterator::Visit). Returns the
+    // number of rows visited; fewer than `max_rows` means end of table or
+    // an error (check status()).
+    size_t Visit(size_t max_rows, const RowFn& fn);
+
+    // Decodes the next row into `tuple`. Returns false at end of table or
+    // on error (check status()).
     bool Next(storage::Rid* rid, Tuple* tuple);
-    const Status& status() const { return status_; }
+    const Status& status() const { return it_.status(); }
 
    private:
     friend class Table;
     Iterator(const Table* table, storage::HeapFile::Iterator it)
-        : table_(table), it_(std::move(it)) {}
-    const Table* table_;
+        : it_(std::move(it)), view_(&table->schema_) {}
     storage::HeapFile::Iterator it_;
-    Status status_;
+    RecordView view_;
   };
 
   Iterator Scan() const { return Iterator(this, heap_->Scan()); }

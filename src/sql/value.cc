@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "sql/record.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -78,79 +79,7 @@ uint64_t Value::Hash() const {
   return 0;
 }
 
-void Value::SerializeTo(std::string* out) const {
-  assert(!null_ && "cannot serialize NULL");
-  switch (type_) {
-    case TypeId::kInt32: {
-      int32_t v = AsInt32();
-      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      return;
-    }
-    case TypeId::kInt64: {
-      int64_t v = AsInt64();
-      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      return;
-    }
-    case TypeId::kDouble: {
-      double v = AsDouble();
-      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      return;
-    }
-    case TypeId::kString: {
-      const std::string& s = AsString();
-      assert(s.size() <= 0xFFFF);
-      uint16_t len = static_cast<uint16_t>(s.size());
-      out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-      out->append(s);
-      return;
-    }
-  }
-}
-
-Result<Value> Value::Deserialize(TypeId type, std::string_view data,
-                                 size_t* offset) {
-  auto need = [&](size_t n) -> Status {
-    if (*offset + n > data.size()) {
-      return Status::OutOfRange(
-          StrCat("truncated value at offset ", *offset));
-    }
-    return Status::OK();
-  };
-  switch (type) {
-    case TypeId::kInt32: {
-      FOCUS_RETURN_IF_ERROR(need(4));
-      int32_t v;
-      std::memcpy(&v, data.data() + *offset, 4);
-      *offset += 4;
-      return Int32(v);
-    }
-    case TypeId::kInt64: {
-      FOCUS_RETURN_IF_ERROR(need(8));
-      int64_t v;
-      std::memcpy(&v, data.data() + *offset, 8);
-      *offset += 8;
-      return Int64(v);
-    }
-    case TypeId::kDouble: {
-      FOCUS_RETURN_IF_ERROR(need(8));
-      double v;
-      std::memcpy(&v, data.data() + *offset, 8);
-      *offset += 8;
-      return Double(v);
-    }
-    case TypeId::kString: {
-      FOCUS_RETURN_IF_ERROR(need(2));
-      uint16_t len;
-      std::memcpy(&len, data.data() + *offset, 2);
-      *offset += 2;
-      FOCUS_RETURN_IF_ERROR(need(len));
-      std::string s(data.substr(*offset, len));
-      *offset += len;
-      return Str(std::move(s));
-    }
-  }
-  return Status::InvalidArgument("unknown type id");
-}
+void Value::SerializeTo(std::string* out) const { AppendColumn(*this, out); }
 
 std::string Value::ToString() const {
   if (null_) return "NULL";

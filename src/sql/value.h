@@ -64,13 +64,9 @@ class Value {
 
   uint64_t Hash() const;
 
-  // Appends the wire encoding to `out` (int32: 4B, int64: 8B, double: 8B,
-  // string: u16 length + bytes). NULLs cannot be serialized.
+  // Appends the stored encoding to `out` (AppendColumn, record.h). NULLs
+  // cannot be serialized.
   void SerializeTo(std::string* out) const;
-
-  // Parses one value of `type` from `data` at `*offset`, advancing it.
-  static Result<Value> Deserialize(TypeId type, std::string_view data,
-                                   size_t* offset);
 
   std::string ToString() const;
 

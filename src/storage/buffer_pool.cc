@@ -34,6 +34,8 @@ BufferPool::BufferPool(DiskManager* disk, size_t num_frames, Options options)
   if (num_frames < 4) num_frames = 4;  // room for a root, a leaf, a heap page
   num_frames_ = num_frames;
   frames_.resize(num_frames);
+  pages_.resize(num_frames);
+  for (size_t i = 0; i < num_frames; ++i) frames_[i].page = &pages_[i];
   free_frames_.reserve(num_frames);
   for (size_t i = num_frames; i > 0; --i) free_frames_.push_back(i - 1);
   streams_.resize(kMaxStreams);
@@ -101,12 +103,12 @@ Page* BufferPool::TouchHitLocked(Frame* f) {
     ++stats_.readahead_used;
     MaybeExtendReadaheadLocked(f->page_id);
   }
-  return &f->page;
+  return f->page;
 }
 
 Status BufferPool::WriteBackLocked(Frame* f) {
   if (!f->dirty) return Status::OK();
-  FOCUS_RETURN_IF_ERROR(disk_->WritePage(f->page_id, f->page.data));
+  FOCUS_RETURN_IF_ERROR(disk_->WritePage(f->page_id, f->page->data));
   ++stats_.dirty_writebacks;
   f->dirty = false;
   return Status::OK();
@@ -184,7 +186,7 @@ Result<Page*> BufferPool::FetchPage(PageId id) {
   ++stats_.misses;
   FOCUS_ASSIGN_OR_RETURN(size_t idx, GetVictimLocked());
   Frame& f = frames_[idx];
-  if (Status s = disk_->ReadPage(id, f.page.data); !s.ok()) {
+  if (Status s = disk_->ReadPage(id, f.page->data); !s.ok()) {
     free_frames_.push_back(idx);
     return s;
   }
@@ -199,7 +201,7 @@ Result<Page*> BufferPool::FetchPage(PageId id) {
 #endif
   // The fetched frame is pinned, so readahead installs cannot evict it.
   MaybeAutoReadaheadLocked(id);
-  return &f.page;
+  return f.page;
 }
 
 Result<Page*> BufferPool::NewPage(PageId* out_id) {
@@ -226,7 +228,7 @@ Result<Page*> BufferPool::NewPage(PageId* out_id) {
     idx = victim.value();
   }
   Frame& f = frames_[idx];
-  f.page.Zero();
+  f.page->Zero();
   f.page_id = id;
   ++f.pin_count;
   f.dirty = true;  // must reach disk even if never touched
@@ -237,7 +239,7 @@ Result<Page*> BufferPool::NewPage(PageId* out_id) {
   ++outstanding_pins_;
 #endif
   *out_id = id;
-  return &f.page;
+  return f.page;
 }
 
 void BufferPool::FreePages(const std::vector<PageId>& ids) {
@@ -300,7 +302,7 @@ void BufferPool::PrefetchLocked(PageId first, uint32_t n) {
     Result<size_t> victim = GetVictimLocked(batch_start);
     if (!victim.ok()) return;  // no frame to spare: drop the speculation
     Frame& f = frames_[victim.value()];
-    std::memcpy(f.page.data, buf.data() + static_cast<size_t>(i) * kPageSize,
+    std::memcpy(f.page->data, buf.data() + static_cast<size_t>(i) * kPageSize,
                 kPageSize);
     f.page_id = id;
     f.pin_count = 0;

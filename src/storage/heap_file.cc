@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "util/string_util.h"
@@ -26,6 +27,59 @@ void InitPage(Page* page) {
   page->Write<uint32_t>(kOffNext, kInvalidPageId);
   page->Write<uint16_t>(kOffSlotCount, 0);
   page->Write<uint16_t>(kOffFreeEnd, static_cast<uint16_t>(kPageSize));
+}
+
+// Every read of the slot directory goes through these two checks, so a
+// corrupt page is an IOError and never a read or write outside the frame.
+Status CheckedSlotCount(const Page& page, PageId id, uint16_t* count) {
+  uint16_t n = page.Read<uint16_t>(kOffSlotCount);
+  if (SlotEntryOffset(n) > kPageSize) {
+    return Status::IOError(StrCat("heap page ", id, ": slot directory of ", n,
+                                  " slots overruns the page"));
+  }
+  *count = n;
+  return Status::OK();
+}
+
+// Locates slot `slot` (< `slot_count`). A tombstone sets `*live` false; a
+// live record must lie after the slot directory and inside the page, else
+// this returns false (SlotOutsidePage builds the error).
+bool LocateSlot(Page* page, uint16_t slot_count, uint16_t slot, bool* live,
+                std::span<char>* record) {
+  uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(slot));
+  *live = offset != kTombstone;
+  if (!*live) return true;
+  uint16_t length = page->Read<uint16_t>(SlotEntryOffset(slot) + 2);
+  if (offset < SlotEntryOffset(slot_count) ||
+      uint32_t{offset} + length > kPageSize) {
+    return false;
+  }
+  *record = std::span<char>(page->data + offset, length);
+  return true;
+}
+
+Status SlotOutsidePage(const Page& page, PageId id, uint16_t slot) {
+  return Status::IOError(StrCat(
+      "heap page ", id, " slot ", slot, ": record of ",
+      page.Read<uint16_t>(SlotEntryOffset(slot) + 2), " bytes at offset ",
+      page.Read<uint16_t>(SlotEntryOffset(slot)), " lies outside the page"));
+}
+
+// Sets `record` to the bytes of live record `rid` on its pinned `page`:
+// NotFound for a slot past the directory or a tombstone, IOError for a
+// directory or slot that lies outside the page.
+Status LiveRecord(Page* page, const Rid& rid, std::span<char>* record) {
+  uint16_t slot_count = 0;
+  FOCUS_RETURN_IF_ERROR(CheckedSlotCount(*page, rid.page_id, &slot_count));
+  if (rid.slot >= slot_count) {
+    return Status::NotFound(StrCat("slot ", rid.slot, " out of range"));
+  }
+  bool live = false;
+  if (!LocateSlot(page, slot_count, rid.slot, &live, record)) {
+    return SlotOutsidePage(*page, rid.page_id, rid.slot);
+  }
+  if (!live) return Status::NotFound(StrCat("slot ", rid.slot, " deleted"));
+  return Status::OK();
 }
 
 uint32_t FreeSpace(const Page& page) {
@@ -65,6 +119,12 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
   PageGuard guard(pool_, last_page_id_);
   if (!guard.ok()) return guard.status();
   Page* page = guard.page();
+  uint16_t slot_count = 0;
+  FOCUS_RETURN_IF_ERROR(CheckedSlotCount(*page, last_page_id_, &slot_count));
+  if (page->Read<uint16_t>(kOffFreeEnd) > kPageSize) {
+    return Status::IOError(
+        StrCat("heap page ", last_page_id_, ": free space end past the page"));
+  }
   if (FreeSpace(*page) < record.size() + 4) {
     // Chain a fresh page.
     PageId new_id;
@@ -78,7 +138,6 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
     if (!pages_.empty()) pages_.push_back(new_id);
     return Insert(record);
   }
-  uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
   uint16_t free_end = page->Read<uint16_t>(kOffFreeEnd);
   uint16_t offset = static_cast<uint16_t>(free_end - record.size());
   std::memcpy(page->data + offset, record.data(), record.size());
@@ -95,39 +154,23 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
 Status HeapFile::Get(const Rid& rid, std::string* out) const {
   PageGuard guard(pool_, rid.page_id);
   if (!guard.ok()) return guard.status();
-  const Page* page = guard.page();
-  uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
-  if (rid.slot >= slot_count) {
-    return Status::NotFound(StrCat("slot ", rid.slot, " out of range"));
-  }
-  uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(rid.slot));
-  uint16_t length = page->Read<uint16_t>(SlotEntryOffset(rid.slot) + 2);
-  if (offset == kTombstone) {
-    return Status::NotFound(StrCat("slot ", rid.slot, " deleted"));
-  }
-  out->assign(page->data + offset, length);
+  std::span<char> record;
+  FOCUS_RETURN_IF_ERROR(LiveRecord(guard.page(), rid, &record));
+  out->assign(record.data(), record.size());
   return Status::OK();
 }
 
 Status HeapFile::Update(const Rid& rid, std::string_view record) {
   PageGuard guard(pool_, rid.page_id);
   if (!guard.ok()) return guard.status();
-  Page* page = guard.page();
-  uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
-  if (rid.slot >= slot_count) {
-    return Status::NotFound(StrCat("slot ", rid.slot, " out of range"));
-  }
-  uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(rid.slot));
-  uint16_t length = page->Read<uint16_t>(SlotEntryOffset(rid.slot) + 2);
-  if (offset == kTombstone) {
-    return Status::NotFound(StrCat("slot ", rid.slot, " deleted"));
-  }
-  if (record.size() != length) {
+  std::span<char> old;
+  FOCUS_RETURN_IF_ERROR(LiveRecord(guard.page(), rid, &old));
+  if (record.size() != old.size()) {
     return Status::InvalidArgument(
         StrCat("in-place update size mismatch: ", record.size(), " vs ",
-               length));
+               old.size()));
   }
-  std::memcpy(page->data + offset, record.data(), record.size());
+  std::memcpy(old.data(), record.data(), record.size());
   guard.MarkDirty();
   return Status::OK();
 }
@@ -136,67 +179,78 @@ Status HeapFile::Delete(const Rid& rid) {
   PageGuard guard(pool_, rid.page_id);
   if (!guard.ok()) return guard.status();
   Page* page = guard.page();
-  uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
-  if (rid.slot >= slot_count) {
-    return Status::NotFound(StrCat("slot ", rid.slot, " out of range"));
-  }
-  uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(rid.slot));
-  if (offset == kTombstone) {
-    return Status::NotFound(StrCat("slot ", rid.slot, " already deleted"));
-  }
+  std::span<char> old;
+  FOCUS_RETURN_IF_ERROR(LiveRecord(page, rid, &old));
   page->Write<uint16_t>(SlotEntryOffset(rid.slot), kTombstone);
   guard.MarkDirty();
   --num_records_;
   return Status::OK();
 }
 
-Status HeapFile::RewriteInPlace(
-    const std::function<Result<bool>(std::span<char>)>& fn) {
-  PageId page_id = first_page_id_;
-  while (page_id != kInvalidPageId) {
-    PageGuard guard(pool_, page_id);
-    if (!guard.ok()) return guard.status();
-    Page* page = guard.page();
-    uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
-    for (uint16_t slot = 0; slot < slot_count; ++slot) {
-      uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(slot));
-      if (offset == kTombstone) continue;
-      uint16_t length = page->Read<uint16_t>(SlotEntryOffset(slot) + 2);
-      FOCUS_ASSIGN_OR_RETURN(bool rewrote,
-                             fn(std::span<char>(page->data + offset, length)));
-      if (rewrote) guard.MarkDirty();
-    }
-    page_id = page->Read<uint32_t>(kOffNext);
-    pool_->MaybePrefetchChain(page_id);
-  }
-  return Status::OK();
-}
-
-bool HeapFile::Iterator::Next(Rid* rid, std::string* record) {
-  while (page_id_ != kInvalidPageId) {
+template <typename Fn>
+size_t HeapFile::Iterator::Walk(size_t max_records, Fn&& fn) {
+  size_t visited = 0;
+  while (status_.ok() && visited < max_records &&
+         page_id_ != kInvalidPageId) {
     PageGuard guard(file_->pool_, page_id_);
     if (!guard.ok()) {
       status_ = guard.status();
-      return false;
+      break;
     }
-    const Page* page = guard.page();
-    uint16_t slot_count = page->Read<uint16_t>(kOffSlotCount);
-    while (slot_ < slot_count) {
+    Page* page = guard.page();
+    uint16_t slot_count = 0;
+    status_ = CheckedSlotCount(*page, page_id_, &slot_count);
+    bool dirty = false;
+    while (status_.ok() && visited < max_records && slot_ < slot_count) {
       uint16_t slot = slot_++;
-      uint16_t offset = page->Read<uint16_t>(SlotEntryOffset(slot));
-      if (offset == kTombstone) continue;
-      uint16_t length = page->Read<uint16_t>(SlotEntryOffset(slot) + 2);
-      record->assign(page->data + offset, length);
-      *rid = Rid{page_id_, slot};
-      return true;
+      bool live = false;
+      std::span<char> record;
+      if (!LocateSlot(page, slot_count, slot, &live, &record)) {
+        status_ = SlotOutsidePage(*page, page_id_, slot);
+        break;
+      }
+      if (!live) continue;
+      Status s = fn(Rid{page_id_, slot}, record, &dirty);
+      if (!s.ok()) {
+        status_ = std::move(s);
+        break;
+      }
+      ++visited;
     }
-    page_id_ = page->Read<uint32_t>(kOffNext);
-    slot_ = 0;
-    // Chained heap pages are allocated roughly in order: stream a window
-    // ahead so a full scan pays one seek per batch, not one per page.
-    file_->pool_->MaybePrefetchChain(page_id_);
+    if (dirty) guard.MarkDirty();
+    if (status_.ok() && slot_ == slot_count) {
+      page_id_ = page->Read<uint32_t>(kOffNext);
+      slot_ = 0;
+      // Chained heap pages are allocated roughly in order: stream a window
+      // ahead so a full scan pays one seek per batch, not one per page.
+      file_->pool_->MaybePrefetchChain(page_id_);
+    }
   }
-  return false;
+  return visited;
+}
+
+size_t HeapFile::Iterator::Visit(size_t max_records, const RecordFn& fn) {
+  return Walk(max_records,
+              [&fn](const Rid& rid, std::span<char> bytes, bool*) {
+                return fn(rid, std::string_view(bytes.data(), bytes.size()));
+              });
+}
+
+bool HeapFile::Iterator::Next(Rid* rid, std::string* record) {
+  return Walk(1, [&](const Rid& at, std::span<char> bytes, bool*) {
+           *rid = at;
+           record->assign(bytes.data(), bytes.size());
+           return Status::OK();
+         }) == 1;
+}
+
+Status HeapFile::RewriteInPlace(
+    const std::function<Status(std::span<char>, bool*)>& fn) {
+  Iterator it = Scan();
+  it.Walk(SIZE_MAX, [&fn](const Rid&, std::span<char> bytes, bool* dirty) {
+    return fn(bytes, dirty);
+  });
+  return it.status();
 }
 
 }  // namespace focus::storage

@@ -63,12 +63,13 @@ class HeapFile {
   // Tombstones the record at `rid`. Space within the page is not compacted.
   Status Delete(const Rid& rid);
 
-  // Visits every live record in scan order, pinning each page once. `fn`
-  // may overwrite the record's bytes in place (its length is fixed) and
-  // returns true when it did; only pages with a rewritten record are
-  // marked dirty.
+  // Visits every live record in scan order through one cursor, so each
+  // page is pinned once. `fn(bytes, &rewrote)` may overwrite the record's
+  // bytes in place (its length is fixed) and sets `rewrote` when it did,
+  // also when it then fails; only pages with a rewritten record are
+  // marked dirty. The first error stops the pass.
   Status RewriteInPlace(
-      const std::function<Result<bool>(std::span<char>)>& fn);
+      const std::function<Status(std::span<char>, bool*)>& fn);
 
   // Appends the ids of every page of the file to `out`, for
   // BufferPool::FreePages. A file reattached from a layout never learned
@@ -81,10 +82,23 @@ class HeapFile {
   PageId first_page_id() const { return first_page_id_; }
   PageId last_page_id() const { return last_page_id_; }
 
-  // Forward scan over live records in page order.
+  // Forward cursor over live records in page order. The slot directory
+  // is checked before any record is touched: a slot count whose directory
+  // overruns the page, or a live slot outside the space after the
+  // directory, is an IOError naming the page and the slot.
   class Iterator {
    public:
-    // Advances to the next live record. Returns false at end-of-file or on
+    using RecordFn = std::function<Status(const Rid&, std::string_view)>;
+
+    // Calls `fn` on up to `max_records` live records from the cursor
+    // position, pinning each page once per call. The record view points
+    // into the pinned frame and is valid only during the call. A non-OK
+    // Status from `fn` stops the cursor and becomes status(). Returns the
+    // number of records visited; fewer than `max_records` means end of
+    // file or an error (check status()).
+    size_t Visit(size_t max_records, const RecordFn& fn);
+
+    // Copies the next live record out. Returns false at end-of-file or on
     // error (check status()).
     bool Next(Rid* rid, std::string* record);
     const Status& status() const { return status_; }
@@ -93,6 +107,11 @@ class HeapFile {
     friend class HeapFile;
     Iterator(const HeapFile* file, PageId page_id)
         : file_(file), page_id_(page_id) {}
+    // The one slot-directory walk behind Visit, Next and RewriteInPlace:
+    // `fn(rid, bytes, &dirty)` returns Status and sets `dirty` when it
+    // rewrote `bytes`.
+    template <typename Fn>
+    size_t Walk(size_t max_records, Fn&& fn);
     const HeapFile* file_;
     PageId page_id_;
     uint16_t slot_ = 0;

@@ -672,5 +672,206 @@ TEST(BatchOperatorTest, SortOnFullRangeInt64KeyMatchesScalar) {
   }
 }
 
+// ------------------------------------------------- projected table scan --
+
+// A heap table with a column of every type and tombstoned slots. Its
+// batch scans decode each record in place from the pinned page; the
+// scalar Table::Scan row path is the oracle.
+class ProjectedScanTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    table_ = Table::Create(&pool_, "T", MixedSchema(), {}).TakeValue();
+    Rng rng(77);
+    std::vector<storage::Rid> rids;
+    for (int i = 0; i < 2000; ++i) {
+      auto rid = table_->Insert(Tuple(
+          {Value::Int32(i), Value::Int64(static_cast<int64_t>(rng.Next())),
+           Value::Double(rng.NextDouble() * 10 - 5),
+           Value::Str(StrCat("row", i, std::string(rng.Uniform(40), 'x')))}));
+      ASSERT_TRUE(rid.ok());
+      rids.push_back(rid.value());
+    }
+    for (size_t i = 0; i < rids.size(); i += 5) {
+      ASSERT_TRUE(table_->Delete(rids[i]).ok());
+    }
+  }
+
+  // Table::Scan's rows, projected to `cols` (empty = all).
+  std::vector<std::vector<Value>> RowPath(const std::vector<int>& cols) {
+    std::vector<std::vector<Value>> out;
+    auto it = table_->Scan();
+    storage::Rid rid;
+    Tuple row;
+    while (it.Next(&rid, &row)) {
+      std::vector<Value>& projected = out.emplace_back();
+      if (cols.empty()) {
+        projected = row.values();
+      } else {
+        for (int c : cols) projected.push_back(row.Get(c));
+      }
+    }
+    EXPECT_TRUE(it.status().ok()) << it.status();
+    return out;
+  }
+
+  // BatchTableScan's rows and the number of NextBatch calls it took.
+  std::vector<std::vector<Value>> BatchPath(const std::vector<int>& cols,
+                                            int batch_rows,
+                                            size_t* calls = nullptr) {
+    std::vector<std::vector<Value>> out;
+    BatchTableScan scan(table_.get(), cols, batch_rows);
+    EXPECT_TRUE(scan.Open().ok());
+    Batch batch;
+    size_t n = 0;
+    while (true) {
+      ++n;
+      auto more = scan.NextBatch(&batch);
+      EXPECT_TRUE(more.ok()) << more.status();
+      if (!more.ok() || !more.value()) break;
+      EXPECT_LE(batch.num_rows(), static_cast<size_t>(batch_rows));
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        std::vector<Value>& row = out.emplace_back();
+        for (int c = 0; c < batch.num_columns(); ++c) {
+          row.push_back(batch.ValueAt(r, c));
+        }
+      }
+    }
+    if (calls != nullptr) *calls = n;
+    return out;
+  }
+
+  // Rewrites the u16 length prefix of the string `marker` in its page.
+  void SetStringLength(std::string_view marker, uint16_t len) {
+    storage::PageId id = table_->Layout().heap_first;
+    while (id != storage::kInvalidPageId) {
+      storage::PageGuard guard(&pool_, id);
+      ASSERT_TRUE(guard.ok());
+      std::string_view page(guard.page()->data, storage::kPageSize);
+      size_t at = page.find(marker);
+      if (at != std::string_view::npos) {
+        guard.page()->Write<uint16_t>(static_cast<uint32_t>(at - 2), len);
+        guard.MarkDirty();
+        return;
+      }
+      id = guard.page()->Read<uint32_t>(0);  // next page in the chain
+    }
+    FAIL() << marker << " not found";
+  }
+
+  storage::MemDiskManager disk_;
+  storage::BufferPool pool_{&disk_, 256};
+  std::unique_ptr<Table> table_;
+};
+
+TEST_F(ProjectedScanTest, MatchesRowPathForEveryProjection) {
+  const std::vector<std::vector<int>> projections = {
+      {}, {1, 3}, {3, 0, 2}, {2, 2, 0}};
+  for (const std::vector<int>& cols : projections) {
+    std::vector<std::vector<Value>> expected = RowPath(cols);
+    ASSERT_EQ(expected.size(), 1600u);
+    EXPECT_EQ(BatchPath(cols, 7), expected) << "cols=" << cols.size();
+    EXPECT_EQ(BatchPath(cols, kDefaultBatchRows), expected);
+  }
+}
+
+TEST_F(ProjectedScanTest, EmptyTableYieldsNoBatch) {
+  ASSERT_TRUE(table_->Clear().ok());
+  size_t calls = 0;
+  EXPECT_TRUE(BatchPath({0, 3}, 7, &calls).empty());
+  EXPECT_EQ(calls, 1u);
+}
+
+// Each NextBatch pins a page once, so a scan of P heap pages costs at
+// most P + (number of NextBatch calls) fetches, not one per row.
+TEST_F(ProjectedScanTest, PinsEachPageOncePerBatch) {
+  const uint64_t pages = disk_.NumPages();  // no index: every page is heap
+  for (int batch_rows : {7, kDefaultBatchRows}) {
+    uint64_t before = pool_.stats().fetches;
+    size_t calls = 0;
+    EXPECT_EQ(BatchPath({0, 3}, batch_rows, &calls).size(), 1600u);
+    EXPECT_LE(pool_.stats().fetches - before, pages + calls)
+        << "batch_rows=" << batch_rows;
+  }
+}
+
+TEST_F(ProjectedScanTest, MalformedRecordFailsScanOfOtherColumns) {
+  // A string whose length prefix overruns the record, then one that
+  // leaves trailing bytes: column 3 is not projected, but every record is
+  // validated.
+  for (uint16_t len : {uint16_t{200}, uint16_t{4}}) {
+    SetUp();  // a fresh copy of the table
+    SetStringLength("row1001", len);
+    BatchTableScan scan(table_.get(), {0, 1}, 7);
+    ASSERT_TRUE(scan.Open().ok());
+    Batch batch;
+    Status status;
+    while (true) {
+      auto more = scan.NextBatch(&batch);
+      if (!more.ok()) {
+        status = more.status();
+        break;
+      }
+      if (!more.value()) break;
+    }
+    EXPECT_FALSE(status.ok()) << "len=" << len;
+    auto it = table_->Scan();
+    storage::Rid rid;
+    Tuple row;
+    while (it.Next(&rid, &row)) {
+    }
+    EXPECT_FALSE(it.status().ok()) << "len=" << len;
+  }
+}
+
+// A slot directory entry pointing outside the page is an IOError on every
+// path that reads it, never a read or write past the frame.
+TEST_F(ProjectedScanTest, CorruptSlotEntryIsAnErrorOnEveryPath) {
+  storage::PageId first = table_->Layout().heap_first;
+  {
+    storage::PageGuard guard(&pool_, first);
+    ASSERT_TRUE(guard.ok());
+    // Slot 1's entry (after the 8-byte header and slot 0's 4 bytes):
+    // a 200-byte record at offset 4000 ends past the 4 KiB page.
+    guard.page()->Write<uint16_t>(12, 4000);
+    guard.page()->Write<uint16_t>(14, 200);
+    guard.MarkDirty();
+  }
+  auto it = table_->Scan();
+  storage::Rid rid;
+  Tuple row;
+  while (it.Next(&rid, &row)) {
+  }
+  EXPECT_EQ(it.status().code(), StatusCode::kIOError) << it.status();
+
+  BatchTableScan scan(table_.get(), {0}, 7);
+  ASSERT_TRUE(scan.Open().ok());
+  Batch batch;
+  Result<bool> more = true;
+  while (more.ok() && more.value()) more = scan.NextBatch(&batch);
+  EXPECT_EQ(more.status().code(), StatusCode::kIOError);
+
+  EXPECT_EQ(table_
+                ->UpdateInPlace([](MutableRecordView* r) {
+                  return r->Set(2, Value::Double(0));
+                })
+                .code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(table_->Get(storage::Rid{first, 1}, &row).code(),
+            StatusCode::kIOError);
+
+  // A slot count whose directory overruns the page.
+  {
+    storage::PageGuard guard(&pool_, first);
+    ASSERT_TRUE(guard.ok());
+    guard.page()->Write<uint16_t>(4, 1100);
+    guard.MarkDirty();
+  }
+  EXPECT_EQ(table_->Get(storage::Rid{first, 0}, &row).code(),
+            StatusCode::kIOError);
+  auto it2 = table_->Scan();
+  EXPECT_FALSE(it2.Next(&rid, &row));
+  EXPECT_EQ(it2.status().code(), StatusCode::kIOError);
+}
+
 }  // namespace
 }  // namespace focus::sql

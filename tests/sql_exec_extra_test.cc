@@ -11,6 +11,7 @@
 #include "sql/exec/join.h"
 #include "sql/exec/operator.h"
 #include "sql/exec/sort.h"
+#include "sql/record.h"
 #include "sql/schema.h"
 #include "sql/value.h"
 #include "util/random.h"
@@ -217,22 +218,20 @@ TEST(AggregateTest, OutputOrderedByGroupKey) {
 }
 
 TEST(ValueEdgeTest, EmptyAndLongStrings) {
+  Schema schema({{"s", TypeId::kString}});
+  RecordView view(&schema);
   Value empty = Value::Str("");
   std::string buf;
   empty.SerializeTo(&buf);
-  size_t offset = 0;
-  auto back = Value::Deserialize(TypeId::kString, buf, &offset);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().AsString(), "");
+  ASSERT_TRUE(view.Reset(buf).ok());
+  EXPECT_EQ(view.GetString(0), "");
 
   std::string long_str(60000, 'a');
   Value big = Value::Str(long_str);
   buf.clear();
   big.SerializeTo(&buf);
-  offset = 0;
-  auto big_back = Value::Deserialize(TypeId::kString, buf, &offset);
-  ASSERT_TRUE(big_back.ok());
-  EXPECT_EQ(big_back.value().AsString().size(), 60000u);
+  ASSERT_TRUE(view.Reset(buf).ok());
+  EXPECT_EQ(view.GetString(0).size(), 60000u);
 }
 
 TEST(ValueEdgeTest, NumericWideningReads) {

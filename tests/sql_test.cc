@@ -12,6 +12,7 @@
 #include "sql/exec/operator.h"
 #include "sql/exec/scan.h"
 #include "sql/exec/sort.h"
+#include "sql/record.h"
 #include "sql/schema.h"
 #include "sql/table.h"
 #include "sql/value.h"
@@ -48,18 +49,19 @@ TEST(ValueTest, SerializeRoundTrip) {
   for (const auto& v : values) {
     std::string buf;
     v.SerializeTo(&buf);
-    size_t offset = 0;
-    auto back = Value::Deserialize(v.type(), buf, &offset);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value().Compare(v), 0);
-    EXPECT_EQ(offset, buf.size());
+    // A one-column record: Reset also checks the value spans all of it.
+    Schema schema({{"v", v.type()}});
+    RecordView view(&schema);
+    ASSERT_TRUE(view.Reset(buf).ok());
+    EXPECT_EQ(view.Get(0).Compare(v), 0);
   }
 }
 
 TEST(ValueTest, DeserializeTruncatedFails) {
   std::string buf = "\x01\x02";
-  size_t offset = 0;
-  EXPECT_FALSE(Value::Deserialize(TypeId::kInt64, buf, &offset).ok());
+  Schema schema({{"v", TypeId::kInt64}});
+  RecordView view(&schema);
+  EXPECT_FALSE(view.Reset(buf).ok());
 }
 
 TEST(ValueTest, HashConsistency) {
@@ -591,9 +593,8 @@ TEST(TableUpdateInPlaceTest, WritesOnlyChangedRowsAndGuardsKeysAndWidth) {
 
   // A pass that changes nothing writes nothing.
   ASSERT_TRUE(table
-                  ->UpdateInPlace([](Tuple* row) {
-                    row->Mutable(1) = Value::Double(1.0);
-                    return Status::OK();
+                  ->UpdateInPlace([](MutableRecordView* row) {
+                    return row->Set(1, Value::Double(1.0));
                   })
                   .ok());
   ASSERT_TRUE(pool.FlushAll().ok());
@@ -601,11 +602,9 @@ TEST(TableUpdateInPlaceTest, WritesOnlyChangedRowsAndGuardsKeysAndWidth) {
 
   // Changing one row dirties exactly its page.
   ASSERT_TRUE(table
-                  ->UpdateInPlace([](Tuple* row) {
-                    if (row->Get(0).AsInt64() == 599) {
-                      row->Mutable(1) = Value::Double(2.0);
-                    }
-                    return Status::OK();
+                  ->UpdateInPlace([](MutableRecordView* row) {
+                    if (row->GetInt64(0) != 599) return Status::OK();
+                    return row->Set(1, Value::Double(2.0));
                   })
                   .ok());
   ASSERT_TRUE(pool.FlushAll().ok());
@@ -616,18 +615,16 @@ TEST(TableUpdateInPlaceTest, WritesOnlyChangedRowsAndGuardsKeysAndWidth) {
   ASSERT_TRUE(table->Get(rids.at(0), &row).ok());
   EXPECT_EQ(row.Get(1).AsDouble(), 2.0);
 
-  // Index keys and row widths are fixed.
+  // Index keys and variable-width columns cannot be set.
   EXPECT_EQ(table
-                ->UpdateInPlace([](Tuple* r) {
-                  r->Mutable(0) = Value::Int64(r->Get(0).AsInt64() + 1000);
-                  return Status::OK();
+                ->UpdateInPlace([](MutableRecordView* r) {
+                  return r->Set(0, Value::Int64(r->GetInt64(0) + 1000));
                 })
                 .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(table
-                ->UpdateInPlace([](Tuple* r) {
-                  r->Mutable(2) = Value::Str("longer");
-                  return Status::OK();
+                ->UpdateInPlace([](MutableRecordView* r) {
+                  return r->Set(2, Value::Str("longer"));
                 })
                 .code(),
             StatusCode::kInvalidArgument);

@@ -260,6 +260,34 @@ TEST_F(HeapFileTest, ScanVisitsLiveRecordsInOrder) {
   EXPECT_EQ(count, 500 - 167);
 }
 
+// A slot entry that points into the page header or past the page end is
+// an IOError on every access path (slot 0's entry is the uint16 offset
+// and length at bytes 8 and 10 of the page).
+TEST_F(HeapFileTest, SlotOutsidePageIsIOError) {
+  for (uint16_t offset : {uint16_t{4}, uint16_t{4094}}) {
+    HeapFile file = HeapFile::Create(&pool_).TakeValue();
+    Rid rid = file.Insert("record").value();
+    {
+      PageGuard guard(&pool_, rid.page_id);
+      ASSERT_TRUE(guard.ok());
+      guard.page()->Write<uint16_t>(8, offset);
+      guard.MarkDirty();
+    }
+    std::string out;
+    EXPECT_EQ(file.Get(rid, &out).code(), StatusCode::kIOError) << offset;
+    EXPECT_EQ(file.Update(rid, "RECORD").code(), StatusCode::kIOError);
+    EXPECT_EQ(file.Delete(rid).code(), StatusCode::kIOError);
+    EXPECT_EQ(file.RewriteInPlace([](std::span<char>, bool*) {
+                    return Status::OK();
+                  }).code(),
+              StatusCode::kIOError);
+    auto it = file.Scan();
+    Rid at;
+    EXPECT_FALSE(it.Next(&at, &out));
+    EXPECT_EQ(it.status().code(), StatusCode::kIOError);
+  }
+}
+
 TEST_F(HeapFileTest, OversizeRecordRejected) {
   auto file_or = HeapFile::Create(&pool_);
   ASSERT_TRUE(file_or.ok());
