@@ -282,7 +282,7 @@ int Run(const Flags& flags) {
                 flags.kills.size(), plan.fired(), dc->total_restarts());
     std::printf("shard,frontier,restarts\n");
     for (int s = 0; s < flags.shards; ++s) {
-      std::printf("%d,%zu,%d\n", s, dc->crawler(s)->frontier()->size(),
+      std::printf("%d,%zu,%d\n", s, dc->crawler(s)->frontier().size(),
                   dc->restarts(s));
     }
 

@@ -16,25 +16,13 @@
 
 namespace focus::crawl {
 
-namespace {
-
-int ResolveShardCount(const CrawlerOptions& options) {
-  if (options.frontier_shards > 0) return options.frontier_shards;
-  // Single-threaded crawls keep one shard: the lone worker's
-  // PopPreferShard(0) is then bit-for-bit the classic frontier order.
-  if (options.num_threads <= 1) return 1;
-  return std::min(options.num_threads * 2, 16);
-}
-
-}  // namespace
-
 Crawler::Crawler(webgraph::SimulatedWeb* web, RelevanceEvaluator* evaluator,
                  CrawlDb* db, sql::Catalog* catalog, CrawlerOptions options)
     : web_(web),
       evaluator_(evaluator),
       db_(db),
       options_(options),
-      frontier_(options.policy, ResolveShardCount(options)),
+      frontier_(options.policy),
       catalog_(catalog),
       stage_metrics_(std::make_unique<StageMetrics>(options.metrics_registry)),
       retry_policy_(options.retry, options.max_retries),
@@ -74,6 +62,16 @@ Status Crawler::AddSeed(std::string_view url) {
                                clock_.NowMicros(), /*value=*/1.0, /*aux=*/0);
   }
   return Status::OK();
+}
+
+FrontierCensus Crawler::TakeFrontierCensus() {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return frontier_.Census();
+}
+
+void Crawler::SetPolicy(PriorityPolicy policy) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  frontier_.SetPolicy(policy);
 }
 
 Status Crawler::CommitBatch() {
@@ -286,8 +284,8 @@ Status Crawler::AdmitLink(std::string_view url, double relevance,
   if (relevance > existing->relevance) {
     FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(oid, relevance));
   }
-  if (std::optional<FrontierEntry> in_frontier = frontier_.PeekCopy(oid);
-      in_frontier.has_value()) {
+  if (const FrontierEntry* in_frontier = frontier_.Peek(oid);
+      in_frontier != nullptr) {
     FrontierEntry updated = *in_frontier;
     updated.relevance = std::max(updated.relevance, relevance);
     updated.serverload = load;
@@ -349,8 +347,8 @@ Status Crawler::RunDistillationBoost() {
     for (const auto& rid : rids) {
       FOCUS_RETURN_IF_ERROR(link->Get(rid, &row));
       uint64_t dst_oid = static_cast<uint64_t>(row.Get(2).AsInt64());
-      std::optional<FrontierEntry> entry = frontier_.PeekCopy(dst_oid);
-      if (!entry.has_value()) continue;
+      const FrontierEntry* entry = frontier_.Peek(dst_oid);
+      if (entry == nullptr) continue;
       FOCUS_RETURN_IF_ERROR(
           db_->RaiseRelevance(dst_oid, options_.hub_boost_relevance));
       FrontierEntry boosted = *entry;
@@ -547,30 +545,21 @@ Status Crawler::ScheduleRevisits(const sql::Table* hubs, int count) {
   return Status::OK();
 }
 
-std::vector<FrontierEntry> Crawler::GatherBatch(int worker,
-                                                VirtualClock* worker_clock) {
+std::vector<FrontierEntry> Crawler::GatherBatch(VirtualClock* worker_clock) {
   std::vector<FrontierEntry> batch;
   batch.reserve(options_.classify_batch_size);
-  int shard = worker % frontier_.num_shards();
-  uint64_t breaker_skips = 0;
+  const int64_t now = worker_clock->NowMicros();
   while (static_cast<int>(batch.size()) < options_.classify_batch_size) {
-    {
-      // Reserve one budget slot; release it below if the frontier is dry.
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      if (static_cast<int>(visits_.size()) + in_flight_.load() >=
-          options_.max_fetches) {
-        break;
-      }
-      in_flight_.fetch_add(1);
-    }
-    bool stolen = false;
-    int64_t now = worker_clock->NowMicros();
-    std::optional<FrontierEntry> entry =
-        frontier_.PopPreferShard(shard, now, &stolen);
-    if (!entry.has_value()) {
-      in_flight_.fetch_sub(1);
+    // One critical section per page: reserve a budget slot and pop the
+    // globally best ready entry (§3.2's CRAWL checkout order), re-parking
+    // it if its server's breaker is open.
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    if (static_cast<int>(visits_.size()) + in_flight_.load() >=
+        options_.max_fetches) {
       break;
     }
+    std::optional<FrontierEntry> entry = frontier_.PopBest(now);
+    if (!entry.has_value()) break;
     if (options_.breaker.enabled) {
       BreakerOutcome adm = breaker_.Admit(ServerIdOf(entry->url), now);
       NoteBreakerOutcome(adm);
@@ -583,21 +572,16 @@ std::vector<FrontierEntry> Crawler::GatherBatch(int worker,
                                      /*value=*/0.0,
                                      /*aux=*/adm.retry_at_us);
         }
-        FrontierEntry parked = std::move(*entry);
-        parked.ready_at_us = std::max(adm.retry_at_us, now + 1);
-        frontier_.AddOrUpdate(parked);
-        in_flight_.fetch_sub(1);
-        ++breaker_skips;
+        entry->ready_at_us = std::max(adm.retry_at_us, now + 1);
+        frontier_.AddOrUpdate(*entry);
+        stage_metrics_->RecordBreakerSkip();
+        ++stats_.breaker_skips;
         continue;
       }
     }
-    stage_metrics_->RecordPop(stolen);
+    in_flight_.fetch_add(1);
+    stage_metrics_->RecordPop();
     batch.push_back(std::move(*entry));
-  }
-  if (breaker_skips > 0) {
-    stage_metrics_->RecordBreakerSkips(breaker_skips);
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    stats_.breaker_skips += breaker_skips;
   }
   return batch;
 }
@@ -677,7 +661,7 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
   return commit;
 }
 
-Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
+Status Crawler::PipelineWorker(VirtualClock* worker_clock) {
   for (;;) {
     if (abort_.load()) return Status::OK();
     if (options_.interrupt) {
@@ -685,7 +669,7 @@ Status Crawler::PipelineWorker(int worker, VirtualClock* worker_clock) {
       // i.e. between durable commits, like any other crash point.
       FOCUS_RETURN_IF_ERROR(options_.interrupt(worker_clock->NowMicros()));
     }
-    std::vector<FrontierEntry> batch = GatherBatch(worker, worker_clock);
+    std::vector<FrontierEntry> batch = GatherBatch(worker_clock);
     if (batch.empty()) {
       std::unique_lock<std::mutex> lock(state_mutex_);
       if (static_cast<int>(visits_.size()) >= options_.max_fetches) {
@@ -835,7 +819,7 @@ Status Crawler::RunPipeline() {
   for (VirtualClock& c : worker_clocks) c.AdvanceMicros(base_us);
   for (int i = 0; i < options_.num_threads; ++i) {
     pool.Submit([this, i, &status_mutex, &first_error, &worker_clocks] {
-      Status s = PipelineWorker(i, &worker_clocks[i]);
+      Status s = PipelineWorker(&worker_clocks[i]);
       if (!s.ok()) {
         {
           std::lock_guard<std::mutex> lock(status_mutex);

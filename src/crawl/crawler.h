@@ -99,9 +99,6 @@ struct CrawlerOptions {
   // with batch size 1, so it judges and expands page by page in the
   // classic, deterministic order.
   int classify_batch_size = 32;
-  // Frontier shards, keyed by ServerIdOf(url). 0 = auto: one shard
-  // single-threaded (exactly the classic frontier), else two per thread.
-  int frontier_shards = 0;
 
   // Hostile-web handling: failure classification + backoff (budgeted by
   // max_retries) and per-server circuit breakers. Both make purely
@@ -190,11 +187,16 @@ class Crawler {
   const std::vector<Visit>& visits() const { return visits_; }
   const CrawlStats& stats() const { return stats_; }
   const VirtualClock& clock() const { return clock_; }
-  ShardedFrontier* frontier() { return &frontier_; }
+  // The frontier, for inspection while no Crawl() runs (workers mutate it
+  // under state_mutex_). A running crawl is read via TakeFrontierCensus().
+  const Frontier& frontier() const { return frontier_; }
+  // Live, parked and next-ready counts in one pass under the state lock;
+  // safe while a crawl runs (the admin /frontier endpoint).
+  FrontierCensus TakeFrontierCensus();
   // Breaker states, for the admin /frontier endpoint (internally locked).
   const CircuitBreakerRegistry& breakers() const { return breaker_; }
   // Per-stage pipeline counters (fetch/classify/expand time, lock wait,
-  // batch occupancy, work stealing).
+  // batch occupancy, frontier pops).
   const StageMetrics& stage_metrics() const { return *stage_metrics_; }
   CrawlDb* db() const { return db_; }
   const distill::DistillTables& distill_tables() const {
@@ -203,7 +205,7 @@ class Crawler {
 
   // Switches the frontier ordering mid-crawl (§3.2's dynamically
   // reconfigurable priority controls).
-  void SetPolicy(PriorityPolicy policy) { frontier_.SetPolicy(policy); }
+  void SetPolicy(PriorityPolicy policy);
 
   // Crawl maintenance (§3.2): re-enqueues up to `count` already-visited
   // pages under the (lastvisited asc, hub_score desc) ordering and raises
@@ -232,18 +234,18 @@ class Crawler {
     int64_t fetched_at_us = 0;  // the fetching worker's virtual time
   };
 
-  // The crawl loop: num_threads workers with sharded frontier pops,
-  // micro-batched classification and fine-grained critical sections. One
-  // thread is one worker with batch size 1.
+  // The crawl loop: num_threads workers popping one frontier in its
+  // global priority order, micro-batched classification and short critical
+  // sections. One thread is one worker with batch size 1.
   Status RunPipeline();
-  // One worker's loop. `worker` indexes its preferred frontier shard;
-  // `worker_clock` accumulates the worker's virtual fetch timeline.
-  Status PipelineWorker(int worker, VirtualClock* worker_clock);
+  // One worker's loop; `worker_clock` accumulates the worker's virtual
+  // fetch timeline.
+  Status PipelineWorker(VirtualClock* worker_clock);
   // Pops up to classify_batch_size entries ready at the worker's virtual
   // time and admitted by their server's breaker, reserving each against
-  // the fetch budget via in_flight_.
-  std::vector<FrontierEntry> GatherBatch(int worker,
-                                         VirtualClock* worker_clock);
+  // the fetch budget via in_flight_. Each page's reservation, pop and
+  // breaker re-park share one state_mutex_ critical section.
+  std::vector<FrontierEntry> GatherBatch(VirtualClock* worker_clock);
   // Classifies a failed fetch, charges its retry budget (persisting via
   // CrawlDb::RecordFailure) and either drops the entry or re-parks it with
   // backoff. Caller holds state_mutex_.
@@ -292,7 +294,7 @@ class Crawler {
   RelevanceEvaluator* evaluator_;
   CrawlDb* db_;
   CrawlerOptions options_;
-  ShardedFrontier frontier_;  // internally locked, one lock per shard
+  Frontier frontier_;  // guarded by state_mutex_
   VirtualClock clock_;
   distill::DistillTables distill_tables_;
   bool distill_tables_ready_ = false;
@@ -333,10 +335,9 @@ class Crawler {
   // Set when a pipeline worker fails, so its peers stop instead of waiting
   // on reservations that will never be released.
   std::atomic<bool> abort_{false};
-  // Guards db_, visits_, stats_, server/backlink/link bookkeeping and the
-  // periodic-boost thresholds. The frontier has per-shard locks and the web
-  // is reentrant, so fetch workers only contend here in the short record
-  // sections.
+  // Guards frontier_, db_, visits_, stats_, server/backlink/link
+  // bookkeeping and the periodic-boost thresholds. The web is reentrant, so
+  // fetch workers contend here only to reserve-and-pop and to record.
   std::mutex state_mutex_;
   // Signaled when budget or frontier state changes; idle workers wait.
   std::condition_variable work_cv_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "crawl/crawl_db.h"
 #include "obs/event_log.h"
 
 namespace focus::crawl {
@@ -151,12 +150,16 @@ void Frontier::Promote(int64_t now_us) {
   }
 }
 
-size_t Frontier::parked_count() const {
-  size_t n = 0;
+FrontierCensus Frontier::Census() const {
+  FrontierCensus c;
+  c.live = live_.size();
   for (const auto& [oid, versioned] : live_) {
-    if (versioned.second.ready_at_us > 0) ++n;
+    int64_t at = versioned.second.ready_at_us;
+    if (at <= 0) continue;
+    ++c.parked;
+    if (c.next_ready_us < 0 || at < c.next_ready_us) c.next_ready_us = at;
   }
-  return n;
+  return c;
 }
 
 std::optional<int64_t> Frontier::NextReadyMicros() {
@@ -200,148 +203,6 @@ void Frontier::RebuildHeap() {
   }
   std::make_heap(heap_.begin(), heap_.end(), HeapLess{policy_});
   std::make_heap(parked_.begin(), parked_.end(), ParkedLater{});
-}
-
-ShardedFrontier::ShardedFrontier(PriorityPolicy policy, int num_shards) {
-  if (num_shards < 1) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(policy));
-  }
-}
-
-int ShardedFrontier::ShardOf(std::string_view url) const {
-  uint32_t sid = static_cast<uint32_t>(ServerIdOf(url));
-  return static_cast<int>(sid % shards_.size());
-}
-
-void ShardedFrontier::AddOrUpdate(const FrontierEntry& entry) {
-  FrontierEntry e = entry;
-  if (e.seq == 0) e.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = *shards_[ShardOf(e.url)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.frontier.AddOrUpdate(e);
-}
-
-std::optional<FrontierEntry> ShardedFrontier::PopPreferShard(int shard,
-                                                             int64_t now_us,
-                                                             bool* stolen) {
-  int k = num_shards();
-  if (shard < 0) shard = 0;
-  for (int i = 0; i < k; ++i) {
-    Shard& s = *shards_[(shard + i) % k];
-    std::lock_guard<std::mutex> lock(s.mu);
-    std::optional<FrontierEntry> popped = s.frontier.PopBest(now_us);
-    if (popped.has_value()) {
-      if (stolen != nullptr) *stolen = i != 0;
-      return popped;
-    }
-  }
-  if (stolen != nullptr) *stolen = false;
-  return std::nullopt;
-}
-
-std::optional<int64_t> ShardedFrontier::NextReadyMicros() {
-  std::optional<int64_t> earliest;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    std::optional<int64_t> at = shard->frontier.NextReadyMicros();
-    if (at.has_value() && (!earliest.has_value() || *at < *earliest)) {
-      earliest = at;
-    }
-  }
-  return earliest;
-}
-
-void ShardedFrontier::Erase(uint64_t oid) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->frontier.Contains(oid)) {
-      shard->frontier.Erase(oid);
-      return;
-    }
-  }
-}
-
-bool ShardedFrontier::Contains(uint64_t oid) const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->frontier.Contains(oid)) return true;
-  }
-  return false;
-}
-
-std::optional<FrontierEntry> ShardedFrontier::PeekCopy(uint64_t oid) const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (const FrontierEntry* e = shard->frontier.Peek(oid); e != nullptr) {
-      return *e;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<FrontierEntry> ShardedFrontier::Snapshot() const {
-  std::vector<FrontierEntry> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    std::vector<FrontierEntry> part = shard->frontier.Snapshot();
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-void ShardedFrontier::SetPolicy(PriorityPolicy policy) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->frontier.SetPolicy(policy);
-  }
-}
-
-PriorityPolicy ShardedFrontier::policy() const {
-  std::lock_guard<std::mutex> lock(shards_[0]->mu);
-  return shards_[0]->frontier.policy();
-}
-
-size_t ShardedFrontier::size() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->frontier.size();
-  }
-  return n;
-}
-
-void ShardedFrontier::SetEventLog(obs::EventLog* log) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->frontier.SetEventLog(log);
-  }
-}
-
-std::vector<ShardedFrontier::ShardStats> ShardedFrontier::StatsSnapshot()
-    const {
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    ShardStats s;
-    s.shard = static_cast<int>(i);
-    s.live = shards_[i]->frontier.size();
-    s.parked = shards_[i]->frontier.parked_count();
-    // Min over live parked entries (exact, unlike the lazily-cleaned
-    // parked heap, and const-safe).
-    int64_t earliest = -1;
-    for (const FrontierEntry& e : shards_[i]->frontier.Snapshot()) {
-      if (e.ready_at_us > 0 &&
-          (earliest < 0 || e.ready_at_us < earliest)) {
-        earliest = e.ready_at_us;
-      }
-    }
-    s.next_ready_us = earliest;
-    out.push_back(s);
-  }
-  return out;
 }
 
 }  // namespace focus::crawl

@@ -7,18 +7,16 @@
 // the paper's "crude and lazily updated" estimate: entries are re-ranked
 // only when re-pushed. The policy can be switched mid-crawl (the heap is
 // lazily rebuilt via entry versioning).
+//
+// A Frontier has no lock of its own. The crawler owns one and touches it
+// only under its crawl-state lock, so every pop sees one global order.
 #ifndef FOCUS_CRAWL_FRONTIER_H_
 #define FOCUS_CRAWL_FRONTIER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +64,13 @@ enum class PriorityPolicy {
 
 const char* PolicyName(PriorityPolicy policy);
 
+struct FrontierCensus {
+  size_t live = 0;    // entries in the frontier (ready + parked)
+  size_t parked = 0;  // entries gated behind a not-before time
+  // Earliest parked ready_at_us; -1 when nothing is parked.
+  int64_t next_ready_us = -1;
+};
+
 // Pops with this deadline see every entry, parked or not (the default, so
 // fault-free crawls behave exactly as before the not-before queue).
 inline constexpr int64_t kNoTimeGate =
@@ -110,8 +115,9 @@ class Frontier {
   // events. nullptr (the default) disables.
   void SetEventLog(obs::EventLog* log) { event_log_ = log; }
 
-  // Live entries currently parked behind a not-before time.
-  size_t parked_count() const;
+  // One exact pass over the live entries (unlike NextReadyMicros, which
+  // reads the lazily-cleaned parked heap): for the admin /frontier endpoint.
+  FrontierCensus Census() const;
 
  private:
   struct HeapItem {
@@ -154,85 +160,6 @@ class Frontier {
   std::vector<ParkedItem> parked_;
   uint64_t next_version_ = 1;
   uint64_t next_seq_ = 1;
-};
-
-// A server-sharded frontier for the concurrent crawl pipeline. Entries are
-// assigned to shards by ServerIdOf(url) so each server's pages live in one
-// shard and the lexicographic priority order (which includes the per-server
-// politeness signal) is preserved within it. Every shard carries its own
-// lock; fetch workers pop from a preferred shard and steal from the others
-// when it runs dry. Insertion sequence numbers are issued from one atomic
-// counter so the cross-shard tie-break order stays globally consistent —
-// with a single shard, PopPreferShard(0) is exactly equivalent to a plain
-// Frontier's PopBest.
-class ShardedFrontier {
- public:
-  explicit ShardedFrontier(
-      PriorityPolicy policy = PriorityPolicy::kAggressiveDiscovery,
-      int num_shards = 1);
-
-  ShardedFrontier(const ShardedFrontier&) = delete;
-  ShardedFrontier& operator=(const ShardedFrontier&) = delete;
-
-  // Inserts or re-ranks `entry` (keyed by oid; sharded by its URL's
-  // server).
-  void AddOrUpdate(const FrontierEntry& entry);
-
-  // Work-stealing pop: takes the best ready entry of `shard`, or — when
-  // that shard has none — of the nearest shard with one. `stolen`
-  // (optional) reports whether the entry came from another shard.
-  std::optional<FrontierEntry> PopPreferShard(int shard,
-                                              bool* stolen = nullptr) {
-    return PopPreferShard(shard, kNoTimeGate, stolen);
-  }
-  std::optional<FrontierEntry> PopPreferShard(int shard, int64_t now_us,
-                                              bool* stolen);
-
-  // Earliest parked ready_at_us across shards; nullopt when nothing is
-  // parked anywhere.
-  std::optional<int64_t> NextReadyMicros();
-
-  void Erase(uint64_t oid);
-  bool Contains(uint64_t oid) const;
-  // A copy of the live entry for `oid` (frontier entries move under
-  // concurrent pops, so no pointer-returning Peek here).
-  std::optional<FrontierEntry> PeekCopy(uint64_t oid) const;
-
-  // Copies of every live entry across all shards.
-  std::vector<FrontierEntry> Snapshot() const;
-
-  // Switches the ordering on every shard.
-  void SetPolicy(PriorityPolicy policy);
-  PriorityPolicy policy() const;
-
-  size_t size() const;
-  bool empty() const { return size() == 0; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  int ShardOf(std::string_view url) const;
-
-  // Attaches the provenance event log to every shard (see
-  // Frontier::SetEventLog).
-  void SetEventLog(obs::EventLog* log);
-
-  // Bounded per-shard introspection for the admin /frontier endpoint.
-  struct ShardStats {
-    int shard = 0;
-    size_t live = 0;    // entries in the shard (ready + parked)
-    size_t parked = 0;  // entries gated behind a not-before time
-    // Earliest parked ready_at_us; -1 when nothing is parked.
-    int64_t next_ready_us = -1;
-  };
-  std::vector<ShardStats> StatsSnapshot() const;
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    Frontier frontier;
-    explicit Shard(PriorityPolicy policy) : frontier(policy) {}
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> next_seq_{1};
 };
 
 }  // namespace focus::crawl

@@ -21,7 +21,6 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
   batches_ = r->GetCounter("focus_crawl_classify_batches_total");
   batched_pages_ = r->GetCounter("focus_crawl_classify_pages_total");
   frontier_pops_ = r->GetCounter("focus_crawl_frontier_pops_total");
-  frontier_steals_ = r->GetCounter("focus_crawl_frontier_steals_total");
   frontier_depth_ = r->GetGauge("focus_crawl_frontier_depth");
   distill_iterations_ = r->GetCounter("focus_distill_iterations_total");
   distill_residual_ = r->GetGauge("focus_distill_last_residual");
@@ -83,7 +82,6 @@ StageMetricsSnapshot StageMetrics::Raw() const {
   s.batches = batches_->Value();
   s.batched_pages = batched_pages_->Value();
   s.frontier_pops = frontier_pops_->Value();
-  s.frontier_steals = frontier_steals_->Value();
   for (int c = 0; c < 4; ++c) {
     s.fetch_failures += fetch_failures_[c]->Value();
     s.retries += retries_[c]->Value();
@@ -104,7 +102,6 @@ StageMetricsSnapshot StageMetrics::Snapshot() const {
   s.batches -= baseline_.batches;
   s.batched_pages -= baseline_.batched_pages;
   s.frontier_pops -= baseline_.frontier_pops;
-  s.frontier_steals -= baseline_.frontier_steals;
   s.fetch_failures -= baseline_.fetch_failures;
   s.retries -= baseline_.retries;
   s.dropped_urls -= baseline_.dropped_urls;

@@ -27,7 +27,6 @@ struct StageMetricsSnapshot {
   uint64_t batches = 0;           // classify batches submitted
   uint64_t batched_pages = 0;     // pages across those batches
   uint64_t frontier_pops = 0;     // successful frontier pops
-  uint64_t frontier_steals = 0;   // pops served by a non-preferred shard
   uint64_t fetch_failures = 0;    // failed fetch attempts (all classes)
   uint64_t retries = 0;           // failures rescheduled with backoff
   uint64_t dropped_urls = 0;      // entries abandoned (404 / budget)
@@ -71,10 +70,7 @@ class StageMetrics {
   void ObserveClassifyBatchMicros(uint64_t us) {
     batch_micros_hist_->Observe(us);
   }
-  void RecordPop(bool stolen) {
-    frontier_pops_->Inc();
-    if (stolen) frontier_steals_->Inc();
-  }
+  void RecordPop() { frontier_pops_->Inc(); }
   void RecordFetchFailure(FailureClass cls) {
     fetch_failures_[static_cast<int>(cls)]->Inc();
   }
@@ -89,9 +85,7 @@ class StageMetrics {
   void RecordBreakerTransition(BreakerState to) {
     breaker_transitions_[static_cast<int>(to)]->Inc();
   }
-  void RecordBreakerSkips(uint64_t n) {
-    if (n > 0) breaker_skips_->Add(n);
-  }
+  void RecordBreakerSkip() { breaker_skips_->Inc(); }
   // Servers currently quarantined (open or half-open breakers).
   void SetOpenBreakers(double n) { open_breakers_->Set(n); }
   // Instantaneous frontier size (sampled by the record stage).
@@ -124,7 +118,6 @@ class StageMetrics {
   obs::Counter* batches_;
   obs::Counter* batched_pages_;
   obs::Counter* frontier_pops_;
-  obs::Counter* frontier_steals_;
   obs::Gauge* frontier_depth_;
   obs::Counter* distill_iterations_;
   obs::Gauge* distill_residual_;

@@ -43,10 +43,6 @@ std::string Fixed(double v, int places) {
 }  // namespace
 
 std::string FormatStageMetrics(const StageMetricsSnapshot& s) {
-  double steal_rate =
-      s.frontier_pops == 0
-          ? 0.0
-          : static_cast<double>(s.frontier_steals) / s.frontier_pops;
   std::string out;
   out += StrCat("stage time   fetch=", Ms(s.fetch_micros),
                 " classify=", Ms(s.classify_micros),
@@ -55,9 +51,7 @@ std::string FormatStageMetrics(const StageMetricsSnapshot& s) {
   out += StrCat("classify     batches=", s.batches,
                 " pages=", s.batched_pages,
                 " occupancy=", Fixed(s.AvgBatchOccupancy(), 2), "\n");
-  out += StrCat("frontier     pops=", s.frontier_pops,
-                " steals=", s.frontier_steals,
-                " steal_rate=", Fixed(steal_rate, 3), "\n");
+  out += StrCat("frontier     pops=", s.frontier_pops, "\n");
   out += StrCat("faults       failures=", s.fetch_failures,
                 " retries=", s.retries, " dropped=", s.dropped_urls,
                 " breaker_skips=", s.breaker_skips,

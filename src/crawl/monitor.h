@@ -15,8 +15,8 @@
 namespace focus::crawl {
 
 // Human-readable report of the pipeline stage counters — per-stage wall
-// time, lock wait, batch occupancy, and frontier steal rate. One line per
-// counter group, suitable for the crawl-monitoring console.
+// time, lock wait, batch occupancy, frontier pops and fault handling. One
+// line per counter group, suitable for the crawl-monitoring console.
 std::string FormatStageMetrics(const StageMetricsSnapshot& s);
 
 // One row of the stagnation-diagnosis census:

@@ -293,22 +293,10 @@ void RegisterCrawlAdminEndpoints(obs::AdminServer* server, Crawler* crawler) {
   server->AddHandler("/frontier", [crawler](const obs::AdminRequest&) {
     obs::JsonWriter w;
     w.BeginObject();
-    w.Key("shards").BeginArray();
-    size_t live = 0, parked = 0;
-    for (const ShardedFrontier::ShardStats& s :
-         crawler->frontier()->StatsSnapshot()) {
-      live += s.live;
-      parked += s.parked;
-      w.BeginObject()
-          .Field("shard", s.shard)
-          .Field("live", static_cast<uint64_t>(s.live))
-          .Field("parked", static_cast<uint64_t>(s.parked))
-          .Field("next_ready_us", s.next_ready_us)
-          .EndObject();
-    }
-    w.EndArray();
-    w.Field("live", static_cast<uint64_t>(live));
-    w.Field("parked", static_cast<uint64_t>(parked));
+    FrontierCensus census = crawler->TakeFrontierCensus();
+    w.Field("live", static_cast<uint64_t>(census.live));
+    w.Field("parked", static_cast<uint64_t>(census.parked));
+    w.Field("next_ready_us", census.next_ready_us);
     w.Key("breakers").BeginArray();
     for (const BreakerRecord& b : crawler->breakers().Snapshot()) {
       w.BeginObject()

@@ -97,7 +97,7 @@ Result<std::vector<DiscoveryHop>> DiscoveryPath(const obs::EventLog& log,
 std::string FormatDiscoveryPath(const std::vector<DiscoveryHop>& path);
 
 // Registers the crawl-layer admin routes on `server`:
-//   /frontier  per-shard {live, parked, next_ready_us} plus every
+//   /frontier  the frontier's {live, parked, next_ready_us} plus every
 //              breaker's state, as JSON.
 // `crawler` must outlive the server's accept thread.
 void RegisterCrawlAdminEndpoints(obs::AdminServer* server, Crawler* crawler);

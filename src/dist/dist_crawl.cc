@@ -135,7 +135,7 @@ Status DistCrawl::RestartShard(int s, const Status& death) {
   if (sh.log != nullptr) {
     sh.log->Record(obs::CrawlEventType::kShardRestart, /*oid=*/-1,
                    /*parent_oid=*/-1, /*sid=*/-1, /*virtual_us=*/-1,
-                   /*value=*/static_cast<double>(sh.crawler->frontier()->size()),
+                   /*value=*/static_cast<double>(sh.crawler->frontier().size()),
                    /*aux=*/sh.boots - 1);
   }
   return Status::OK();
@@ -372,7 +372,7 @@ void DistCrawl::PublishMetrics() {
     const Shard& sh = *shards_[static_cast<size_t>(s)];
     obs::Labels labels{{"shard", std::to_string(s)}};
     reg->GetGauge("focus_shard_frontier_depth", labels)
-        ->Set(static_cast<double>(sh.crawler->frontier()->size()));
+        ->Set(static_cast<double>(sh.crawler->frontier().size()));
     reg->GetGauge("focus_shard_restarts", labels)
         ->Set(static_cast<double>(sh.restarts));
   }

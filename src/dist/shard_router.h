@@ -22,9 +22,8 @@ class ShardRouter {
 
   int num_shards() const { return num_shards_; }
 
-  // Owner shard of a server. The Fibonacci mix decorrelates the
-  // assignment from ShardedFrontier's own sid-keyed sharding inside each
-  // crawler (both start from the same ServerIdOf hash).
+  // Owner shard of a server. The Fibonacci mix spreads the ServerIdOf
+  // hashes evenly across shards.
   int ShardOfServer(int32_t sid) const {
     uint64_t h = static_cast<uint64_t>(static_cast<uint32_t>(sid)) *
                  UINT64_C(0x9E3779B97F4A7C15);

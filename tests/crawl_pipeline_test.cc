@@ -1,12 +1,16 @@
-// Tests for the concurrent crawl pipeline: the server-sharded frontier,
-// the batched relevance evaluator, and thread-count invariance of the
-// crawl outcome.
+// Tests for the concurrent crawl pipeline: global frontier order, the
+// batched relevance evaluator, and thread-count invariance of the crawl
+// outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <functional>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "classify/bulk_probe.h"
@@ -14,9 +18,10 @@
 #include "core/focus.h"
 #include "core/sample_taxonomy.h"
 #include "crawl/batch_evaluator.h"
-#include "crawl/frontier.h"
 #include "crawl/metrics.h"
 #include "crawl/monitor.h"
+#include "crawl/provenance.h"
+#include "obs/admin_server.h"
 #include "sql/catalog.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -32,122 +37,10 @@ using crawl::BatchRelevanceEvaluator;
 using crawl::ClassifierEvaluator;
 using crawl::Crawler;
 using crawl::CrawlerOptions;
-using crawl::Frontier;
-using crawl::FrontierEntry;
 using crawl::PageJudgment;
 using crawl::PriorityPolicy;
-using crawl::ShardedFrontier;
 using taxonomy::Cid;
 using taxonomy::Taxonomy;
-
-FrontierEntry Entry(uint64_t oid, const std::string& url, double relevance,
-                    int32_t numtries = 0, int32_t serverload = 0) {
-  FrontierEntry e;
-  e.oid = oid;
-  e.url = url;
-  e.relevance = relevance;
-  e.numtries = numtries;
-  e.serverload = serverload;
-  return e;
-}
-
-TEST(ShardedFrontierTest, SingleShardMatchesPlainFrontierOrder) {
-  // With one shard the sharded frontier must reproduce the classic
-  // frontier's pop sequence exactly (single-threaded crawls depend on it).
-  Frontier plain(PriorityPolicy::kAggressiveDiscovery);
-  ShardedFrontier sharded(PriorityPolicy::kAggressiveDiscovery, 1);
-  std::vector<FrontierEntry> entries = {
-      Entry(1, "http://a/1", 0.9, 0, 3), Entry(2, "http://b/2", 0.9, 0, 1),
-      Entry(3, "http://c/3", 0.2, 1, 0), Entry(4, "http://d/4", 0.5, 0, 1),
-      Entry(5, "http://e/5", 0.9, 0, 1), Entry(6, "http://f/6", 0.1, 0, 9),
-  };
-  for (const FrontierEntry& e : entries) {
-    plain.AddOrUpdate(e);
-    sharded.AddOrUpdate(e);
-  }
-  // Re-rank one entry through both paths.
-  FrontierEntry update = Entry(6, "http://f/6", 0.95, 0, 0);
-  plain.AddOrUpdate(update);
-  sharded.AddOrUpdate(update);
-
-  ASSERT_EQ(plain.size(), sharded.size());
-  while (!plain.empty()) {
-    auto expected = plain.PopBest();
-    auto got = sharded.PopPreferShard(0);
-    ASSERT_TRUE(expected.has_value());
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(expected->oid, got->oid);
-  }
-  EXPECT_TRUE(sharded.empty());
-}
-
-TEST(ShardedFrontierTest, PreservesPriorityOrderWithinAServerShard) {
-  // Same server => same shard, so the politeness-aware lexicographic
-  // order is preserved among a server's pages.
-  ShardedFrontier frontier(PriorityPolicy::kAggressiveDiscovery, 8);
-  frontier.AddOrUpdate(Entry(1, "http://srv/a", 0.3));
-  frontier.AddOrUpdate(Entry(2, "http://srv/b", 0.9));
-  frontier.AddOrUpdate(Entry(3, "http://srv/c", 0.6, /*numtries=*/1));
-  frontier.AddOrUpdate(Entry(4, "http://srv/d", 0.6));
-
-  int shard = frontier.ShardOf("http://srv/a");
-  EXPECT_EQ(shard, frontier.ShardOf("http://srv/d"));
-
-  std::vector<uint64_t> order;
-  bool stolen = true;
-  while (auto e = frontier.PopPreferShard(shard, &stolen)) {
-    EXPECT_FALSE(stolen);  // everything lives in the preferred shard
-    order.push_back(e->oid);
-  }
-  // numtries asc first, then relevance desc.
-  EXPECT_EQ(order, (std::vector<uint64_t>{2, 4, 1, 3}));
-}
-
-TEST(ShardedFrontierTest, StealsFromOtherShardsWhenPreferredRunsDry) {
-  ShardedFrontier frontier(PriorityPolicy::kAggressiveDiscovery, 4);
-  frontier.AddOrUpdate(Entry(1, "http://server-x/page", 0.8));
-  int home = frontier.ShardOf("http://server-x/page");
-
-  bool stolen = false;
-  auto e = frontier.PopPreferShard((home + 1) % frontier.num_shards(),
-                                   &stolen);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->oid, 1u);
-  EXPECT_TRUE(stolen);
-  EXPECT_TRUE(frontier.empty());
-
-  // Popping the home shard directly is not a steal.
-  frontier.AddOrUpdate(Entry(2, "http://server-x/other", 0.5));
-  stolen = true;
-  e = frontier.PopPreferShard(home, &stolen);
-  ASSERT_TRUE(e.has_value());
-  EXPECT_FALSE(stolen);
-}
-
-TEST(ShardedFrontierTest, LookupEraseAndSnapshotSpanShards) {
-  ShardedFrontier frontier(PriorityPolicy::kAggressiveDiscovery, 4);
-  for (int i = 0; i < 20; ++i) {
-    frontier.AddOrUpdate(Entry(100 + i,
-                               "http://host" + std::to_string(i) + "/p",
-                               0.1 * (i % 7)));
-  }
-  EXPECT_EQ(frontier.size(), 20u);
-  EXPECT_TRUE(frontier.Contains(105));
-  auto copy = frontier.PeekCopy(105);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_EQ(copy->url, "http://host5/p");
-
-  frontier.Erase(105);
-  EXPECT_FALSE(frontier.Contains(105));
-  EXPECT_FALSE(frontier.PeekCopy(105).has_value());
-
-  std::vector<FrontierEntry> all = frontier.Snapshot();
-  EXPECT_EQ(all.size(), 19u);
-  std::unordered_set<uint64_t> oids;
-  for (const FrontierEntry& e : all) oids.insert(e.oid);
-  EXPECT_EQ(oids.size(), 19u);
-  EXPECT_FALSE(oids.contains(105));
-}
 
 FocusOptions TinyOptions(uint64_t seed) {
   FocusOptions options;
@@ -333,7 +226,7 @@ TEST(CrawlPipelineTest, EightThreadsVisitSamePagesAsOneThread) {
   std::string report = crawl::FormatStageMetrics(metrics);
   EXPECT_NE(report.find("classify"), std::string::npos);
   EXPECT_NE(report.find("occupancy"), std::string::npos);
-  EXPECT_NE(report.find("steal_rate"), std::string::npos);
+  EXPECT_NE(report.find("pops="), std::string::npos);
 }
 
 TEST(CrawlPipelineTest, BatchSizeOneStillCompletes) {
@@ -350,19 +243,77 @@ TEST(CrawlPipelineTest, BatchSizeOneStillCompletes) {
   EXPECT_EQ(session->crawler().visits().size(), 120u);
 }
 
-TEST(CrawlPipelineTest, ExplicitShardCountIsRespected) {
-  auto system = TrainedSystem(32);
+TEST(CrawlPipelineTest, FourThreadsPopInGlobalPriorityOrder) {
+  // §3.2: work is checked out of CRAWL in one global (numtries asc,
+  // relevance desc, serverload asc) order at any thread count. Every entry
+  // below is untried on an unloaded server, so that order is relevance
+  // desc. With a budget of 8 the workers reserve all 8 pages before any
+  // page is recorded (a record needs a finished gather, fetch and
+  // classify), so no expansion can reorder them: the visited set is the
+  // top 8.
+  auto system = TrainedSystem(34);
+  CrawlerOptions copts;
+  copts.max_fetches = 8;
+  copts.num_threads = 4;
+  auto session = system->NewCrawl({}, copts).TakeValue();
+  const webgraph::SimulatedWeb& web = system->web();
+  std::unordered_set<int32_t> servers;
+  std::vector<std::pair<double, uint64_t>> admitted;  // (relevance, oid)
+  for (uint32_t i = 0; i < web.num_pages() && admitted.size() < 64; ++i) {
+    const webgraph::PageInfo& page = web.page(i);
+    if (!servers.insert(page.server_id).second) continue;
+    // Distinct relevances, shuffled against admission order so the FIFO
+    // tie-break cannot stand in for priority.
+    double relevance =
+        0.01 * static_cast<double>((admitted.size() * 37) % 64 + 1);
+    ASSERT_TRUE(session->crawler()
+                    .AdmitRemoteLink(page.url, relevance, /*parent_oid=*/-1,
+                                     /*raise_if_known=*/true)
+                    .ok());
+    admitted.emplace_back(relevance, UrlOid(page.url));
+  }
+  ASSERT_EQ(admitted.size(), 64u);
+  std::sort(admitted.begin(), admitted.end(), std::greater<>());
+  std::unordered_set<uint64_t> top8;
+  for (size_t i = 0; i < 8; ++i) top8.insert(admitted[i].second);
+
+  ASSERT_TRUE(session->crawler().Crawl().ok());
+  std::unordered_set<uint64_t> visited;
+  for (const auto& v : session->crawler().visits()) visited.insert(v.oid);
+  EXPECT_EQ(visited, top8);
+}
+
+TEST(CrawlPipelineTest, FrontierReadersRaceSafelyWithARunningCrawl) {
+  // The admin /frontier handler and SetPolicy reach the frontier from
+  // another thread while four workers pop and expand it. Both must go
+  // through the crawl-state lock (the TSan job runs this test).
+  auto system = TrainedSystem(35);
   Cid cycling = system->tax().FindByName("cycling").value();
   CrawlerOptions copts;
-  copts.max_fetches = 80;
+  copts.max_fetches = 300;
   copts.num_threads = 4;
-  copts.frontier_shards = 3;
   auto session = system->NewCrawl(system->web().KeywordSeeds(cycling, 6),
                                   copts)
                      .TakeValue();
-  EXPECT_EQ(session->crawler().frontier()->num_shards(), 3);
-  ASSERT_TRUE(session->crawler().Crawl().ok());
-  EXPECT_EQ(session->crawler().visits().size(), 80u);
+  Crawler& crawler = session->crawler();
+  obs::AdminServer admin{obs::AdminServer::Options{}};
+  crawl::RegisterCrawlAdminEndpoints(&admin, &crawler);
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    do {
+      obs::AdminResponse r =
+          admin.Handle(obs::ParseRequestTarget("/frontier"));
+      EXPECT_EQ(r.status, 200);
+      EXPECT_NE(r.body.find("\"parked\""), std::string::npos) << r.body;
+      crawler.SetPolicy(PriorityPolicy::kAggressiveDiscovery);
+    } while (!done.load());
+  });
+  Status crawled = crawler.Crawl();
+  done.store(true);
+  reader.join();
+  ASSERT_TRUE(crawled.ok()) << crawled;
+  EXPECT_EQ(crawler.visits().size(), 300u);
 }
 
 TEST(CrawlPipelineTest, CrawlContinuesAfterAFailedCall) {

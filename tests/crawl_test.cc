@@ -93,6 +93,18 @@ TEST(FrontierTest, EraseAndPeek) {
   f.Erase(7);
   EXPECT_FALSE(f.Contains(7));
   EXPECT_FALSE(f.PopBest().has_value());
+
+  // Snapshot copies every live entry once, and none that was erased.
+  for (uint64_t oid = 100; oid < 120; ++oid) {
+    f.AddOrUpdate(Entry(oid, 0, 0.1 * static_cast<double>(oid % 7), 0));
+  }
+  f.Erase(105);
+  std::vector<FrontierEntry> all = f.Snapshot();
+  EXPECT_EQ(all.size(), 19u);
+  std::unordered_set<uint64_t> oids;
+  for (const FrontierEntry& e : all) oids.insert(e.oid);
+  EXPECT_EQ(oids.size(), 19u);
+  EXPECT_FALSE(oids.contains(105));
 }
 
 TEST(FrontierTest, RetryDeadLinksPrefersHighNumtries) {

@@ -146,7 +146,7 @@ TEST(CrawlerFeaturesTest, PolicySwitchMidCrawlTakesEffect) {
                      .TakeValue();
   ASSERT_TRUE(session->crawler().Crawl().ok());
   session->crawler().SetPolicy(crawl::PriorityPolicy::kBreadthFirst);
-  EXPECT_EQ(session->crawler().frontier()->policy(),
+  EXPECT_EQ(session->crawler().frontier().policy(),
             crawl::PriorityPolicy::kBreadthFirst);
 }
 
@@ -176,7 +176,7 @@ TEST(CrawlerFeaturesTest, ResumeFromDbContinuesAfterCrash) {
   crawl::Crawler resumed(&system->web(), &evaluator, &session->db(),
                          &session->catalog(), resumed_options);
   ASSERT_TRUE(resumed.ResumeFromDb().ok());
-  EXPECT_GT(resumed.frontier()->size(), 0u);
+  EXPECT_GT(resumed.frontier().size(), 0u);
   ASSERT_TRUE(resumed.Crawl().ok());
   EXPECT_EQ(resumed.visits().size(), 100u);
   // The resumed crawl fetches only pages the dead crawler had not visited.
@@ -333,11 +333,11 @@ TEST(CrawlerFeaturesTest, RemoteAdmissionFollowsTheLocalAdmissionRule) {
   ASSERT_TRUE(crawler.AdmitRemoteLink(cited, 0.0, /*parent_oid=*/1,
                                       /*raise_if_known=*/true)
                   .ok());
-  auto citer_entry = crawler.frontier()->PeekCopy(UrlOid(citer));
-  ASSERT_TRUE(citer_entry.has_value());
+  auto citer_entry = crawler.frontier().Peek(UrlOid(citer));
+  ASSERT_NE(citer_entry, nullptr);
   EXPECT_EQ(citer_entry->backlinks, 0);
-  auto cited_entry = crawler.frontier()->PeekCopy(UrlOid(cited));
-  ASSERT_TRUE(cited_entry.has_value());
+  auto cited_entry = crawler.frontier().Peek(UrlOid(cited));
+  ASSERT_NE(cited_entry, nullptr);
   EXPECT_EQ(cited_entry->backlinks, 1);
   EXPECT_EQ(cited_entry->serverload, 0);
 
@@ -356,14 +356,14 @@ TEST(CrawlerFeaturesTest, RemoteAdmissionFollowsTheLocalAdmissionRule) {
   crawl::Crawler resumed(&system->web(), &evaluator, &session->db(),
                          &session->catalog(), copts);
   ASSERT_TRUE(resumed.ResumeFromDb().ok());
-  cited_entry = resumed.frontier()->PeekCopy(UrlOid(cited));
-  ASSERT_TRUE(cited_entry.has_value()) << "the citation was visited";
+  cited_entry = resumed.frontier().Peek(UrlOid(cited));
+  ASSERT_NE(cited_entry, nullptr) << "the citation was visited";
   EXPECT_EQ(cited_entry->serverload, 0);
   ASSERT_TRUE(resumed.AdmitRemoteLink(cited, 0.0, /*parent_oid=*/1,
                                       /*raise_if_known=*/true)
                   .ok());
-  cited_entry = resumed.frontier()->PeekCopy(UrlOid(cited));
-  ASSERT_TRUE(cited_entry.has_value());
+  cited_entry = resumed.frontier().Peek(UrlOid(cited));
+  ASSERT_NE(cited_entry, nullptr);
   EXPECT_EQ(cited_entry->backlinks, 1);
   EXPECT_EQ(cited_entry->serverload, server_fetches);
 }

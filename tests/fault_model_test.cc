@@ -403,8 +403,8 @@ TEST(FrontierReadyGateTest, UngatedPopSeesParkedEntries) {
   EXPECT_EQ(popped->oid, 5u);
 }
 
-TEST(FrontierReadyGateTest, ShardedPopHonorsGateAndReportsNextReady) {
-  ShardedFrontier f(PriorityPolicy::kBreadthFirst, /*num_shards=*/4);
+TEST(FrontierReadyGateTest, PopHonorsGateAndReportsNextReady) {
+  Frontier f(PriorityPolicy::kBreadthFirst);
   for (uint64_t i = 0; i < 8; ++i) {
     FrontierEntry e;
     e.oid = 100 + i;
@@ -413,15 +413,18 @@ TEST(FrontierReadyGateTest, ShardedPopHonorsGateAndReportsNextReady) {
     f.AddOrUpdate(e);
   }
   int ready_now = 0;
-  bool stolen = false;
-  while (f.PopPreferShard(0, /*now_us=*/0, &stolen).has_value()) {
+  while (f.PopBest(/*now_us=*/0).has_value()) {
     ++ready_now;
   }
   EXPECT_EQ(ready_now, 4);
   EXPECT_EQ(f.size(), 4u);
   EXPECT_EQ(f.NextReadyMicros().value(), 5'000'000);
+  FrontierCensus census = f.Census();
+  EXPECT_EQ(census.live, 4u);
+  EXPECT_EQ(census.parked, 4u);
+  EXPECT_EQ(census.next_ready_us, 5'000'000);
   int ready_later = 0;
-  while (f.PopPreferShard(0, /*now_us=*/5'000'000, &stolen).has_value()) {
+  while (f.PopBest(/*now_us=*/5'000'000).has_value()) {
     ++ready_later;
   }
   EXPECT_EQ(ready_later, 4);

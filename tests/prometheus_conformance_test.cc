@@ -142,7 +142,7 @@ class ConformanceTest : public ::testing::Test {
     stage_.ObserveClassifyBatchMicros(0);       // zero bucket
     stage_.ObserveClassifyBatchMicros(3);       // low bucket
     stage_.ObserveClassifyBatchMicros(900000);  // high bucket
-    stage_.RecordPop(true);
+    stage_.RecordPop();
     stage_.RecordFetchFailure(crawl::FailureClass::kTimeout);
     stage_.RecordRetry(crawl::FailureClass::kTimeout, 4.5);
     stage_.RecordDrop(true);

@@ -360,8 +360,9 @@ TEST(AdminEndpointTest, FrontierRouteServesLiveCrawlState) {
       admin.Handle(obs::ParseRequestTarget("/frontier"));
   EXPECT_EQ(frontier.status, 200);
   EXPECT_EQ(frontier.content_type, "application/json");
-  EXPECT_NE(frontier.body.find("\"shards\""), std::string::npos)
+  EXPECT_NE(frontier.body.find("\"live\""), std::string::npos)
       << frontier.body;
+  EXPECT_NE(frontier.body.find("\"parked\""), std::string::npos);
   EXPECT_NE(frontier.body.find("\"breakers\""), std::string::npos);
 
   // /events?oid= filters on the exact oid — including oids that are
