@@ -252,11 +252,21 @@ Status CrawlDb::SetExchangeWatermark(int32_t src_shard, int64_t seq) {
 }
 
 Status CrawlDb::Commit() {
-  if (wal_ == nullptr) return Status::OK();
+  FOCUS_ASSIGN_OR_RETURN(storage::CommitTicket ticket, StageCommit());
+  return AwaitCommit(ticket);
+}
+
+Result<storage::CommitTicket> CrawlDb::StageCommit() {
+  if (wal_ == nullptr) return storage::CommitTicket{};
   // Flush-order discipline: dirty pages land in the WAL overlay first,
-  // then the group commit logs + syncs them with the catalog layouts.
+  // then the staged commit logs them with the catalog layouts.
   FOCUS_RETURN_IF_ERROR(catalog_->buffer_pool()->FlushAll());
-  return wal_->Commit(catalog_->SerializeLayouts());
+  return wal_->StageCommit(catalog_->SerializeLayouts());
+}
+
+Status CrawlDb::AwaitCommit(const storage::CommitTicket& ticket) {
+  if (wal_ == nullptr) return Status::OK();
+  return wal_->AwaitCommit(ticket);
 }
 
 Status CrawlDb::Checkpoint() {

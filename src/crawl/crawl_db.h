@@ -96,11 +96,19 @@ class CrawlDb {
   void BindWal(storage::WalDiskManager* wal) { wal_ = wal; }
   bool has_wal() const { return wal_ != nullptr; }
 
-  // Batch commit: flushes dirty pages (into the WAL overlay) and group-
-  // commits them with the serialized catalog layouts. On OK the batch is
-  // durable and atomic — after a crash, recovery lands exactly on a
-  // commit boundary, never between.
+  // Batch commit = StageCommit + AwaitCommit. On OK the batch is durable
+  // and atomic: after a crash, recovery lands exactly on a commit
+  // boundary, never between.
   Status Commit();
+
+  // Stage half: flushes dirty pages (into the WAL overlay) and stages them
+  // with the serialized catalog layouts as the next log commit, without
+  // waiting for the log device. Callers stage under the lock that orders
+  // their batches; without a bound WAL the ticket is empty.
+  Result<storage::CommitTicket> StageCommit();
+  // Await half: returns once the staged commit, and every commit staged
+  // before it, is durable. Group-commits with concurrent awaits.
+  Status AwaitCommit(const storage::CommitTicket& ticket);
 
   // Commit, then fold the log into the data device and truncate it
   // (BufferPool::FlushAll + manifest advance + log reset).

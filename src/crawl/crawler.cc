@@ -74,16 +74,19 @@ void Crawler::SetPolicy(PriorityPolicy policy) {
   frontier_.SetPolicy(policy);
 }
 
-Status Crawler::CommitBatch() {
+Result<storage::CommitTicket> Crawler::StageBatchCommit() {
   if (options_.checkpoint_every_batches > 0 &&
       ++commits_since_checkpoint_ >= options_.checkpoint_every_batches) {
     commits_since_checkpoint_ = 0;
     // Checkpoint subsumes Commit: the WAL protocol logs the pending batch,
     // flushes the overlay and truncates the log, so recovery replay is
-    // bounded by one checkpoint interval of commits.
-    return db_->Checkpoint();
+    // bounded by one checkpoint interval of commits. It runs inline, since
+    // folding the overlay needs every other batch outside its record
+    // section; the batch is durable on return (empty ticket).
+    FOCUS_RETURN_IF_ERROR(db_->Checkpoint());
+    return storage::CommitTicket{};
   }
-  return db_->Commit();
+  return db_->StageCommit();
 }
 
 Status Crawler::HandleFetchFailure(const FrontierEntry& entry,
@@ -549,15 +552,13 @@ std::vector<FrontierEntry> Crawler::GatherBatch(VirtualClock* worker_clock) {
   std::vector<FrontierEntry> batch;
   batch.reserve(options_.classify_batch_size);
   const int64_t now = worker_clock->NowMicros();
-  while (static_cast<int>(batch.size()) < options_.classify_batch_size) {
-    // One critical section per page: reserve a budget slot and pop the
-    // globally best ready entry (§3.2's CRAWL checkout order), re-parking
-    // it if its server's breaker is open.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (static_cast<int>(visits_.size()) + in_flight_.load() >=
-        options_.max_fetches) {
-      break;
-    }
+  // One critical section per batch: reserve budget slots and pop the
+  // globally best ready entries (§3.2's CRAWL checkout order), re-parking
+  // those whose server's breaker is open.
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  while (static_cast<int>(batch.size()) < options_.classify_batch_size &&
+         static_cast<int>(visits_.size()) + in_flight_.load() <
+             options_.max_fetches) {
     std::optional<FrontierEntry> entry = frontier_.PopBest(now);
     if (!entry.has_value()) break;
     if (options_.breaker.enabled) {
@@ -649,13 +650,20 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
   Status boosts = RunPeriodicBoosts();
   Status flush = FlushBreakerState();
   // Pipeline batch boundary: everything this record/expand critical
-  // section wrote becomes one durable WAL commit (no-op without a WAL).
-  Status commit = CommitBatch();
-  stage_metrics_->AddExpandMicros(
-      static_cast<uint64_t>(expand_timer.ElapsedMicros()));
+  // section wrote is staged as one WAL commit (no-op without a WAL). Log
+  // order is this lock's order, so a batch is logged after every batch
+  // whose state it read.
+  Result<storage::CommitTicket> staged = StageBatchCommit();
   stage_metrics_->SetFrontierDepth(static_cast<double>(frontier_.size()));
   lock.unlock();
   work_cv_.notify_all();
+  // The log write and sync run off the lock: peers record and stage
+  // behind this batch meanwhile, and one sync can cover several batches.
+  // The worker still returns only once its batch is durable, and the
+  // record stage's timer covers that wait.
+  Status commit = staged.ok() ? db_->AwaitCommit(*staged) : staged.status();
+  stage_metrics_->AddExpandMicros(
+      static_cast<uint64_t>(expand_timer.ElapsedMicros()));
   if (!boosts.ok()) return boosts;
   if (!flush.ok()) return flush;
   return commit;
@@ -759,6 +767,7 @@ Status Crawler::PipelineWorker(VirtualClock* worker_clock) {
     stage_metrics_->AddFetchMicros(
         static_cast<uint64_t>(fetch_timer.ElapsedMicros()));
 
+    storage::CommitTicket failures_ticket;
     {
       // Attempt/failure bookkeeping in one short critical section.
       std::lock_guard<std::mutex> lock(state_mutex_);
@@ -770,12 +779,18 @@ Status Crawler::PipelineWorker(VirtualClock* worker_clock) {
       FOCUS_RETURN_IF_ERROR(FlushBreakerState());
       in_flight_.fetch_sub(static_cast<int>(failures.size()));
       // A batch whose fetches all failed never reaches RecordBatch, so its
-      // failure bookkeeping (numtries, nextretry, breaker rows) commits
-      // here: every batch ends in exactly one durable commit.
-      if (fetched.empty()) FOCUS_RETURN_IF_ERROR(CommitBatch());
+      // failure bookkeeping (numtries, nextretry, breaker rows) is staged
+      // here and awaited off the lock: every batch ends in exactly one
+      // durable commit.
+      if (fetched.empty()) {
+        FOCUS_ASSIGN_OR_RETURN(failures_ticket, StageBatchCommit());
+      }
     }
     if (!failures.empty()) work_cv_.notify_all();
-    if (fetched.empty()) continue;
+    if (fetched.empty()) {
+      FOCUS_RETURN_IF_ERROR(db_->AwaitCommit(failures_ticket));
+      continue;
+    }
 
     // --- classify stage (no locks; one batched evaluator call) ---
     std::vector<text::TermVector> docs;
@@ -847,13 +862,15 @@ Status Crawler::Crawl() {
   Status result = RunPipeline();
   // Persist any breaker transitions still queued (e.g. from the last
   // successful fetches) so a resume sees the final quarantine state.
+  Result<storage::CommitTicket> staged = storage::CommitTicket{};
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     Status flush = FlushBreakerState();
     if (result.ok()) result = flush;
-    Status commit = CommitBatch();
-    if (result.ok()) result = commit;
+    staged = StageBatchCommit();
   }
+  Status commit = staged.ok() ? db_->AwaitCommit(*staged) : staged.status();
+  if (result.ok()) result = commit;
   return result;
 }
 

@@ -243,8 +243,8 @@ class Crawler {
   Status PipelineWorker(VirtualClock* worker_clock);
   // Pops up to classify_batch_size entries ready at the worker's virtual
   // time and admitted by their server's breaker, reserving each against
-  // the fetch budget via in_flight_. Each page's reservation, pop and
-  // breaker re-park share one state_mutex_ critical section.
+  // the fetch budget via in_flight_. The whole batch's reservations, pops
+  // and breaker re-parks share one state_mutex_ critical section.
   std::vector<FrontierEntry> GatherBatch(VirtualClock* worker_clock);
   // Classifies a failed fetch, charges its retry budget (persisting via
   // CrawlDb::RecordFailure) and either drops the entry or re-parks it with
@@ -256,16 +256,20 @@ class Crawler {
   // Writes queued breaker transitions to the BREAKER table. Caller holds
   // state_mutex_.
   Status FlushBreakerState();
-  // Records a classified batch under one state critical section.
+  // Records a classified batch and stages its WAL commit under one state
+  // critical section, then awaits the commit's durability off the lock.
   Status RecordBatch(std::vector<FetchedPage>* pages,
                      const std::vector<PageJudgment>& judgments);
   // Runs any distillation / PageRank refresh whose visit threshold has
   // been crossed. Caller holds state_mutex_.
   Status RunPeriodicBoosts();
-  // Commits the current durable batch; every checkpoint_every_batches-th
-  // commit is promoted to a full checkpoint so the WAL never holds more
-  // than one interval of commits. Caller holds state_mutex_.
-  Status CommitBatch();
+  // Stages the current batch's WAL commit; the caller awaits the ticket
+  // (CrawlDb::AwaitCommit) after releasing state_mutex_, so log order is
+  // state_mutex_ order while the log I/O runs off the lock. Every
+  // checkpoint_every_batches-th commit is instead a full checkpoint, run
+  // inline (empty ticket), so the WAL never holds more than one interval
+  // of commits. Caller holds state_mutex_.
+  Result<storage::CommitTicket> StageBatchCommit();
 
   // `at_us` is the visit's virtual time (stamps admit events).
   Status ExpandLinks(const webgraph::SimulatedWeb::FetchResult& fetch,

@@ -52,19 +52,32 @@ uint64_t AlignUp(uint64_t off) {
   return (off + kPageSize - 1) / kPageSize * kPageSize;
 }
 
-// Serializes one record into `out`.
+// Serializes one record into `out`; its payload is `head` then `body`. The
+// checksum slot stays zero until SealRecords fills it in at flush time, so
+// appending (under the committer's locks) copies but never hashes.
 void AppendRecord(std::string* out, uint8_t type, uint64_t epoch, uint64_t lsn,
-                  std::string_view payload) {
+                  std::string_view head, std::string_view body = {}) {
   AppendPod<uint32_t>(out, kRecordMagic);
-  size_t body_start = out->size();
   AppendPod<uint8_t>(out, type);
   AppendPod<uint64_t>(out, epoch);
   AppendPod<uint64_t>(out, lsn);
-  AppendPod<uint32_t>(out, static_cast<uint32_t>(payload.size()));
-  out->append(payload);
-  uint64_t sum = Fnv1a64(
-      std::string_view(out->data() + body_start, out->size() - body_start));
-  AppendPod<uint64_t>(out, sum);
+  AppendPod<uint32_t>(out, static_cast<uint32_t>(head.size() + body.size()));
+  out->append(head);
+  out->append(body);
+  AppendPod<uint64_t>(out, 0);
+}
+
+// Computes the checksum of every record in `bytes`, a run of whole records
+// as AppendRecord laid them out.
+void SealRecords(std::string* bytes) {
+  size_t off = 0;
+  while (off < bytes->size()) {
+    char* p = bytes->data() + off;
+    uint32_t len = ReadPod<uint32_t>(p + 21);
+    uint64_t sum = Fnv1a64(std::string_view(p + 4, kRecHeader - 4 + len));
+    std::memcpy(p + kRecHeader + len, &sum, sizeof(sum));
+    off += kRecHeader + len + kRecTrailer;
+  }
 }
 
 std::string CommitPayload(uint32_t num_pages, std::string_view metadata) {
@@ -78,12 +91,11 @@ std::string CommitPayload(uint32_t num_pages, std::string_view metadata) {
 }  // namespace
 
 void Wal::Append(PageId id, const char* image) {
-  std::string payload;
-  payload.reserve(4 + kPageSize);
-  AppendPod<uint32_t>(&payload, id);
-  payload.append(image, kPageSize);
   size_t before = pending_.size();
-  AppendRecord(&pending_, kRecPageImage, epoch_, next_lsn_++, payload);
+  AppendRecord(&pending_, kRecPageImage, epoch_, next_lsn_++,
+               std::string_view(reinterpret_cast<const char*>(&id),
+                                sizeof(id)),
+               std::string_view(image, kPageSize));
   ++stats_.appends;
   stats_.log_bytes += pending_.size() - before;
 }
@@ -112,7 +124,9 @@ Wal::PendingFlush Wal::TakePending() {
   return f;
 }
 
-Status Wal::WriteFlush(const PendingFlush& flush) {
+Status Wal::WriteFlush(PendingFlush* pending) {
+  SealRecords(&pending->bytes);
+  const PendingFlush& flush = *pending;
   size_t npages = (flush.bytes.size() + kPageSize - 1) / kPageSize;
   Page pg;
   for (size_t i = 0; i < npages; ++i) {
@@ -143,10 +157,16 @@ void Wal::FinishFlush(const PendingFlush& flush) {
   }
 }
 
+uint32_t Wal::SegmentsAfterFlush() const {
+  // Every flush pads to a page boundary (TakePending), so the staged bytes
+  // land on whole pages past the current tail.
+  return SegmentsSpanned(tail_ + AlignUp(pending_.size()));
+}
+
 Status Wal::Commit(uint32_t num_pages, std::string_view metadata) {
   AppendCommit(num_pages, metadata);
   PendingFlush flush = TakePending();
-  FOCUS_RETURN_IF_ERROR(WriteFlush(flush));
+  FOCUS_RETURN_IF_ERROR(WriteFlush(&flush));
   FinishFlush(flush);
   return Status::OK();
 }
@@ -165,7 +185,7 @@ Status Wal::Reset(uint64_t new_epoch, uint32_t num_pages,
                CommitPayload(num_pages, metadata));
   stats_.log_bytes += pending_.size() - before;
   PendingFlush flush = TakePending();
-  FOCUS_RETURN_IF_ERROR(WriteFlush(flush));
+  FOCUS_RETURN_IF_ERROR(WriteFlush(&flush));
   FinishFlush(flush);
   ++stats_.checkpoints;
   return Status::OK();
@@ -441,15 +461,25 @@ uint32_t WalDiskManager::NumPages() const {
 Status WalDiskManager::Sync() {
   std::unique_lock<std::mutex> lock(mutex_);
   ++stats_.syncs;
-  std::string metadata = metadata_;  // CommitLocked may release the lock
-  FOCUS_RETURN_IF_ERROR(CommitLocked(metadata, lock));
-  return MaybeRecycleLocked(lock);
+  std::string metadata = metadata_;  // StageLocked reassigns metadata_
+  FOCUS_ASSIGN_OR_RETURN(CommitTicket ticket, StageLocked(metadata, lock));
+  return AwaitLocked(ticket, lock);
 }
 
 Status WalDiskManager::Commit(std::string_view metadata) {
   std::unique_lock<std::mutex> lock(mutex_);
-  FOCUS_RETURN_IF_ERROR(CommitLocked(metadata, lock));
-  return MaybeRecycleLocked(lock);
+  FOCUS_ASSIGN_OR_RETURN(CommitTicket ticket, StageLocked(metadata, lock));
+  return AwaitLocked(ticket, lock);
+}
+
+Result<CommitTicket> WalDiskManager::StageCommit(std::string_view metadata) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return StageLocked(metadata, lock);
+}
+
+Status WalDiskManager::AwaitCommit(const CommitTicket& ticket) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return AwaitLocked(ticket, lock);
 }
 
 Status WalDiskManager::Checkpoint(std::string_view metadata) {
@@ -457,28 +487,50 @@ Status WalDiskManager::Checkpoint(std::string_view metadata) {
   return CheckpointLocked(metadata, lock);
 }
 
-Status WalDiskManager::CommitLocked(std::string_view metadata,
-                                    std::unique_lock<std::mutex>& lock) {
+Result<CommitTicket> WalDiskManager::StageLocked(
+    std::string_view metadata, std::unique_lock<std::mutex>& lock) {
   FOCUS_RETURN_IF_ERROR(log_failed_);
-  if (dirty_.empty() && metadata == metadata_) return Status::OK();
-  uint64_t logged = dirty_.size();
+  CommitTicket ticket;
+  ticket.seq = staged_seq_;
+  if (dirty_.empty() && metadata == metadata_) return ticket;
+  ticket.pages = dirty_.size();
   for (PageId id : dirty_) {
     wal_.Append(id, overlay_[id]->data);
   }
   wal_.AppendCommit(num_pages_, metadata);
   dirty_.clear();
   metadata_.assign(metadata.data(), metadata.size());
-  uint64_t my_seq = ++staged_seq_;
+  ticket.seq = ++staged_seq_;
+  ticket.logged = true;
+  if (options_.recycle_after_segments == 0 ||
+      wal_.SegmentsAfterFlush() < options_.recycle_after_segments) {
+    return ticket;
+  }
+  // Recycling runs here, in the stage half, because a checkpoint folds the
+  // whole overlay into the data device: under the caller's lock no other
+  // batch can be half-way through writing its pages into it. The commit
+  // is flushed first, so the device sequence is that of commit-then-
+  // checkpoint.
+  FOCUS_RETURN_IF_ERROR(AwaitLocked(ticket, lock));
+  // Copy: CheckpointLocked may release the lock while a committer
+  // reassigns metadata_, and its inline commit must not self-assign.
+  std::string checkpoint_metadata = metadata_;
+  FOCUS_RETURN_IF_ERROR(CheckpointLocked(checkpoint_metadata, lock));
+  ticket.logged = false;  // durable and reported already
+  return ticket;
+}
 
-  // If another committer's flush is in flight, our batch is staged behind
+Status WalDiskManager::AwaitLocked(const CommitTicket& ticket,
+                                   std::unique_lock<std::mutex>& lock) {
+  // If another committer's flush is in flight, our commit is staged behind
   // its reserved extent: wait for a barrier that covers us, or for the
   // flight to end so we can lead the next one. The wait is bounded by one
   // log flush (plus the leader's optional linger).
-  while (flush_in_progress_ && synced_seq_ < my_seq) {
+  while (flush_in_progress_ && synced_seq_ < ticket.seq) {
     group_cv_.wait(lock);
   }
-  FOCUS_RETURN_IF_ERROR(log_failed_);
-  if (synced_seq_ < my_seq) {
+  if (synced_seq_ < ticket.seq) {
+    FOCUS_RETURN_IF_ERROR(log_failed_);
     // Become the flush leader for everything staged so far.
     flush_in_progress_ = true;
     if (options_.group_commit_wait_us > 0) {
@@ -495,9 +547,9 @@ Status WalDiskManager::CommitLocked(std::string_view metadata,
     if (!flush.empty()) {
       // The log device is touched by exactly one flusher at a time
       // (flush_in_progress_), so the store lock can drop during the I/O
-      // and followers keep staging.
+      // and other committers keep staging.
       lock.unlock();
-      st = wal_.WriteFlush(flush);
+      st = wal_.WriteFlush(&flush);
       lock.lock();
       if (st.ok()) {
         wal_.FinishFlush(flush);
@@ -510,31 +562,20 @@ Status WalDiskManager::CommitLocked(std::string_view metadata,
         log_failed_ = st;
       }
     }
-    // An empty take means a concurrent checkpoint already flushed our
-    // staged batch inline; it is durable.
+    // An empty take means a checkpoint's log reset dropped the staged
+    // bytes after its manifest had made them durable.
     if (st.ok()) synced_seq_ = covered;
     flush_in_progress_ = false;
     group_cv_.notify_all();
     FOCUS_RETURN_IF_ERROR(st);
   }
-  if (event_log_ != nullptr) {
+  if (ticket.logged && event_log_ != nullptr) {
     event_log_->Record(obs::CrawlEventType::kWalCommit, /*oid=*/-1,
                        /*parent_oid=*/-1, /*sid=*/-1, /*virtual_us=*/-1,
-                       /*value=*/static_cast<double>(logged),
+                       /*value=*/static_cast<double>(ticket.pages),
                        /*aux=*/static_cast<int64_t>(wal_.stats().commits));
   }
   return Status::OK();
-}
-
-Status WalDiskManager::MaybeRecycleLocked(std::unique_lock<std::mutex>& lock) {
-  if (options_.recycle_after_segments == 0) return Status::OK();
-  if (wal_.segment_stats().segments_in_use < options_.recycle_after_segments) {
-    return Status::OK();
-  }
-  // Copy: CheckpointLocked may release the lock while a committer
-  // reassigns metadata_, and its inline commit must not self-assign.
-  std::string metadata = metadata_;
-  return CheckpointLocked(metadata, lock);
 }
 
 Status WalDiskManager::CheckpointLocked(std::string_view metadata,
@@ -555,7 +596,13 @@ Status WalDiskManager::CheckpointLocked(std::string_view metadata,
     for (PageId id : dirty_) {
       wal_.Append(id, overlay_[id]->data);
     }
-    FOCUS_RETURN_IF_ERROR(wal_.Commit(num_pages_, metadata));
+    Status committed = wal_.Commit(num_pages_, metadata);
+    if (!committed.ok()) {
+      // The flush carried every staged commit, whose awaits would
+      // otherwise find nothing pending and report them durable.
+      log_failed_ = committed;
+      return committed;
+    }
     dirty_.clear();
     metadata_.assign(metadata.data(), metadata.size());
     if (event_log_ != nullptr) {
@@ -581,6 +628,10 @@ Status WalDiskManager::CheckpointLocked(std::string_view metadata,
   ++epoch_;
   overlay_.clear();
   dirty_.clear();
+  // The data device now holds every staged commit, including any the
+  // reset dropped from the log tail before its await ran.
+  synced_seq_ = staged_seq_;
+  group_cv_.notify_all();
   if (event_log_ != nullptr) {
     event_log_->Record(obs::CrawlEventType::kWalCheckpoint, /*oid=*/-1,
                        /*parent_oid=*/-1, /*sid=*/-1, /*virtual_us=*/-1,

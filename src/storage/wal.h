@@ -11,8 +11,9 @@
 //   * `Wal` owns the log format: it appends `{page_id, page_image, lsn}`
 //     records to a log device, group-commits them with an explicit Sync()
 //     barrier, and on open parses the log back into the set of *committed*
-//     page images. Records carry a checksum; a torn log tail (crash mid
-//     append) fails the checksum and the uncommitted batch is discarded.
+//     page images. Records carry a checksum, computed when their flush
+//     writes them; a torn log tail (crash mid append) fails the checksum
+//     and the uncommitted batch is discarded.
 //   * `WalDiskManager` wraps a data device + a log device. Writes never
 //     touch the data device directly: they land in an in-memory overlay
 //     (no-steal) and are logged on Commit(). Reads are served overlay-first.
@@ -33,8 +34,12 @@
 // page v maps to physical page v + 2).
 //
 // Crash-ordering contract (who syncs when):
-//   commit     = append images + commit record, then log Sync. A commit that
-//                returned OK is durable.
+//   commit     = stage, then await. Stage appends the dirty images and a
+//                commit record to the in-memory log tail; await writes the
+//                staged bytes and issues the log Sync. Log order is stage
+//                order, and flushes land one at a time in that order, so
+//                recovery keeps a prefix of the staged commits. A commit
+//                whose await returned OK is durable.
 //   checkpoint = commit, then data pages + data Sync, then manifest + data
 //                Sync, then log reset + log Sync. Every prefix of that
 //                sequence recovers to a committed state.
@@ -131,10 +136,11 @@ class Wal {
     bool empty() const { return bytes.empty(); }
   };
   PendingFlush TakePending();
-  // Writes the unit's pages (ascending, commit record last) and issues the
-  // sync barrier. Touches only the log device — safe to call without the
-  // owner's lock as long as only one flush is in flight at a time.
-  Status WriteFlush(const PendingFlush& flush);
+  // Computes the unit's record checksums, writes its pages (ascending,
+  // commit record last) and issues the sync barrier. Touches only the unit
+  // and the log device — safe to call without the owner's lock as long as
+  // only one flush is in flight at a time.
+  Status WriteFlush(PendingFlush* flush);
   // Folds a completed WriteFlush back into the stats (caller's lock held).
   void FinishFlush(const PendingFlush& flush);
 
@@ -158,6 +164,8 @@ class Wal {
     if (pages > 0) segment_pages_ = pages;
   }
   uint32_t segment_pages() const { return segment_pages_; }
+  // Segments the tail will span once everything staged has been flushed.
+  uint32_t SegmentsAfterFlush() const;
 
   // Point-in-time occupancy of the log (ROADMAP's segment recycling:
   // callers can observe that a checkpoint really returns the tail to the
@@ -202,6 +210,16 @@ class Wal {
   uint64_t staged_commits_ = 0;  // commit records in pending_
   uint32_t segment_pages_ = 256;  // 1 MiB logical segments
   WalStats stats_;
+};
+
+// A staged commit, handed from WalDiskManager::StageCommit to AwaitCommit.
+struct CommitTicket {
+  // The commit is durable once every commit up to `seq` is. A stage with
+  // nothing to log names the newest staged commit, so its await still
+  // covers every batch staged before it. 0 = nothing to wait for.
+  uint64_t seq = 0;
+  uint64_t pages = 0;   // page images the commit logged
+  bool logged = false;  // AwaitCommit records the kWalCommit event
 };
 
 // DiskManager decorator: WAL + no-steal overlay + manifest, providing
@@ -260,16 +278,27 @@ class WalDiskManager final : public DiskManager {
   // Durability barrier == Commit with the previous metadata blob.
   Status Sync() override;
 
-  // Commit: logs every page written since the last commit plus a commit
-  // record carrying `metadata`, then syncs the log. Atomic: after a crash
-  // the store recovers to exactly a commit boundary.
-  //
-  // Concurrent commits group-commit: batches stage under the lock, and one
-  // leader's sync barrier covers every batch staged before it (followers
-  // block — bounded by the leader's I/O — and return once their batch is
-  // durable). Options::group_commit_wait_us lets the leader linger for
-  // late joiners.
+  // Commit = StageCommit + AwaitCommit: logs every page written since the
+  // last commit plus a commit record carrying `metadata`, then syncs the
+  // log. Atomic: after a crash the store recovers to exactly a commit
+  // boundary.
   Status Commit(std::string_view metadata);
+
+  // Stage half of a commit: appends the dirty page images and a commit
+  // record carrying `metadata` to the log tail and returns without
+  // waiting for the log device. A caller that stages under its own lock
+  // fixes the log order of its batches to that lock's order and can await
+  // after releasing it. When the log would then span
+  // Options::recycle_after_segments segments, the stage also flushes and
+  // checkpoints inline, so the overlay fold sees only whole batches.
+  Result<CommitTicket> StageCommit(std::string_view metadata);
+
+  // Await half: returns once the ticket's commit is durable. Concurrent
+  // awaits group-commit: one leader's sync barrier covers every commit
+  // staged before it (followers block, bounded by the leader's I/O, and
+  // return once their commit is durable). Options::group_commit_wait_us
+  // lets the leader linger for late joiners.
+  Status AwaitCommit(const CommitTicket& ticket);
 
   // Applies the committed overlay to the data device and truncates the
   // log. `metadata` must fit in a manifest page (~4 KiB); keep it a
@@ -300,15 +329,16 @@ class WalDiskManager final : public DiskManager {
   }
 
   Status RecoverLocked();
-  // Stages the current dirty set + a commit record, then runs the
-  // leader/follower group-flush protocol (may release and reacquire
-  // `lock` around the device I/O).
-  Status CommitLocked(std::string_view metadata,
-                      std::unique_lock<std::mutex>& lock);
+  // Stages the current dirty set + a commit record; auto-checkpoints when
+  // the log would then span recycle_after_segments segments.
+  Result<CommitTicket> StageLocked(std::string_view metadata,
+                                   std::unique_lock<std::mutex>& lock);
+  // Runs the leader/follower group-flush protocol until `ticket` is
+  // durable (may release and reacquire `lock` around the device I/O).
+  Status AwaitLocked(const CommitTicket& ticket,
+                     std::unique_lock<std::mutex>& lock);
   Status CheckpointLocked(std::string_view metadata,
                           std::unique_lock<std::mutex>& lock);
-  // Auto-checkpoints when the log spans recycle_after_segments segments.
-  Status MaybeRecycleLocked(std::unique_lock<std::mutex>& lock);
   Status WriteManifestLocked(uint64_t epoch, std::string_view metadata);
 
   const Options options_;
@@ -330,9 +360,9 @@ class WalDiskManager final : public DiskManager {
   uint64_t recovered_commits_ = 0;
 
   // Group-commit protocol state (all under mutex_). A committer stages its
-  // batch, takes a sequence number, and either becomes the flush leader
-  // (when no flush is in flight) or waits on group_cv_ for a leader whose
-  // sync barrier covers its sequence number.
+  // batch and takes a sequence number; its await either becomes the flush
+  // leader (when no flush is in flight) or waits on group_cv_ for a leader
+  // whose sync barrier (or a checkpoint) covers its sequence number.
   std::condition_variable group_cv_;
   bool flush_in_progress_ = false;
   uint64_t staged_seq_ = 0;  // seq of the newest staged commit

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <functional>
 #include <thread>
 #include <unordered_map>
@@ -337,6 +338,81 @@ TEST(CrawlPipelineTest, CrawlContinuesAfterAFailedCall) {
   EXPECT_LT(after_abort, 100u);
   ASSERT_TRUE(session->crawler().Crawl().ok());
   EXPECT_EQ(session->crawler().visits().size(), 100u);
+}
+
+// A log device whose sync barrier lasts until two more commits have been
+// staged behind it, or 100 ms, like a slow fdatasync under a steady commit
+// stream. Waiting on staging instead of sleeping a fixed time keeps the
+// overlap under sanitizer slowdowns. It reads the WAL's pending bytes, so
+// it may only serve syncs issued with the WAL's lock released (flush
+// leaders), not checkpoint syncs.
+class StallingSyncDisk final : public storage::DiskManager {
+ public:
+  explicit StallingSyncDisk(storage::DiskManager* inner) : inner_(inner) {}
+  void Watch(const storage::WalDiskManager* wal) { wal_ = wal; }
+  Status ReadPage(storage::PageId id, char* out) override {
+    return inner_->ReadPage(id, out);
+  }
+  Status WritePage(storage::PageId id, const char* in) override {
+    return inner_->WritePage(id, in);
+  }
+  Result<storage::PageId> AllocatePage() override {
+    return inner_->AllocatePage();
+  }
+  uint32_t NumPages() const override { return inner_->NumPages(); }
+  Status Sync() override {
+    if (wal_ != nullptr) {
+      auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+      uint64_t seen = wal_->wal_segment_stats().pending_bytes;
+      for (int grew = 0;
+           grew < 2 && std::chrono::steady_clock::now() < deadline;) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        uint64_t pending = wal_->wal_segment_stats().pending_bytes;
+        if (pending > seen) ++grew;
+        seen = pending;
+      }
+    }
+    return inner_->Sync();
+  }
+
+ private:
+  storage::DiskManager* inner_;
+  const storage::WalDiskManager* wal_ = nullptr;
+};
+
+TEST(CrawlPipelineTest, WalCommitsCoalesceAcrossWorkers) {
+  // Workers stage their batch commits under the crawl-state lock and wait
+  // for the log sync after releasing it, so batches staged while one sync
+  // runs share the next barrier. Were the sync still inside the lock, no
+  // batch could stage during it and every barrier would cover exactly one
+  // commit.
+  auto system = TrainedSystem(36);
+  Cid cycling = system->tax().FindByName("cycling").value();
+  storage::MemDiskManager data;
+  storage::MemDiskManager log;
+  StallingSyncDisk stalling_log(&log);
+  auto wal = storage::WalDiskManager::Open(&data, &stalling_log).TakeValue();
+  stalling_log.Watch(wal.get());
+  storage::BufferPool pool(wal.get(), 4096);
+  sql::Catalog catalog(&pool);
+  auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
+  ClassifierEvaluator evaluator(&system->classifier());
+  CrawlerOptions copts;
+  copts.max_fetches = 256;
+  copts.num_threads = 4;
+  copts.classify_batch_size = 8;
+  copts.checkpoint_every_batches = 0;  // see StallingSyncDisk
+  Crawler crawler(&system->web(), &evaluator, &db, &catalog, copts);
+  for (const std::string& url : system->web().KeywordSeeds(cycling, 8)) {
+    ASSERT_TRUE(crawler.AddSeed(url).ok());
+  }
+  ASSERT_TRUE(crawler.Crawl().ok());
+  EXPECT_EQ(crawler.visits().size(), 256u);
+  const storage::WalStats stats = wal->wal_stats();
+  EXPECT_GE(stats.group_commit_max_batch, 2u)
+      << stats.commits << " commits took " << stats.syncs << " syncs";
+  EXPECT_LT(stats.group_commit_flushes, stats.commits);
 }
 
 TEST(CrawlPipelineTest, SingleThreadCrawlKeepsClassicOrderOnHostileWeb) {

@@ -318,12 +318,18 @@ std::unordered_map<uint64_t, double> VisitedRows(crawl::CrawlDb* db) {
   return out;
 }
 
-TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
+// Parameter: crawl worker threads. At 4 threads batches stage their WAL
+// commits under the crawl-state lock and await durability outside it, so
+// the power cut can land while several staged batches share one flush.
+class RobustnessCrashTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RobustnessCrashTest, StorageCrashMidCommitResumesAndConverges) {
   // A crawl over a file-backed WAL store, killed by a storage-level power
   // cut inside a batch commit, must recover to a commit boundary and — a
   // fresh crawler resuming from the recovered tables — converge to the
   // same final state as a crawl that was never interrupted. This is the
   // §3.1 crash claim ("all crawlers crash") carried down to the disk.
+  const int num_threads = GetParam();
   FocusOptions options = Options(37);
   options.web.pages_per_topic = 120;
   options.web.background_pages = 800;
@@ -355,7 +361,8 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
   // Deterministic per seed, so a counting pass sizes the op stream and a
   // second pass crashes at ~60% of it — inside some batch's commit, since
   // nearly every device op belongs to one.
-  std::string base = ::testing::TempDir() + "robustness_wal";
+  std::string base =
+      StrCat(::testing::TempDir(), "robustness_wal_t", num_threads);
   storage::CrashPlan plan;
   auto crawl_attempt = [&](const std::string& tag) -> Status {
     auto data =
@@ -377,6 +384,7 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
     crawl::ClassifierEvaluator evaluator(&system->classifier());
     CrawlerOptions copts;
     copts.max_fetches = 20000;
+    copts.num_threads = num_threads;
     crawl::Crawler crawler(&system->web(), &evaluator, &db, &catalog,
                            copts);
     for (const std::string& url :
@@ -419,6 +427,7 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
   crawl::ClassifierEvaluator evaluator(&system->classifier());
   CrawlerOptions copts;
   copts.max_fetches = 20000;
+  copts.num_threads = num_threads;
   crawl::Crawler resumed(&system->web(), &evaluator, &db, &catalog,
                          copts);
   ASSERT_TRUE(resumed.ResumeFromDb().ok());
@@ -438,6 +447,9 @@ TEST(RobustnessTest, StorageCrashMidCommitResumesAndConverges) {
   EXPECT_EQ(db.num_urls(), full_urls);
   EXPECT_EQ(db.num_links(), full_links);
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, RobustnessCrashTest,
+                         ::testing::Values(1, 4));
 
 TEST(RobustnessTest, CircuitBreakerReducesWastedWorkOnDeadServers) {
   // With ~12% of servers dead, every pop of a dead-server page burns a

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -346,6 +347,72 @@ TEST(WalGroupCommitTest, ConcurrentCommitsShareOneSyncBarrier) {
     EXPECT_EQ(got.Read<uint32_t>(0), 7000u + t);
   }
   EXPECT_EQ(reopened->recovered_metadata().rfind("meta-", 0), 0u);
+}
+
+TEST(WalGroupCommitTest, StagedCommitsShareOneBarrier) {
+  // A commit splits into stage (append to the log tail, no I/O) and await
+  // (flush + sync until durable), so a caller can stage under its own lock
+  // and wait after releasing it. Commits staged before any await ride one
+  // sync barrier, and an empty stage still waits for the commit staged
+  // before it.
+  MemDiskManager data, log;
+  auto wal = WalDiskManager::Open(&data, &log).TakeValue();
+  PageId pages[3];
+  for (PageId& p : pages) p = wal->AllocatePage().TakeValue();
+  ASSERT_TRUE(wal->Commit("meta-0").ok());
+  const uint64_t syncs_before = wal->wal_stats().syncs;
+  auto write = [&](int i) {
+    Page img;
+    img.Zero();
+    img.Write<uint32_t>(0, 7000 + i);
+    return wal->WritePage(pages[i], img.data);
+  };
+
+  storage::CommitTicket tickets[2];
+  std::vector<std::thread> stagers;
+  for (int t = 0; t < 2; ++t) {
+    stagers.emplace_back([&, t] {
+      ASSERT_TRUE(write(t).ok());
+      Result<storage::CommitTicket> staged =
+          wal->StageCommit(StrCat("meta-", t + 1));
+      ASSERT_TRUE(staged.ok()) << staged.status();
+      tickets[t] = *staged;
+    });
+  }
+  for (auto& th : stagers) th.join();
+  EXPECT_EQ(wal->wal_stats().syncs, syncs_before) << "staging synced";
+  EXPECT_NE(tickets[0].seq, tickets[1].seq);
+  std::vector<std::thread> awaiters;
+  for (int t = 0; t < 2; ++t) {
+    awaiters.emplace_back(
+        [&, t] { EXPECT_TRUE(wal->AwaitCommit(tickets[t]).ok()); });
+  }
+  for (auto& th : awaiters) th.join();
+  storage::WalStats stats = wal->wal_stats();
+  EXPECT_EQ(stats.syncs - syncs_before, 1u);
+  EXPECT_EQ(stats.group_commit_max_batch, 2u);
+
+  // Nothing dirty and the same metadata: the stage logs nothing, but its
+  // ticket names the pending commit, and awaiting it makes that durable.
+  ASSERT_TRUE(write(2).ok());
+  storage::CommitTicket pending = wal->StageCommit("meta-3").TakeValue();
+  storage::CommitTicket empty = wal->StageCommit("meta-3").TakeValue();
+  EXPECT_TRUE(pending.logged);
+  EXPECT_EQ(pending.pages, 1u);
+  EXPECT_FALSE(empty.logged);
+  EXPECT_EQ(empty.seq, pending.seq);
+  ASSERT_TRUE(wal->AwaitCommit(empty).ok());
+  EXPECT_EQ(wal->wal_stats().syncs - syncs_before, 2u);
+  ASSERT_TRUE(wal->AwaitCommit(pending).ok());
+  EXPECT_EQ(wal->wal_stats().syncs - syncs_before, 2u) << "already durable";
+
+  auto reopened = WalDiskManager::Open(&data, &log).TakeValue();
+  for (int i = 0; i < 3; ++i) {
+    Page got;
+    ASSERT_TRUE(reopened->ReadPage(pages[i], got.data).ok());
+    EXPECT_EQ(got.Read<uint32_t>(0), 7000u + i);
+  }
+  EXPECT_EQ(reopened->recovered_metadata(), "meta-3");
 }
 
 TEST(WalSegmentRecyclingTest, AutoCheckpointBoundsTheLogDevice) {
@@ -788,6 +855,160 @@ TEST(CrawlerRevisitTest, RevisitLoopKeepsLogDiskBounded) {
   EXPECT_EQ(unbounded.segments_recycled, 0u);
   EXPECT_GT(unbounded_pages.back(), unbounded_pages.front());
   EXPECT_GT(unbounded_pages.back(), bounded_pages.back());
+}
+
+// Batch atomicity of a crawl store: RecordVisit and the page's LINK rows
+// share one batch, so every visited CRAWL row carries all of its page's
+// outlinks.
+void ExpectVisitedRowsHaveAllLinks(crawl::CrawlDb* db,
+                                   const webgraph::SimulatedWeb& web) {
+  sql::Table* link = db->link_table();
+  int by_src = link->IndexId("by_src");
+  auto it = db->crawl_table()->Scan();
+  storage::Rid rid;
+  sql::Tuple row;
+  while (it.Next(&rid, &row)) {
+    crawl::CrawlRecord rec = crawl::CrawlDb::RecordFromTuple(row);
+    if (!rec.visited) continue;
+    uint32_t page = web.PageIndexByUrl(rec.url).value();
+    std::vector<storage::Rid> rids;
+    ASSERT_TRUE(link->IndexLookup(
+                        by_src,
+                        {sql::Value::Int64(static_cast<int64_t>(rec.oid))},
+                        &rids)
+                    .ok());
+    EXPECT_EQ(rids.size(), web.page(page).outlinks.size()) << rec.url;
+  }
+  ASSERT_TRUE(it.status().ok()) << it.status();
+}
+
+// Buffer-pool device over the WAL whose page writes take `write_us`, so a
+// batch's FlushAll into the overlay lasts long enough for a concurrent
+// checkpoint to land inside it.
+class SlowWriteDisk final : public storage::DiskManager {
+ public:
+  SlowWriteDisk(storage::DiskManager* inner, int write_us)
+      : inner_(inner), write_us_(write_us) {}
+  Status ReadPage(PageId id, char* out) override {
+    return inner_->ReadPage(id, out);
+  }
+  Status ReadPages(PageId first, uint32_t n, char* out) override {
+    return inner_->ReadPages(first, n, out);
+  }
+  Status WritePage(PageId id, const char* in) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(write_us_));
+    return inner_->WritePage(id, in);
+  }
+  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
+  uint32_t NumPages() const override { return inner_->NumPages(); }
+  Status Sync() override { return inner_->Sync(); }
+
+ private:
+  storage::DiskManager* inner_;
+  int write_us_;
+};
+
+// Log device decorator: after every sync barrier it recovers a copy of
+// both devices as they stand, i.e. a power cut right after that barrier,
+// and checks batch atomicity on the recovered store. Only the syncing
+// thread touches the devices then: a flush leader owns the log device,
+// and checkpoints (the only data-device writers) wait out every flush.
+class RecoverAfterEverySync final : public storage::DiskManager {
+ public:
+  RecoverAfterEverySync(MemDiskManager* data, MemDiskManager* log,
+                        const webgraph::SimulatedWeb* web,
+                        WalDiskManager::Options options)
+      : data_(data), log_(log), web_(web), options_(options) {}
+  Status ReadPage(PageId id, char* out) override {
+    return log_->ReadPage(id, out);
+  }
+  Status WritePage(PageId id, const char* in) override {
+    return log_->WritePage(id, in);
+  }
+  Result<PageId> AllocatePage() override { return log_->AllocatePage(); }
+  uint32_t NumPages() const override { return log_->NumPages(); }
+  Status Sync() override {
+    FOCUS_RETURN_IF_ERROR(log_->Sync());
+    MemDiskManager data, log;
+    CopyDevice(data_, &data);
+    CopyDevice(log_, &log);
+    FOCUS_ASSIGN_OR_RETURN(std::unique_ptr<WalDiskManager> wal,
+                           WalDiskManager::Open(&data, &log, options_));
+    storage::BufferPool pool(wal.get(), 512);
+    sql::Catalog catalog(&pool);
+    FOCUS_ASSIGN_OR_RETURN(crawl::CrawlDb db,
+                           crawl::CrawlDb::Open(&catalog, wal.get()));
+    ExpectVisitedRowsHaveAllLinks(&db, *web_);
+    checked_.fetch_add(1);
+    return Status::OK();
+  }
+  int checked() const { return checked_.load(); }
+
+ private:
+  MemDiskManager* data_;
+  MemDiskManager* log_;
+  const webgraph::SimulatedWeb* web_;
+  WalDiskManager::Options options_;
+  std::atomic<int> checked_{0};
+};
+
+TEST(CrawlerRecyclingTest, FourThreadCrawlRecyclesOnlyWholeBatches) {
+  // Segment recycling checkpoints from inside a commit, folding the whole
+  // overlay into the data device. Four workers stage their commits under
+  // the crawl-state lock and await them outside it, so the checkpoint
+  // must run in the stage half: from an await it could fold in another
+  // worker's half-flushed batch. Every durable point of the crawl must
+  // recover to whole batches, and the finished store must reopen and
+  // resume.
+  taxonomy::Taxonomy tax;
+  taxonomy::Cid rec = tax.AddTopic(taxonomy::kRootCid, "recreation").value();
+  ASSERT_TRUE(tax.AddTopic(rec, "cycling").ok());
+  webgraph::WebConfig config;
+  config.seed = 5;
+  config.pages_per_topic = 150;
+  config.background_pages = 400;
+  auto generated = webgraph::SimulatedWeb::Generate(tax, config, {});
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  webgraph::SimulatedWeb& web = generated.value();
+
+  WalDiskManager::Options recycle;
+  recycle.segment_pages = 16;
+  recycle.recycle_after_segments = 2;
+  ConstantEvaluator evaluator;
+  crawl::CrawlerOptions copts;
+  copts.max_fetches = 400;
+  copts.num_threads = 4;
+  copts.classify_batch_size = 8;
+  copts.checkpoint_every_batches = 0;  // checkpoints come from recycling
+
+  MemDiskManager data, log;
+  RecoverAfterEverySync checked_log(&data, &log, &web, recycle);
+  {
+    auto wal = WalDiskManager::Open(&data, &checked_log, recycle).TakeValue();
+    SlowWriteDisk pool_disk(wal.get(), /*write_us=*/50);
+    storage::BufferPool pool(&pool_disk, 512);
+    sql::Catalog catalog(&pool);
+    auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
+    crawl::Crawler crawler(&web, &evaluator, &db, &catalog, copts);
+    ASSERT_TRUE(crawler.AddSeed(web.page(0).url).ok());
+    Status crawled = crawler.Crawl();
+    ASSERT_TRUE(crawled.ok()) << crawled;
+    EXPECT_EQ(crawler.visits().size(), 400u);
+    EXPECT_GT(wal->wal_stats().segments_recycled, 0u);
+  }
+  EXPECT_GT(checked_log.checked(), 10);
+
+  auto wal = WalDiskManager::Open(&data, &log, recycle).TakeValue();
+  storage::BufferPool pool(wal.get(), 512);
+  sql::Catalog catalog(&pool);
+  auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
+  ExpectVisitedRowsHaveAllLinks(&db, web);
+  crawl::Crawler resumed(&web, &evaluator, &db, &catalog, copts);
+  ASSERT_TRUE(resumed.ResumeFromDb().ok());
+  Status crawled = resumed.Crawl();
+  ASSERT_TRUE(crawled.ok()) << crawled;
+  EXPECT_GT(resumed.visits().size(), 0u);
+  ExpectVisitedRowsHaveAllLinks(&db, web);
 }
 
 TEST(CrawlerCheckpointTest, RecoveryReplaysAtMostOneCheckpointInterval) {
