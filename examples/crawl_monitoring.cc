@@ -12,10 +12,11 @@
 // category good recovers the harvest.
 //
 // Along the way this example doubles as the observability tour: the
-// pipeline stage report, the registry-delta reporter, the crawl event log
-// with a provenance-path reconstruction, EXPLAIN-ANALYZE plan reports for
-// the Figure 3 classifier plan and a Figure 4 distillation iteration, and
-// (with --admin-port N) the live admin introspection server:
+// pipeline stage report, the crawl's counters from the registry's
+// Prometheus exposition, the crawl event log with a provenance-path
+// reconstruction, EXPLAIN-ANALYZE plan reports for the Figure 3
+// classifier plan and a Figure 4 distillation iteration, and (with
+// --admin-port N) the live admin introspection server:
 //
 //   crawl_monitoring --admin-port 0 --admin-linger 30
 //
@@ -27,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -44,7 +46,6 @@
 #include "obs/admin_server.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "sql/catalog.h"
 #include "sql/exec/analyze.h"
 #include "storage/buffer_pool.h"
@@ -117,10 +118,6 @@ int Run(int admin_port, int admin_linger_s) {
   copts.max_fetches = 1500;
   copts.num_threads = 4;  // the pipeline, so the stage report has content
   copts.event_log = &event_log;
-  // Baseline the registry-delta reporter before any pages move. With
-  // Start() it would log a delta every interval; here we pull one report
-  // by hand after the crawl so the output stays deterministic.
-  obs::PeriodicReporter reporter;
   auto session = system->NewCrawl(seeds, copts).TakeValue();
   crawl::RegisterCrawlAdminEndpoints(&admin, &session->crawler());
   FOCUS_CHECK(session->crawler().Crawl().ok());
@@ -140,8 +137,19 @@ int Run(int admin_port, int admin_linger_s) {
               session->crawler().visits().size(),
               static_cast<unsigned long long>(cstats.transient_failures),
               static_cast<unsigned long long>(cstats.dropped_urls));
-  std::printf("registry counters moved since crawl start:\n%s\n",
-              reporter.ReportOnce().c_str());
+  // The same counters a scraper reads from the admin server's /metrics:
+  // every focus_crawl_* counter sample of the registry's Prometheus
+  // exposition that moved.
+  std::printf("crawl counters from the /metrics exposition:\n");
+  std::istringstream exposition(
+      obs::MetricsRegistry::Global().ToPrometheusText());
+  for (std::string line; std::getline(exposition, line);) {
+    if (line.rfind("focus_crawl_", 0) != 0) continue;
+    std::string name = line.substr(0, line.find_first_of("{ "));
+    if (!name.ends_with("_total") || line.ends_with(" 0")) continue;
+    std::printf("  %s\n", line.c_str());
+  }
+  std::printf("\n");
 
   // --- diagnose with the census query of §3.7 ---
   std::printf("census query (select kcid, count(oid) from CRAWL group by "

@@ -9,6 +9,14 @@
 
 namespace focus::dist {
 
+namespace {
+
+// Buffer-pool frames per shard, and for the merged store GlobalDistill
+// builds.
+constexpr size_t kShardBufferFrames = 4096;
+
+}  // namespace
+
 bool IsShardDeath(const Status& status) {
   if (status.ok()) return false;
   const std::string& m = status.message();
@@ -85,10 +93,10 @@ Status DistCrawl::BootShard(int s) {
   // Recovery: replay the shard's redo log to its last durable batch.
   FOCUS_ASSIGN_OR_RETURN(
       sh.wal,
-      storage::WalDiskManager::Open(dev.data, dev.log, options_.wal_options));
+      storage::WalDiskManager::Open(dev.data, dev.log));
   if (sh.log != nullptr) sh.wal->BindEventLog(sh.log.get());
-  sh.pool = std::make_unique<storage::BufferPool>(
-      sh.wal.get(), options_.buffer_frames, options_.pool_options);
+  sh.pool = std::make_unique<storage::BufferPool>(sh.wal.get(),
+                                                  kShardBufferFrames);
   sh.catalog = std::make_unique<sql::Catalog>(sh.pool.get());
   FOCUS_ASSIGN_OR_RETURN(crawl::CrawlDb db,
                          crawl::CrawlDb::Open(sh.catalog.get(), sh.wal.get()));
@@ -232,7 +240,7 @@ Result<GlobalDistillResult> DistCrawl::GlobalDistill(
   // therefore every floating-point operation of the distillation — is
   // independent of the shard count and of delivery interleavings.
   storage::MemDiskManager disk;
-  storage::BufferPool pool(&disk, options_.buffer_frames);
+  storage::BufferPool pool(&disk, kShardBufferFrames);
   sql::Catalog catalog(&pool);
   FOCUS_ASSIGN_OR_RETURN(crawl::CrawlDb mdb, crawl::CrawlDb::Create(&catalog));
 

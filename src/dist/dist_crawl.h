@@ -110,14 +110,9 @@ struct DistCrawlOptions {
   // Per-shard crawler configuration. The distributed hooks (link_sink,
   // interrupt, event_log, metrics_registry) are overwritten per shard.
   crawl::CrawlerOptions crawler;
-  // Buffer-pool frames per shard.
-  size_t buffer_frames = 4096;
-  // Per-shard buffer-pool tuning (readahead); off by default.
-  storage::BufferPool::Options pool_options;
-  // Per-shard WAL tuning (group-commit linger, log-segment size and
-  // recycling threshold, end-of-recovery checkpoint).
-  storage::WalDiskManager::Options wal_options;
-  // Storage for each shard; nullptr = internal in-memory devices.
+  // Storage for each shard; nullptr = internal in-memory devices. Every
+  // shard opens its WAL and buffer pool with default options; the crawler's
+  // periodic checkpoint (crawler.checkpoint_every_batches) bounds its log.
   ShardStoreProvider store_provider;
   // Scheduled kills; borrowed, may be nullptr. Shared with the test so it
   // can assert every kill fired.

@@ -156,8 +156,7 @@ class MetricsRegistry {
   // "histograms": [...]} with p50/p90/p99 estimates per histogram.
   std::string ToJson() const;
 
-  // Counter values keyed by "name{labels}" — the delta source for
-  // PeriodicReporter.
+  // Counter values keyed by "name{labels}".
   std::map<std::string, uint64_t> CounterValues() const;
 
  private:

@@ -148,6 +148,8 @@ Status Wal::WriteFlush(PendingFlush* pending) {
 }
 
 void Wal::FinishFlush(const PendingFlush& flush) {
+  device_pages_ = std::max(device_pages_,
+                           static_cast<uint32_t>(flush.new_tail / kPageSize));
   ++stats_.syncs;
   stats_.commits += flush.commits;
   if (flush.commits > 0) {
@@ -157,10 +159,13 @@ void Wal::FinishFlush(const PendingFlush& flush) {
   }
 }
 
-uint32_t Wal::SegmentsAfterFlush() const {
-  // Every flush pads to a page boundary (TakePending), so the staged bytes
-  // land on whole pages past the current tail.
-  return SegmentsSpanned(tail_ + AlignUp(pending_.size()));
+WalStats Wal::stats() const {
+  WalStats s = stats_;
+  s.epoch = epoch_;
+  s.tail_bytes = tail_;
+  s.pending_bytes = pending_.size();
+  s.device_pages = device_pages_;
+  return s;
 }
 
 Status Wal::Commit(uint32_t num_pages, std::string_view metadata) {
@@ -173,9 +178,8 @@ Status Wal::Commit(uint32_t num_pages, std::string_view metadata) {
 
 Status Wal::Reset(uint64_t new_epoch, uint32_t num_pages,
                   std::string_view metadata) {
-  // Every segment the old tail spanned becomes reusable under the new
-  // epoch (recovery ignores stale-epoch records, so no erase is needed).
-  stats_.segments_recycled += SegmentsSpanned(tail_);
+  // The old tail's pages are reused by the new epoch (recovery ignores
+  // stale-epoch records, so no erase is needed).
   epoch_ = new_epoch;
   tail_ = 0;
   pending_.clear();
@@ -193,6 +197,7 @@ Status Wal::Reset(uint64_t new_epoch, uint32_t num_pages,
 
 Result<Wal::Recovered> Wal::Recover() {
   uint32_t n = log_->NumPages();
+  device_pages_ = n;
   std::string buf(static_cast<size_t>(n) * kPageSize, '\0');
   for (uint32_t i = 0; i < n; ++i) {
     FOCUS_RETURN_IF_ERROR(log_->ReadPage(i, buf.data() + i * kPageSize));
@@ -462,19 +467,19 @@ Status WalDiskManager::Sync() {
   std::unique_lock<std::mutex> lock(mutex_);
   ++stats_.syncs;
   std::string metadata = metadata_;  // StageLocked reassigns metadata_
-  FOCUS_ASSIGN_OR_RETURN(CommitTicket ticket, StageLocked(metadata, lock));
+  FOCUS_ASSIGN_OR_RETURN(CommitTicket ticket, StageLocked(metadata));
   return AwaitLocked(ticket, lock);
 }
 
 Status WalDiskManager::Commit(std::string_view metadata) {
   std::unique_lock<std::mutex> lock(mutex_);
-  FOCUS_ASSIGN_OR_RETURN(CommitTicket ticket, StageLocked(metadata, lock));
+  FOCUS_ASSIGN_OR_RETURN(CommitTicket ticket, StageLocked(metadata));
   return AwaitLocked(ticket, lock);
 }
 
 Result<CommitTicket> WalDiskManager::StageCommit(std::string_view metadata) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return StageLocked(metadata, lock);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return StageLocked(metadata);
 }
 
 Status WalDiskManager::AwaitCommit(const CommitTicket& ticket) {
@@ -487,8 +492,7 @@ Status WalDiskManager::Checkpoint(std::string_view metadata) {
   return CheckpointLocked(metadata, lock);
 }
 
-Result<CommitTicket> WalDiskManager::StageLocked(
-    std::string_view metadata, std::unique_lock<std::mutex>& lock) {
+Result<CommitTicket> WalDiskManager::StageLocked(std::string_view metadata) {
   FOCUS_RETURN_IF_ERROR(log_failed_);
   CommitTicket ticket;
   ticket.seq = staged_seq_;
@@ -502,21 +506,6 @@ Result<CommitTicket> WalDiskManager::StageLocked(
   metadata_.assign(metadata.data(), metadata.size());
   ticket.seq = ++staged_seq_;
   ticket.logged = true;
-  if (options_.recycle_after_segments == 0 ||
-      wal_.SegmentsAfterFlush() < options_.recycle_after_segments) {
-    return ticket;
-  }
-  // Recycling runs here, in the stage half, because a checkpoint folds the
-  // whole overlay into the data device: under the caller's lock no other
-  // batch can be half-way through writing its pages into it. The commit
-  // is flushed first, so the device sequence is that of commit-then-
-  // checkpoint.
-  FOCUS_RETURN_IF_ERROR(AwaitLocked(ticket, lock));
-  // Copy: CheckpointLocked may release the lock while a committer
-  // reassigns metadata_, and its inline commit must not self-assign.
-  std::string checkpoint_metadata = metadata_;
-  FOCUS_RETURN_IF_ERROR(CheckpointLocked(checkpoint_metadata, lock));
-  ticket.logged = false;  // durable and reported already
   return ticket;
 }
 
@@ -624,7 +613,14 @@ Status WalDiskManager::CheckpointLocked(std::string_view metadata,
   FOCUS_RETURN_IF_ERROR(data_->Sync());
   FOCUS_RETURN_IF_ERROR(WriteManifestLocked(epoch_ + 1, metadata_));
   FOCUS_RETURN_IF_ERROR(data_->Sync());
-  FOCUS_RETURN_IF_ERROR(wal_.Reset(epoch_ + 1, num_pages_, metadata_));
+  if (Status reset = wal_.Reset(epoch_ + 1, num_pages_, metadata_);
+      !reset.ok()) {
+    // The manifest already names the new epoch, but its log head may never
+    // have been written: a later commit appended behind it would be lost
+    // by recovery, so poison the log as a failed flush does.
+    log_failed_ = reset;
+    return reset;
+  }
   ++epoch_;
   overlay_.clear();
   dirty_.clear();
@@ -669,11 +665,6 @@ WalStats WalDiskManager::wal_stats() const {
   return s;
 }
 
-Wal::SegmentStats WalDiskManager::wal_segment_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return wal_.segment_stats();
-}
-
 void WalDiskManager::BindMetrics(obs::MetricsRegistry* registry,
                                  std::string name) {
   if (collector_id_ != 0) metrics_registry_->RemoveCollector(collector_id_);
@@ -690,13 +681,10 @@ void WalDiskManager::BindMetrics(obs::MetricsRegistry* registry,
   collector_id_ = metrics_registry_->AddCollector(
       [this, labels](std::vector<obs::GaugeSample>* out) {
         WalStats s = wal_stats();
-        Wal::SegmentStats seg = wal_segment_stats();
         size_t overlay_pages;
-        uint64_t epoch;
         {
           std::lock_guard<std::mutex> lock(mutex_);
           overlay_pages = overlay_.size();
-          epoch = epoch_;
         }
         auto emit = [&](const char* n, uint64_t v) {
           out->push_back({n, labels, static_cast<double>(v)});
@@ -709,14 +697,11 @@ void WalDiskManager::BindMetrics(obs::MetricsRegistry* registry,
         emit("focus_wal_recovery_replayed_total", s.recovery_replayed);
         emit("focus_wal_recovered_commits_total", s.recovered_commits);
         emit("focus_wal_overlay_pages", overlay_pages);
-        emit("focus_wal_epoch", epoch);
+        emit("focus_wal_epoch", s.epoch);
         emit("focus_wal_group_commit_flushes_total", s.group_commit_flushes);
         emit("focus_wal_group_commit_max_batch", s.group_commit_max_batch);
-        emit("focus_wal_segment_pages", seg.segment_pages);
-        emit("focus_wal_segments_in_use", seg.segments_in_use);
-        emit("focus_wal_segments_recycled_total", seg.segments_recycled);
-        emit("focus_wal_log_tail_bytes", seg.tail_bytes);
-        emit("focus_wal_log_device_pages", seg.device_pages);
+        emit("focus_wal_log_tail_bytes", s.tail_bytes);
+        emit("focus_wal_log_device_pages", s.device_pages);
       });
 }
 

@@ -68,7 +68,7 @@ class EventLog;
 
 namespace focus::storage {
 
-// Counters for the logging layer, exported through obs as
+// Counters and occupancy of the logging layer, exported through obs as
 // focus_wal_appends_total / focus_wal_syncs_total /
 // focus_wal_recovery_replayed_total (and friends).
 struct WalStats {
@@ -79,10 +79,14 @@ struct WalStats {
   uint64_t log_bytes = 0;          // record bytes appended (before padding)
   uint64_t recovery_replayed = 0;  // committed page images replayed on Open
   uint64_t recovered_commits = 0;  // committed batches found in the log
-  uint64_t segments_recycled = 0;  // log segments returned for reuse by
-                                   // checkpoints (see Wal segment docs)
   uint64_t group_commit_flushes = 0;    // sync barriers covering >= 1 commit
   uint64_t group_commit_max_batch = 0;  // most commits one sync covered
+  // Point-in-time occupancy: a checkpoint returns the tail to the start of
+  // the device, so tests can pin log growth across checkpoint cycles.
+  uint64_t epoch = 0;          // current log epoch
+  uint64_t tail_bytes = 0;     // durable append tail (page-aligned)
+  uint64_t pending_bytes = 0;  // staged, not yet flushed
+  uint32_t device_pages = 0;   // log-device pages written (high-water)
 };
 
 // The append/parse engine for one log device. Not thread safe; callers
@@ -151,54 +155,10 @@ class Wal {
   Status Reset(uint64_t new_epoch, uint32_t num_pages,
                std::string_view metadata);
 
-  uint64_t epoch() const { return epoch_; }
-  const WalStats& stats() const { return stats_; }
-
-  // The log device is carved into fixed-size logical segments of this many
-  // pages. Segments have no on-disk framing — they are an accounting unit:
-  // `segments_in_use` is how many the durable tail currently spans, and a
-  // Reset (checkpoint) counts every in-use segment as recycled, since its
-  // pages become reusable by the next epoch (stale-epoch records are
-  // ignored by recovery, so no erase pass is needed).
-  void set_segment_pages(uint32_t pages) {
-    if (pages > 0) segment_pages_ = pages;
-  }
-  uint32_t segment_pages() const { return segment_pages_; }
-  // Segments the tail will span once everything staged has been flushed.
-  uint32_t SegmentsAfterFlush() const;
-
-  // Point-in-time occupancy of the log (ROADMAP's segment recycling:
-  // callers can observe that a checkpoint really returns the tail to the
-  // start of the device, auto-checkpoint policies can bound
-  // segments_in_use, and regression tests can pin log growth across
-  // checkpoint cycles).
-  struct SegmentStats {
-    uint64_t epoch = 0;          // current log epoch
-    uint64_t tail_bytes = 0;     // durable append tail (page-aligned)
-    uint64_t pending_bytes = 0;  // buffered, not yet committed
-    uint32_t device_pages = 0;   // pages allocated on the log device
-    uint32_t segment_pages = 0;  // logical segment size
-    uint32_t segments_in_use = 0;     // segments the tail spans
-    uint64_t segments_recycled = 0;   // cumulative, via checkpoints
-  };
-  SegmentStats segment_stats() const {
-    SegmentStats s;
-    s.epoch = epoch_;
-    s.tail_bytes = tail_;
-    s.pending_bytes = pending_.size();
-    s.device_pages = log_->NumPages();
-    s.segment_pages = segment_pages_;
-    s.segments_in_use = SegmentsSpanned(tail_);
-    s.segments_recycled = stats_.segments_recycled;
-    return s;
-  }
+  // Counters plus the log's current occupancy.
+  WalStats stats() const;
 
  private:
-  uint32_t SegmentsSpanned(uint64_t bytes) const {
-    uint64_t seg_bytes = static_cast<uint64_t>(segment_pages_) * kPageSize;
-    return static_cast<uint32_t>((bytes + seg_bytes - 1) / seg_bytes);
-  }
-
   DiskManager* log_;
   uint64_t epoch_ = 0;
   uint64_t next_lsn_ = 0;
@@ -208,7 +168,9 @@ class Wal {
   uint64_t tail_ = 0;
   std::string pending_;
   uint64_t staged_commits_ = 0;  // commit records in pending_
-  uint32_t segment_pages_ = 256;  // 1 MiB logical segments
+  // Log-device pages written so far. Tracked here, under the owner's lock,
+  // because a flush in flight grows the device without that lock.
+  uint32_t device_pages_ = 0;
   WalStats stats_;
 };
 
@@ -238,16 +200,6 @@ class WalDiskManager final : public DiskManager {
     // immediately; concurrent commits still coalesce opportunistically
     // whenever they stage while another flush's device I/O is in flight.
     double group_commit_wait_us = 0;
-    // Logical log-segment size in pages (accounting unit for recycling).
-    uint32_t segment_pages = 256;
-    // Log-segment recycling: when > 0, a commit that leaves the log
-    // spanning at least this many segments triggers an automatic
-    // checkpoint, which folds the overlay into the data device and
-    // recycles every in-use segment. Steady-state log disk usage is then
-    // bounded by recycle_after_segments * segment_pages + one commit's
-    // worth of pages, no matter how long the workload runs. 0 = off
-    // (callers checkpoint explicitly).
-    uint32_t recycle_after_segments = 0;
   };
 
   // Attaches to `data` + `log` (borrowed; must outlive the manager) and
@@ -288,9 +240,7 @@ class WalDiskManager final : public DiskManager {
   // record carrying `metadata` to the log tail and returns without
   // waiting for the log device. A caller that stages under its own lock
   // fixes the log order of its batches to that lock's order and can await
-  // after releasing it. When the log would then span
-  // Options::recycle_after_segments segments, the stage also flushes and
-  // checkpoints inline, so the overlay fold sees only whole batches.
+  // after releasing it.
   Result<CommitTicket> StageCommit(std::string_view metadata);
 
   // Await half: returns once the ticket's commit is durable. Concurrent
@@ -309,7 +259,6 @@ class WalDiskManager final : public DiskManager {
   const std::string& recovered_metadata() const { return recovered_metadata_; }
   uint64_t epoch() const { return epoch_; }
   WalStats wal_stats() const;
-  Wal::SegmentStats wal_segment_stats() const;
 
   // Exports WAL counters through the metrics registry, labeled
   // {wal=<name>}. Follows the BufferPool::BindMetrics collector pattern.
@@ -324,15 +273,11 @@ class WalDiskManager final : public DiskManager {
 
  private:
   WalDiskManager(DiskManager* data, DiskManager* log, Options options)
-      : options_(options), data_(data), log_(log), wal_(log) {
-    wal_.set_segment_pages(options.segment_pages);
-  }
+      : options_(options), data_(data), log_(log), wal_(log) {}
 
   Status RecoverLocked();
-  // Stages the current dirty set + a commit record; auto-checkpoints when
-  // the log would then span recycle_after_segments segments.
-  Result<CommitTicket> StageLocked(std::string_view metadata,
-                                   std::unique_lock<std::mutex>& lock);
+  // Stages the current dirty set + a commit record.
+  Result<CommitTicket> StageLocked(std::string_view metadata);
   // Runs the leader/follower group-flush protocol until `ticket` is
   // durable (may release and reacquire `lock` around the device I/O).
   Status AwaitLocked(const CommitTicket& ticket,

@@ -364,11 +364,11 @@ class StallingSyncDisk final : public storage::DiskManager {
     if (wal_ != nullptr) {
       auto deadline =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
-      uint64_t seen = wal_->wal_segment_stats().pending_bytes;
+      uint64_t seen = wal_->wal_stats().pending_bytes;
       for (int grew = 0;
            grew < 2 && std::chrono::steady_clock::now() < deadline;) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        uint64_t pending = wal_->wal_segment_stats().pending_bytes;
+        uint64_t pending = wal_->wal_stats().pending_bytes;
         if (pending > seen) ++grew;
         seen = pending;
       }

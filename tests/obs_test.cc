@@ -11,7 +11,6 @@
 #include "obs/event_log.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/trace.h"
 
 namespace focus::obs {
@@ -380,21 +379,6 @@ TEST(MetricsRegistryTest, SnapshotDuringConcurrentIncrements) {
   EXPECT_EQ(total, static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(reg.GetHistogram("work_us")->Snapshot().count,
             static_cast<uint64_t>(kThreads) * kIters);
-}
-
-// ---- reporter ----
-
-TEST(PeriodicReporterTest, ReportOnceShowsOnlyMovedCounters) {
-  MetricsRegistry reg;
-  Counter* moved = reg.GetCounter("moved_total");
-  reg.GetCounter("idle_total");
-  PeriodicReporter reporter(&reg);
-  EXPECT_EQ(reporter.ReportOnce(), "");  // nothing moved yet
-  moved->Add(5);
-  std::string report = reporter.ReportOnce();
-  EXPECT_NE(report.find("moved_total +5"), std::string::npos) << report;
-  EXPECT_EQ(report.find("idle_total"), std::string::npos) << report;
-  EXPECT_EQ(reporter.ReportOnce(), "");  // delta consumed
 }
 
 // ---- trace spans ----

@@ -5,21 +5,35 @@
 // _total suffix) silently corrupt dashboards. This test renders a registry
 // populated with the crawl layer's real metric families (StageMetrics) plus
 // adversarial label/help strings, then re-parses the page line by line and
-// checks the format invariants the exposition spec requires.
+// checks the format invariants the exposition spec requires. A second
+// suite checks that the metric catalog in OBSERVABILITY.md names exactly
+// the families a WAL-backed crawl registers.
 
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "crawl/crawl_db.h"
+#include "crawl/crawler.h"
 #include "crawl/metrics.h"
+#include "crawl/relevance_evaluator.h"
 #include "obs/metrics.h"
+#include "sql/catalog.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
+#include "storage/wal.h"
+#include "taxonomy/taxonomy.h"
+#include "webgraph/simulated_web.h"
 
 namespace focus::obs {
 namespace {
@@ -277,6 +291,110 @@ TEST_F(ConformanceTest, EscapeHelpersMatchTheSpecExactly) {
   // HELP escaping touches backslash and newline only.
   EXPECT_EQ(PrometheusEscapeHelp("a\"b"), "a\"b");
   EXPECT_EQ(PrometheusEscapeHelp("a\nb\\c"), "a\\nb\\\\c");
+}
+
+// ---- metric catalog drift ----
+
+// The layers whose every family OBSERVABILITY.md catalogs; a crawl
+// registers all of them.
+const char* const kCatalogedPrefixes[] = {"focus_crawl_", "focus_distill_",
+                                          "focus_wal_", "focus_bufferpool_",
+                                          "focus_disk_"};
+
+bool Cataloged(const std::string& name) {
+  for (const char* prefix : kCatalogedPrefixes) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
+// Metric names of the catalog's table rows: the first backticked cell of
+// every row that starts with "| `focus_".
+std::set<std::string> CatalogRows() {
+  std::ifstream in(std::string(FOCUS_SOURCE_DIR) + "/OBSERVABILITY.md");
+  EXPECT_TRUE(in.good()) << "cannot read OBSERVABILITY.md";
+  std::set<std::string> names;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("| `focus_", 0) != 0) continue;
+    size_t end = line.find('`', 3);
+    std::string name = line.substr(3, end - 3);
+    if (Cataloged(name)) names.insert(name);
+  }
+  return names;
+}
+
+// Every family a registry renders, from its "# TYPE" lines.
+std::set<std::string> RegisteredFamilies(const MetricsRegistry& registry) {
+  std::istringstream text(registry.ToPrometheusText());
+  std::set<std::string> names;
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    std::string name = line.substr(7, line.find(' ', 7) - 7);
+    if (Cataloged(name)) names.insert(name);
+  }
+  return names;
+}
+
+class AllRelevantEvaluator final : public crawl::RelevanceEvaluator {
+ public:
+  Result<crawl::PageJudgment> Judge(const text::TermVector&) override {
+    crawl::PageJudgment j;
+    j.relevance = 1.0;
+    j.best_leaf_is_good = true;
+    return j;
+  }
+};
+
+TEST(MetricCatalogTest, CrawlRegistersExactlyTheCatalogRows) {
+  // A WAL-backed 4-thread crawl with distillation boosts, its pool and
+  // WAL collectors bound to a private registry.
+  taxonomy::Taxonomy tax;
+  taxonomy::Cid rec = tax.AddTopic(taxonomy::kRootCid, "recreation").value();
+  ASSERT_TRUE(tax.AddTopic(rec, "cycling").ok());
+  webgraph::WebConfig config;
+  config.seed = 5;
+  config.pages_per_topic = 150;
+  config.background_pages = 400;
+  auto web = webgraph::SimulatedWeb::Generate(tax, config, {});
+  ASSERT_TRUE(web.ok()) << web.status();
+
+  MetricsRegistry registry;
+  storage::MemDiskManager data, log;
+  auto wal = storage::WalDiskManager::Open(&data, &log).TakeValue();
+  wal->BindMetrics(&registry, "crawl");
+  storage::BufferPool pool(wal.get(), 512);
+  pool.BindMetrics(&registry, "crawl");
+  sql::Catalog catalog(&pool);
+  auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
+  AllRelevantEvaluator evaluator;
+  crawl::CrawlerOptions options;
+  options.max_fetches = 200;
+  options.num_threads = 4;
+  options.classify_batch_size = 8;
+  options.distill_every = 50;
+  options.metrics_registry = &registry;
+  crawl::Crawler crawler(&web.value(), &evaluator, &db, &catalog, options);
+  ASSERT_TRUE(crawler.AddSeed(web.value().page(0).url).ok());
+  ASSERT_TRUE(crawler.Crawl().ok());
+  ASSERT_EQ(crawler.visits().size(), 200u);
+
+  std::set<std::string> registered = RegisteredFamilies(registry);
+  std::set<std::string> cataloged = CatalogRows();
+  for (const std::string& name : registered) {
+    EXPECT_TRUE(cataloged.count(name)) << name << " has no catalog row";
+  }
+  for (const std::string& name : cataloged) {
+    EXPECT_TRUE(registered.count(name))
+        << name << " is cataloged but the crawl never registers it";
+  }
+  // Not vacuous: every cataloged layer is present.
+  for (const char* prefix : kCatalogedPrefixes) {
+    EXPECT_TRUE(std::any_of(registered.begin(), registered.end(),
+                            [&](const std::string& name) {
+                              return name.rfind(prefix, 0) == 0;
+                            }))
+        << prefix;
+  }
 }
 
 }  // namespace

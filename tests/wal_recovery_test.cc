@@ -103,11 +103,10 @@ Status ApplyBatch(crawl::CrawlDb* db, int b) {
 // recovery must land at or one past that boundary. When `goldens` is
 // given, appends the snapshot after open and after every durable batch.
 Status RunWorkload(storage::DiskManager* data, storage::DiskManager* log,
-                   int* ok_batches, std::vector<DbImage>* goldens,
-                   WalDiskManager::Options options = {}) {
+                   int* ok_batches, std::vector<DbImage>* goldens) {
   *ok_batches = 0;
   FOCUS_ASSIGN_OR_RETURN(std::unique_ptr<WalDiskManager> wal,
-                         WalDiskManager::Open(data, log, options));
+                         WalDiskManager::Open(data, log));
   storage::BufferPool pool(wal.get(), 256);
   sql::Catalog catalog(&pool);
   FOCUS_ASSIGN_OR_RETURN(crawl::CrawlDb db,
@@ -249,11 +248,11 @@ TEST(WalBasicsTest, CheckpointCyclesKeepLogSegmentBounded) {
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     ASSERT_TRUE(ApplyBatch(&db, cycle).ok());
     ASSERT_TRUE(db.Commit().ok());
-    storage::Wal::SegmentStats mid = wal->wal_segment_stats();
+    storage::WalStats mid = wal->wal_stats();
     EXPECT_GT(mid.tail_bytes, 0u);        // the commit really hit the log
     EXPECT_EQ(mid.pending_bytes, 0u);     // ...and nothing stayed buffered
     ASSERT_TRUE(db.Checkpoint().ok());
-    storage::Wal::SegmentStats stats = wal->wal_segment_stats();
+    storage::WalStats stats = wal->wal_stats();
     EXPECT_GT(stats.epoch, last_epoch);   // checkpoint opened a new epoch
     last_epoch = stats.epoch;
     if (cycle == 0) {
@@ -271,7 +270,7 @@ TEST(WalBasicsTest, CheckpointCyclesKeepLogSegmentBounded) {
           << "log device grew in cycle " << cycle;
     }
   }
-  uint32_t bounded_pages = wal->wal_segment_stats().device_pages;
+  uint32_t bounded_pages = wal->wal_stats().device_pages;
 
   // Control: the same workload with commits only. Without checkpoints the
   // tail is a strictly growing offset and the device outgrows the
@@ -286,11 +285,76 @@ TEST(WalBasicsTest, CheckpointCyclesKeepLogSegmentBounded) {
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     ASSERT_TRUE(ApplyBatch(&db2, cycle).ok());
     ASSERT_TRUE(db2.Commit().ok());
-    storage::Wal::SegmentStats stats = wal2->wal_segment_stats();
+    storage::WalStats stats = wal2->wal_stats();
     EXPECT_GT(stats.tail_bytes, prev_tail) << "cycle " << cycle;
     prev_tail = stats.tail_bytes;
   }
-  EXPECT_GT(wal2->wal_segment_stats().device_pages, bounded_pages);
+  EXPECT_GT(wal2->wal_stats().device_pages, bounded_pages);
+}
+
+// Log device that, once armed, fails every write to its first page. The
+// first flush of an epoch writes that page, so after the first commit
+// only a checkpoint's log reset does.
+class FailingLogHead final : public storage::DiskManager {
+ public:
+  explicit FailingLogHead(storage::DiskManager* inner) : inner_(inner) {}
+  void Arm() { armed_ = true; }
+  int failed_writes() const { return failed_writes_; }
+  Status ReadPage(PageId id, char* out) override {
+    return inner_->ReadPage(id, out);
+  }
+  Status WritePage(PageId id, const char* in) override {
+    if (armed_ && id == 0) {
+      ++failed_writes_;
+      return Status::IOError("log head write failed");
+    }
+    return inner_->WritePage(id, in);
+  }
+  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
+  uint32_t NumPages() const override { return inner_->NumPages(); }
+  Status Sync() override { return inner_->Sync(); }
+
+ private:
+  storage::DiskManager* inner_;
+  bool armed_ = false;
+  int failed_writes_ = 0;
+};
+
+TEST(WalBasicsTest, FailedLogResetPoisonsLaterCommits) {
+  // A checkpoint writes the new epoch's manifest, then resets the log to
+  // that epoch's head. If the reset's write fails, the head may never have
+  // landed, and recovery would drop any commit appended behind it. So the
+  // store must refuse every later commit until it is reopened.
+  MemDiskManager data, log;
+  FailingLogHead failing_log(&log);
+  auto wal = WalDiskManager::Open(&data, &failing_log).TakeValue();
+  PageId p = wal->AllocatePage().TakeValue();
+  Page img;
+  img.Zero();
+  auto write = [&](uint32_t v) {
+    img.Write<uint32_t>(0, v);
+    return wal->WritePage(p, img.data);
+  };
+  ASSERT_TRUE(write(1).ok());
+  ASSERT_TRUE(wal->Commit("m1").ok());
+
+  failing_log.Arm();
+  ASSERT_TRUE(write(2).ok());
+  EXPECT_FALSE(wal->Checkpoint("m2").ok());
+  EXPECT_EQ(failing_log.failed_writes(), 1) << "only the reset may fail";
+  ASSERT_TRUE(write(3).ok());
+  EXPECT_FALSE(wal->Commit("m3").ok());
+  EXPECT_FALSE(wal->StageCommit("m3").ok());
+  EXPECT_FALSE(wal->Checkpoint("m3").ok());
+  EXPECT_EQ(failing_log.failed_writes(), 1);
+  wal.reset();
+
+  // The manifest had already made the checkpoint durable.
+  auto reopened = WalDiskManager::Open(&data, &log).TakeValue();
+  EXPECT_EQ(reopened->recovered_metadata(), "m2");
+  Page got;
+  ASSERT_TRUE(reopened->ReadPage(p, got.data).ok());
+  EXPECT_EQ(got.Read<uint32_t>(0), 2u);
 }
 
 TEST(WalGroupCommitTest, ConcurrentCommitsShareOneSyncBarrier) {
@@ -415,64 +479,10 @@ TEST(WalGroupCommitTest, StagedCommitsShareOneBarrier) {
   EXPECT_EQ(reopened->recovered_metadata(), "meta-3");
 }
 
-TEST(WalSegmentRecyclingTest, AutoCheckpointBoundsTheLogDevice) {
-  // Small segments + recycle_after_segments: the store checkpoints itself
-  // whenever the log spans two segments, so a long commit-only workload
-  // keeps a bounded log device while the control (recycling off) grows
-  // without limit.
-  constexpr int kCycles = 18;
-  WalDiskManager::Options recycle;
-  recycle.segment_pages = 8;
-  recycle.recycle_after_segments = 2;
-
-  MemDiskManager data, log;
-  auto wal = WalDiskManager::Open(&data, &log, recycle).TakeValue();
-  storage::BufferPool pool(wal.get(), 256);
-  sql::Catalog catalog(&pool);
-  auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
-  uint32_t plateau = 0;
-  for (int cycle = 0; cycle < kCycles; ++cycle) {
-    ASSERT_TRUE(ApplyBatch(&db, cycle).ok());
-    ASSERT_TRUE(db.Commit().ok());
-    storage::Wal::SegmentStats stats = wal->wal_segment_stats();
-    // The recycling invariant: a commit that leaves the tail spanning the
-    // threshold triggers the checkpoint, so the durable tail observed
-    // between commits never exceeds it.
-    EXPECT_LE(stats.segments_in_use, recycle.recycle_after_segments)
-        << "cycle " << cycle;
-    if (cycle == kCycles / 2) plateau = stats.device_pages;
-    if (cycle > kCycles / 2) {
-      EXPECT_LE(stats.device_pages, plateau + recycle.segment_pages)
-          << "log device outgrew its recycled plateau in cycle " << cycle;
-    }
-  }
-  storage::WalStats end = wal->wal_stats();
-  EXPECT_GT(end.segments_recycled, 0u);
-  EXPECT_GT(end.checkpoints, 0u);  // recycling really checkpoints
-  uint32_t bounded = wal->wal_segment_stats().device_pages;
-
-  // Control: same workload, recycling off, nobody checkpoints.
-  MemDiskManager data2, log2;
-  auto wal2 = WalDiskManager::Open(&data2, &log2).TakeValue();
-  storage::BufferPool pool2(wal2.get(), 256);
-  sql::Catalog catalog2(&pool2);
-  auto db2 = crawl::CrawlDb::Open(&catalog2, wal2.get()).TakeValue();
-  for (int cycle = 0; cycle < kCycles; ++cycle) {
-    ASSERT_TRUE(ApplyBatch(&db2, cycle).ok());
-    ASSERT_TRUE(db2.Commit().ok());
-  }
-  EXPECT_EQ(wal2->wal_stats().segments_recycled, 0u);
-  EXPECT_GT(wal2->wal_segment_stats().device_pages, bounded);
-
-  // The recycled store still holds exactly what the control holds.
-  EXPECT_EQ(SnapshotDb(&db), SnapshotDb(&db2));
-}
-
 // ---------------------------------------------------------------------
 // The crash matrix.
 
-void SweepCrashMatrix(uint32_t torn_bytes,
-                      WalDiskManager::Options options = {}) {
+void SweepCrashMatrix(uint32_t torn_bytes) {
   CrashPlan plan;  // no crash scheduled: the golden pass only counts ops
   std::vector<DbImage> goldens;
   uint64_t total_ops = 0;
@@ -480,7 +490,7 @@ void SweepCrashMatrix(uint32_t torn_bytes,
     MemDiskManager data, log;
     CrashFaultDiskManager cdata(&data, &plan), clog(&log, &plan);
     int ok = 0;
-    Status s = RunWorkload(&cdata, &clog, &ok, &goldens, options);
+    Status s = RunWorkload(&cdata, &clog, &ok, &goldens);
     ASSERT_TRUE(s.ok()) << s.ToString();
     ASSERT_EQ(ok, kBatches);
     total_ops = plan.op_count.load();
@@ -498,13 +508,13 @@ void SweepCrashMatrix(uint32_t torn_bytes,
     plan.Reset(k, torn_bytes);
     CrashFaultDiskManager cdata(&data, &plan), clog(&log, &plan);
     int ok = 0;
-    Status s = RunWorkload(&cdata, &clog, &ok, nullptr, options);
+    Status s = RunWorkload(&cdata, &clog, &ok, nullptr);
     ASSERT_FALSE(s.ok());
     ASSERT_NE(s.message().find(storage::kCrashMessage), std::string::npos)
         << s.ToString();
 
     DbImage recovered;
-    Status r = RecoverAndSnapshot(&data, &log, options, &recovered);
+    Status r = RecoverAndSnapshot(&data, &log, {}, &recovered);
     ASSERT_TRUE(r.ok()) << r.ToString();
     // Atomic and durable: exactly the pre- or post-state of the batch in
     // flight — never earlier than the last acknowledged commit, never a
@@ -525,17 +535,6 @@ TEST(WalCrashMatrixTest, TornPagesNeverSurfaceAfterRecovery) {
   // The crashing write persists a 1037-byte prefix — a torn sector run.
   // Checksums must reject the fragment wherever it lands.
   SweepCrashMatrix(/*torn_bytes=*/1037);
-}
-
-TEST(WalCrashMatrixTest, SegmentRecyclingRecoversAtEveryCrashPoint) {
-  // Tiny segments force auto-checkpoints mid-workload, so the sweep now
-  // crosses segment boundaries and recycling checkpoints: a crash at any
-  // op of a recycle cycle — log flush, data fold, manifest flip, log
-  // reset — must still recover to a batch boundary.
-  WalDiskManager::Options recycle;
-  recycle.segment_pages = 4;
-  recycle.recycle_after_segments = 2;
-  SweepCrashMatrix(/*torn_bytes=*/0, recycle);
 }
 
 TEST(WalCrashMatrixTest, CrashDuringRecoveryStillRecovers) {
@@ -790,10 +789,11 @@ storage::WalStats CrawlThenRecover(int fetches, int checkpoint_every) {
 }
 
 TEST(CrawlerRevisitTest, RevisitLoopKeepsLogDiskBounded) {
-  // The ROADMAP's segment-recycling item: a crawler that re-crawls its
-  // corpus forever (ScheduleRevisits rounds) commits without end. With
-  // recycling the log device plateaus at a constant number of segments;
-  // without it, it grows with every round.
+  // A crawler that re-crawls its corpus forever (ScheduleRevisits rounds)
+  // commits without end. Its periodic checkpoint truncates the log every
+  // kCheckpointEvery batches, so the log device's high-water mark stops
+  // growing once the largest checkpoint interval has been seen; without
+  // checkpoints it grows with every round.
   taxonomy::Taxonomy tax;
   taxonomy::Cid rec = tax.AddTopic(taxonomy::kRootCid, "recreation").value();
   ASSERT_TRUE(tax.AddTopic(rec, "cycling").ok());
@@ -804,12 +804,13 @@ TEST(CrawlerRevisitTest, RevisitLoopKeepsLogDiskBounded) {
   auto web = webgraph::SimulatedWeb::Generate(tax, config, {});
   ASSERT_TRUE(web.ok()) << web.status();
 
-  constexpr int kRounds = 6;
+  constexpr int kRounds = 8;
   constexpr int kRevisitsPerRound = 24;
-  auto run = [&](WalDiskManager::Options options,
+  constexpr int kCheckpointEvery = 16;
+  auto run = [&](int checkpoint_every,
                  std::vector<uint32_t>* log_pages) -> storage::WalStats {
     MemDiskManager data, log;
-    auto wal = WalDiskManager::Open(&data, &log, options).TakeValue();
+    auto wal = WalDiskManager::Open(&data, &log).TakeValue();
     storage::BufferPool pool(wal.get(), 512);
     sql::Catalog catalog(&pool);
     auto db = crawl::CrawlDb::Create(&catalog).TakeValue();
@@ -817,9 +818,7 @@ TEST(CrawlerRevisitTest, RevisitLoopKeepsLogDiskBounded) {
     ConstantEvaluator evaluator;
     crawl::CrawlerOptions copts;
     copts.max_fetches = 60;
-    // No crawler-level checkpoint policy: bounding the log is entirely the
-    // storage layer's recycling (or nobody's, in the control run).
-    copts.checkpoint_every_batches = 0;
+    copts.checkpoint_every_batches = checkpoint_every;
     crawl::Crawler crawler(&web.value(), &evaluator, &db, &catalog, copts);
     EXPECT_TRUE(crawler.AddSeed(web.value().page(0).url).ok());
     EXPECT_TRUE(crawler.Crawl().ok());
@@ -828,32 +827,30 @@ TEST(CrawlerRevisitTest, RevisitLoopKeepsLogDiskBounded) {
       EXPECT_TRUE(
           crawler.ScheduleRevisits(nullptr, kRevisitsPerRound).ok());
       EXPECT_TRUE(crawler.Crawl().ok());
-      log_pages->push_back(wal->wal_segment_stats().device_pages);
+      log_pages->push_back(wal->wal_stats().device_pages);
     }
     return wal->wal_stats();
   };
 
-  WalDiskManager::Options recycle;
-  recycle.segment_pages = 16;
-  recycle.recycle_after_segments = 4;
   std::vector<uint32_t> bounded_pages;
-  storage::WalStats bounded = run(recycle, &bounded_pages);
-  EXPECT_GT(bounded.segments_recycled, 0u);
-  // Steady state: the high-water mark stops tracking round count (at most
-  // one segment of drift from batch-size variance between late rounds).
-  EXPECT_LE(bounded_pages.back(),
-            bounded_pages[bounded_pages.size() - 2] + recycle.segment_pages)
-      << "log still growing after " << kRounds << " revisit rounds";
-  // ...and is bounded by a constant number of segments over the warmup
-  // crawl's log, no matter how many rounds ran.
-  EXPECT_LE(bounded_pages.back(),
-            (recycle.recycle_after_segments + 1) * recycle.segment_pages +
-                bounded_pages.front());
+  storage::WalStats bounded = run(kCheckpointEvery, &bounded_pages);
+  EXPECT_GT(bounded.checkpoints, static_cast<uint64_t>(kRounds));
+  // Steady state: every round commits more batches, but the high-water
+  // mark is flat across the last half of the rounds.
+  for (int round = kRounds / 2; round < kRounds; ++round) {
+    EXPECT_EQ(bounded_pages[round], bounded_pages[kRounds / 2 - 1])
+        << "log still growing in round " << round;
+  }
 
+  // Control: checkpoint_every_batches = 0, so every round's commits
+  // extend the log.
   std::vector<uint32_t> unbounded_pages;
-  storage::WalStats unbounded = run({}, &unbounded_pages);
-  EXPECT_EQ(unbounded.segments_recycled, 0u);
-  EXPECT_GT(unbounded_pages.back(), unbounded_pages.front());
+  storage::WalStats unbounded = run(0, &unbounded_pages);
+  EXPECT_EQ(unbounded.checkpoints, 0u);
+  for (int round = 1; round < kRounds; ++round) {
+    EXPECT_GT(unbounded_pages[round], unbounded_pages[round - 1])
+        << "round " << round;
+  }
   EXPECT_GT(unbounded_pages.back(), bounded_pages.back());
 }
 
@@ -916,9 +913,8 @@ class SlowWriteDisk final : public storage::DiskManager {
 class RecoverAfterEverySync final : public storage::DiskManager {
  public:
   RecoverAfterEverySync(MemDiskManager* data, MemDiskManager* log,
-                        const webgraph::SimulatedWeb* web,
-                        WalDiskManager::Options options)
-      : data_(data), log_(log), web_(web), options_(options) {}
+                        const webgraph::SimulatedWeb* web)
+      : data_(data), log_(log), web_(web) {}
   Status ReadPage(PageId id, char* out) override {
     return log_->ReadPage(id, out);
   }
@@ -933,7 +929,7 @@ class RecoverAfterEverySync final : public storage::DiskManager {
     CopyDevice(data_, &data);
     CopyDevice(log_, &log);
     FOCUS_ASSIGN_OR_RETURN(std::unique_ptr<WalDiskManager> wal,
-                           WalDiskManager::Open(&data, &log, options_));
+                           WalDiskManager::Open(&data, &log));
     storage::BufferPool pool(wal.get(), 512);
     sql::Catalog catalog(&pool);
     FOCUS_ASSIGN_OR_RETURN(crawl::CrawlDb db,
@@ -948,18 +944,16 @@ class RecoverAfterEverySync final : public storage::DiskManager {
   MemDiskManager* data_;
   MemDiskManager* log_;
   const webgraph::SimulatedWeb* web_;
-  WalDiskManager::Options options_;
   std::atomic<int> checked_{0};
 };
 
-TEST(CrawlerRecyclingTest, FourThreadCrawlRecyclesOnlyWholeBatches) {
-  // Segment recycling checkpoints from inside a commit, folding the whole
-  // overlay into the data device. Four workers stage their commits under
-  // the crawl-state lock and await them outside it, so the checkpoint
-  // must run in the stage half: from an await it could fold in another
-  // worker's half-flushed batch. Every durable point of the crawl must
-  // recover to whole batches, and the finished store must reopen and
-  // resume.
+TEST(CrawlerCheckpointTest, FourThreadCrawlCheckpointsOnlyWholeBatches) {
+  // The crawler's periodic checkpoint folds the whole overlay into the
+  // data device. Four workers stage their commits under the crawl-state
+  // lock and await them outside it, so the checkpoint runs inline under
+  // that lock: outside it, it could fold in another worker's half-written
+  // batch. Every durable point of the crawl must recover to whole
+  // batches, and the finished store must reopen and resume.
   taxonomy::Taxonomy tax;
   taxonomy::Cid rec = tax.AddTopic(taxonomy::kRootCid, "recreation").value();
   ASSERT_TRUE(tax.AddTopic(rec, "cycling").ok());
@@ -971,20 +965,17 @@ TEST(CrawlerRecyclingTest, FourThreadCrawlRecyclesOnlyWholeBatches) {
   ASSERT_TRUE(generated.ok()) << generated.status();
   webgraph::SimulatedWeb& web = generated.value();
 
-  WalDiskManager::Options recycle;
-  recycle.segment_pages = 16;
-  recycle.recycle_after_segments = 2;
   ConstantEvaluator evaluator;
   crawl::CrawlerOptions copts;
   copts.max_fetches = 400;
   copts.num_threads = 4;
   copts.classify_batch_size = 8;
-  copts.checkpoint_every_batches = 0;  // checkpoints come from recycling
+  copts.checkpoint_every_batches = 4;
 
   MemDiskManager data, log;
-  RecoverAfterEverySync checked_log(&data, &log, &web, recycle);
+  RecoverAfterEverySync checked_log(&data, &log, &web);
   {
-    auto wal = WalDiskManager::Open(&data, &checked_log, recycle).TakeValue();
+    auto wal = WalDiskManager::Open(&data, &checked_log).TakeValue();
     SlowWriteDisk pool_disk(wal.get(), /*write_us=*/50);
     storage::BufferPool pool(&pool_disk, 512);
     sql::Catalog catalog(&pool);
@@ -994,11 +985,13 @@ TEST(CrawlerRecyclingTest, FourThreadCrawlRecyclesOnlyWholeBatches) {
     Status crawled = crawler.Crawl();
     ASSERT_TRUE(crawled.ok()) << crawled;
     EXPECT_EQ(crawler.visits().size(), 400u);
-    EXPECT_GT(wal->wal_stats().segments_recycled, 0u);
+    // 400 pages in batches of at most 8 make at least 50 commits, every
+    // fourth of them a checkpoint.
+    EXPECT_GE(wal->wal_stats().checkpoints, 12u);
   }
   EXPECT_GT(checked_log.checked(), 10);
 
-  auto wal = WalDiskManager::Open(&data, &log, recycle).TakeValue();
+  auto wal = WalDiskManager::Open(&data, &log).TakeValue();
   storage::BufferPool pool(wal.get(), 512);
   sql::Catalog catalog(&pool);
   auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
