@@ -16,14 +16,8 @@ Result<DistillResult> CrawlSession::Distill(
   if (!distill_ready_) {
     distill_tables_.link = db_->link_table();
     distill_tables_.crawl = db_->crawl_table();
-    // The crawler may already have created HUBS/AUTH for periodic boosts.
-    if (sql::Table* hubs = catalog_->GetTable("HUBS"); hubs != nullptr) {
-      distill_tables_.hubs = hubs;
-      distill_tables_.auth = catalog_->GetTable("AUTH");
-    } else {
-      FOCUS_RETURN_IF_ERROR(
-          distill::CreateHubsAuthTables(catalog_.get(), &distill_tables_));
-    }
+    FOCUS_RETURN_IF_ERROR(
+        distill::CreateHubsAuthTables(catalog_.get(), &distill_tables_));
     distill_ready_ = true;
   }
   FOCUS_RETURN_IF_ERROR(db_->RefreshEdgeWeights());

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "crawl/metrics.h"
 #include "distill/join_distiller.h"
 #include "distill/pagerank.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
-
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "util/clock.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -16,14 +18,50 @@
 
 namespace focus::crawl {
 
+namespace {
+// A boost applies at the first batch boundary half a period (of
+// distill_every visits) after its snapshot, leaving its iterations that
+// long to run beside the workers. The apply point is a visit count, so
+// crawl order stays a function of batch boundaries alone.
+constexpr int kBoostApplyLagDivisor = 2;
+// Frames of the boosts' private HUBS/AUTH pool.
+constexpr size_t kBoostPoolFrames = 512;
+}  // namespace
+
+struct Crawler::BoostStore {
+  storage::MemDiskManager disk;
+  storage::BufferPool pool{&disk, kBoostPoolFrames};
+  sql::Catalog catalog{&pool};
+};
+
+struct Crawler::PendingBoost {
+  explicit PendingBoost(const distill::DistillTables& tables)
+      : distiller(tables) {}
+  // A boost is freed only after its thread is joined, however the crawl
+  // ends (ApplyBoost joins first; this covers ~Crawler).
+  ~PendingBoost() {
+    if (thread.joinable()) thread.join();
+  }
+  PendingBoost(const PendingBoost&) = delete;
+  PendingBoost& operator=(const PendingBoost&) = delete;
+
+  // Holds the snapshot sets until the boost is applied and freed.
+  distill::JoinDistiller distiller;
+  uint64_t apply_at = 0;  // visits_.size() at which the raises apply
+  // Written by `thread`; read only after joining it.
+  Status status;
+  std::vector<std::pair<uint64_t, double>> top_hubs;
+  std::thread thread;
+};
+
 Crawler::Crawler(webgraph::SimulatedWeb* web, RelevanceEvaluator* evaluator,
-                 CrawlDb* db, sql::Catalog* catalog, CrawlerOptions options)
+                 CrawlDb* db, sql::Catalog* /*catalog*/,
+                 CrawlerOptions options)
     : web_(web),
       evaluator_(evaluator),
       db_(db),
       options_(options),
       frontier_(options.policy),
-      catalog_(catalog),
       stage_metrics_(std::make_unique<StageMetrics>(options.metrics_registry)),
       retry_policy_(options.retry, options.max_retries),
       breaker_(options.breaker) {
@@ -140,9 +178,15 @@ Status Crawler::FlushBreakerState() {
 }
 
 Status Crawler::RunPeriodicBoosts() {
+  if (boost_ != nullptr && visits_.size() >= boost_->apply_at) {
+    FOCUS_RETURN_IF_ERROR(ApplyBoost());
+  }
   while (options_.distill_every > 0 && next_distill_at_ > 0 &&
          visits_.size() >= next_distill_at_) {
-    FOCUS_RETURN_IF_ERROR(RunDistillationBoost());
+    // One boost in flight: a trigger that finds one pending applies it
+    // first, so every period still counts exactly one round.
+    if (boost_ != nullptr) FOCUS_RETURN_IF_ERROR(ApplyBoost());
+    FOCUS_RETURN_IF_ERROR(StartBoost());
     next_distill_at_ += options_.distill_every;
   }
   while (options_.policy == PriorityPolicy::kPageRankOrder &&
@@ -305,44 +349,61 @@ Status Crawler::AdmitRemoteLink(std::string_view url, double relevance,
                    raise_if_known, /*aux=*/3);
 }
 
-Status Crawler::RunDistillationBoost() {
+Status Crawler::StartBoost() {
   FOCUS_SPAN("crawl.distill_boost");
-  if (!distill_tables_ready_) {
+  if (boost_store_ == nullptr) {
+    boost_store_ = std::make_unique<BoostStore>();
     distill_tables_.link = db_->link_table();
     distill_tables_.crawl = db_->crawl_table();
-    FOCUS_RETURN_IF_ERROR(
-        distill::CreateHubsAuthTables(catalog_, &distill_tables_));
-    distill_tables_ready_ = true;
+    FOCUS_RETURN_IF_ERROR(distill::CreateHubsAuthTables(
+        &boost_store_->catalog, &distill_tables_));
   }
+  // The snapshot: everything the iterations read of LINK and CRAWL is
+  // copied out here, under the lock.
   FOCUS_RETURN_IF_ERROR(db_->RefreshEdgeWeights());
-  distill::JoinDistiller distiller(distill_tables_);
-  distiller.EnableResidualTracking(true);
+  auto boost = std::make_unique<PendingBoost>(distill_tables_);
+  boost->distiller.EnableResidualTracking(true);
+  FOCUS_RETURN_IF_ERROR(boost->distiller.Initialize());
+  FOCUS_RETURN_IF_ERROR(boost->distiller.Prepare(options_.distill_rho));
+  boost->apply_at =
+      visits_.size() + options_.distill_every / kBoostApplyLagDivisor;
   distill::HitsOptions hits_options;
   hits_options.iterations = options_.distill_iterations;
   hits_options.rho = options_.distill_rho;
-  FOCUS_RETURN_IF_ERROR(distiller.Run(hits_options));
+  PendingBoost* b = boost.get();
+  b->thread = std::thread([b, hits_options, hubs = distill_tables_.hubs,
+                           k = options_.top_hubs_to_boost] {
+    FOCUS_SPAN("crawl.distill_iterate");
+    b->status = [&]() -> Status {
+      FOCUS_RETURN_IF_ERROR(b->distiller.RunIterations(hits_options));
+      FOCUS_ASSIGN_OR_RETURN(auto hub_scores, distill::CollectScores(hubs));
+      std::unordered_map<uint64_t, distill::HubAuthScore> scores;
+      for (const auto& [oid, score] : hub_scores) scores[oid].hub = score;
+      b->top_hubs = distill::HitsEngine::TopHubs(scores, k);
+      return Status::OK();
+    }();
+  });
+  boost_ = std::move(boost);
+  return Status::OK();
+}
+
+Status Crawler::ApplyBoost() {
+  std::unique_ptr<PendingBoost> boost = std::move(boost_);
+  Stopwatch wait;
+  boost->thread.join();
+  stage_metrics_->AddBoostWaitSeconds(wait.ElapsedSeconds());
+  FOCUS_RETURN_IF_ERROR(boost->status);
   // Sessions label their own distillations "session-N", so the boost's
   // health gauges never overwrite theirs.
-  distiller.ExportMetrics(options_.metrics_registry, "crawl_boost");
-  stage_metrics_->RecordDistillResiduals(distiller.residuals());
+  boost->distiller.ExportMetrics(options_.metrics_registry, "crawl_boost");
+  stage_metrics_->RecordDistillResiduals(boost->distiller.residuals());
   ++stats_.distill_rounds;
-
-  FOCUS_ASSIGN_OR_RETURN(auto hub_scores,
-                         distill::CollectScores(distill_tables_.hubs));
-  std::vector<std::pair<uint64_t, double>> top =
-      distill::HitsEngine::TopHubs(
-          [&] {
-            std::unordered_map<uint64_t, distill::HubAuthScore> s;
-            for (const auto& [oid, score] : hub_scores) s[oid].hub = score;
-            return s;
-          }(),
-          options_.top_hubs_to_boost);
 
   // Raise priority of unvisited pages cited by the top hubs (§3.7's
   // "possibly missed neighbors of great hubs").
   sql::Table* link = db_->link_table();
   int by_src = link->IndexId("by_src");
-  for (const auto& [hub_oid, score] : top) {
+  for (const auto& [hub_oid, score] : boost->top_hubs) {
     std::vector<storage::Rid> rids;
     FOCUS_RETURN_IF_ERROR(link->IndexLookup(
         by_src, {sql::Value::Int64(static_cast<int64_t>(hub_oid))}, &rids));
@@ -865,6 +926,11 @@ Status Crawler::Crawl() {
   Result<storage::CommitTicket> staged = storage::CommitTicket{};
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
+    // No boost outlives the call: its raises commit with the final batch.
+    if (boost_ != nullptr) {
+      Status applied = ApplyBoost();
+      if (result.ok()) result = applied;
+    }
     Status flush = FlushBreakerState();
     if (result.ok()) result = flush;
     staged = StageBatchCommit();

@@ -70,7 +70,9 @@ struct CrawlerOptions {
 
   // Periodic distillation (0 = off): every `distill_every` visits, refresh
   // edge weights, run the join distiller and raise the priority of
-  // unvisited pages cited by the top hubs (§3.2, §3.7).
+  // unvisited pages cited by the top hubs (§3.2, §3.7). The HITS
+  // iterations run beside the fetch workers; the raises land half a
+  // period after the snapshot (see DESIGN.md).
   int distill_every = 0;
   // For the kPageRankOrder policy: recompute PageRank over the known
   // crawl graph every `pagerank_every` visits and refresh frontier
@@ -163,8 +165,9 @@ class StageMetrics;
 
 class Crawler {
  public:
-  // `catalog` hosts the HUBS/AUTH tables for periodic distillation; all
-  // pointers must outlive the crawler.
+  // `catalog`, the crawl store's, is not used: boosts keep HUBS/AUTH in a
+  // private catalog (see distill_tables()). All pointers must outlive the
+  // crawler.
   Crawler(webgraph::SimulatedWeb* web, RelevanceEvaluator* evaluator,
           CrawlDb* db, sql::Catalog* catalog, CrawlerOptions options);
   ~Crawler();
@@ -181,7 +184,9 @@ class Crawler {
   // link-dedup set so resumed revisits do not duplicate LINK rows.
   Status ResumeFromDb();
 
-  // Runs until the fetch budget is spent or the frontier stagnates.
+  // Runs until the fetch budget is spent or the frontier stagnates. A
+  // distillation boost still iterating at the end is applied before the
+  // final commit, so no boost outlives the call.
   Status Crawl();
 
   const std::vector<Visit>& visits() const { return visits_; }
@@ -199,6 +204,10 @@ class Crawler {
   // batch occupancy, frontier pops).
   const StageMetrics& stage_metrics() const { return *stage_metrics_; }
   CrawlDb* db() const { return db_; }
+  // The boosts' distiller tables: LINK and CRAWL of the crawl store, and
+  // HUBS/AUTH in the crawler's private in-memory catalog (their pages
+  // never enter the crawl store or its WAL). HUBS/AUTH are null until the
+  // first boost, and hold the last applied boost's scores between crawls.
   const distill::DistillTables& distill_tables() const {
     return distill_tables_;
   }
@@ -260,8 +269,9 @@ class Crawler {
   // critical section, then awaits the commit's durability off the lock.
   Status RecordBatch(std::vector<FetchedPage>* pages,
                      const std::vector<PageJudgment>& judgments);
-  // Runs any distillation / PageRank refresh whose visit threshold has
-  // been crossed. Caller holds state_mutex_.
+  // Applies the pending boost once its apply point is reached, then
+  // starts any distillation / runs any PageRank refresh whose visit
+  // threshold has been crossed. Caller holds state_mutex_.
   Status RunPeriodicBoosts();
   // Stages the current batch's WAL commit; the caller awaits the ticket
   // (CrawlDb::AwaitCommit) after releasing state_mutex_, so log order is
@@ -289,7 +299,13 @@ class Crawler {
   // any repeat for admit-if-unknown targets). Caller holds state_mutex_.
   Status ExportRemoteLink(uint64_t src_oid, const std::string& dst_url,
                           double relevance, bool raise_if_known);
-  Status RunDistillationBoost();
+  // A distillation boost in three steps. StartBoost snapshots the graph
+  // (edge-weight refresh, Initialize, Prepare) and hands the HITS
+  // iterations to a boost thread, which never takes state_mutex_;
+  // ApplyBoost joins that thread and raises the pages its top hubs cite.
+  // Caller holds state_mutex_ for both.
+  Status StartBoost();
+  Status ApplyBoost();
   // Recomputes PageRank over LINK and pushes the scores into the frontier
   // (the Cho et al. perceived-prestige ordering).
   Status RefreshPageRankPriorities();
@@ -301,8 +317,14 @@ class Crawler {
   Frontier frontier_;  // guarded by state_mutex_
   VirtualClock clock_;
   distill::DistillTables distill_tables_;
-  bool distill_tables_ready_ = false;
-  sql::Catalog* catalog_;
+  // The in-memory store behind HUBS/AUTH, made by the first boost.
+  struct BoostStore;
+  std::unique_ptr<BoostStore> boost_store_;
+  // The boost between its snapshot and its apply; at most one (guarded by
+  // state_mutex_, except for the thread it owns, which reads
+  // boost_store_'s tables and is joined before either is destroyed).
+  struct PendingBoost;
+  std::unique_ptr<PendingBoost> boost_;
   std::unique_ptr<StageMetrics> stage_metrics_;
   RetryPolicy retry_policy_;
   CircuitBreakerRegistry breaker_;

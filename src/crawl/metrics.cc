@@ -22,6 +22,7 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
   batched_pages_ = r->GetCounter("focus_crawl_classify_pages_total");
   frontier_pops_ = r->GetCounter("focus_crawl_frontier_pops_total");
   frontier_depth_ = r->GetGauge("focus_crawl_frontier_depth");
+  boost_wait_seconds_ = r->GetGauge("focus_crawl_boost_wait_seconds_total");
   distill_iterations_ = r->GetCounter("focus_distill_iterations_total");
   distill_residual_ = r->GetGauge("focus_distill_last_residual");
   batch_pages_hist_ = r->GetHistogram("focus_crawl_classify_batch_pages");

@@ -90,6 +90,9 @@ class StageMetrics {
   void SetOpenBreakers(double n) { open_breakers_->Set(n); }
   // Instantaneous frontier size (sampled by the record stage).
   void SetFrontierDepth(double depth) { frontier_depth_->Set(depth); }
+  // Wall time a batch boundary blocked on a distillation boost whose
+  // iterations had not finished by its apply point.
+  void AddBoostWaitSeconds(double s) { boost_wait_seconds_->Add(s); }
   // One distillation round's per-iteration L1 residuals: counts the
   // iterations and keeps the final residual as a convergence gauge.
   void RecordDistillResiduals(const std::vector<double>& residuals) {
@@ -119,6 +122,9 @@ class StageMetrics {
   obs::Counter* batched_pages_;
   obs::Counter* frontier_pops_;
   obs::Gauge* frontier_depth_;
+  // A monotonic sum of fractional seconds; the registry's counters hold
+  // integers, so it is a gauge that only ever grows.
+  obs::Gauge* boost_wait_seconds_;
   obs::Counter* distill_iterations_;
   obs::Gauge* distill_residual_;
   obs::Histogram* batch_pages_hist_;

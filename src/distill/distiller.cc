@@ -58,6 +58,10 @@ void Distiller::ExportMetrics(obs::MetricsRegistry* registry,
 
 Status Distiller::Run(const HitsOptions& options) {
   FOCUS_RETURN_IF_ERROR(Initialize());
+  return RunIterations(options);
+}
+
+Status Distiller::RunIterations(const HitsOptions& options) {
   std::unordered_map<uint64_t, double> prev;
   if (track_residuals_) {
     residuals_.clear();

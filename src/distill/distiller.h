@@ -66,7 +66,12 @@ class Distiller {
   // One UpdateAuth + UpdateHubs round (Figure 4), L1-normalizing each.
   virtual Status RunIteration(double rho) = 0;
 
+  // Initialize(), then RunIterations(options).
   Status Run(const HitsOptions& options);
+  // options.iterations rounds of RunIteration(options.rho) over the
+  // current HUBS, tracking residuals when enabled. Split from Run so a
+  // caller can snapshot between the two (JoinDistiller::Prepare).
+  Status RunIterations(const HitsOptions& options);
 
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats(); }

@@ -451,6 +451,15 @@ Status JoinDistiller::UpdateHubsVec() {
   return ReplaceNormalized(tables_.hubs, rows);
 }
 
+Status JoinDistiller::Prepare(double rho) {
+  if (engine_ == sql::ExecEngine::kScalar) {
+    return Status::FailedPrecondition("only the batch engine snapshots");
+  }
+  // Opening the eligible set drains its fill, which opens (and builds)
+  // the off-server set beneath it.
+  return EligibleLinksBySrc(rho)->Open();
+}
+
 Status JoinDistiller::RunIteration(double rho) {
   if (engine_ == sql::ExecEngine::kScalar) {
     FOCUS_RETURN_IF_ERROR(UpdateAuth(rho));

@@ -23,6 +23,13 @@ class JoinDistiller final : public Distiller {
   Status Initialize() override;
   Status RunIteration(double rho) override;
 
+  // Builds the batch plans' loop-invariant sets for threshold `rho` now
+  // (call after Initialize()). Iterations at that rho then read only the
+  // sets and HUBS/AUTH, never LINK or CRAWL: a snapshot of the graph, so
+  // they may run while LINK and CRAWL change. The scalar plans rescan
+  // both tables every iteration and cannot snapshot; Prepare refuses them.
+  Status Prepare(double rho);
+
   // Like RunIteration, but records every operator of the UpdateAuth and
   // UpdateHubs plans into `plan` (EXPLAIN ANALYZE for Figure 4). `plan`
   // may be null, in which case this is exactly RunIteration.

@@ -415,6 +415,59 @@ TEST(CrawlPipelineTest, WalCommitsCoalesceAcrossWorkers) {
   EXPECT_LT(stats.group_commit_flushes, stats.commits);
 }
 
+TEST(CrawlPipelineTest, BoostsIterateBesideFourWorkers) {
+  // Each boost snapshots the graph under the crawl-state lock, runs its
+  // HITS iterations on a boost thread while the four workers keep
+  // recording (the TSan job runs this test), and applies its hub raises
+  // half a period later. The budget ends after the third trigger (visit
+  // 192) and before its apply point (224), so Crawl() itself must apply
+  // that boost before returning.
+  auto system = TrainedSystem(37);
+  Cid cycling = system->tax().FindByName("cycling").value();
+  storage::MemDiskManager data;
+  storage::MemDiskManager log;
+  auto wal = storage::WalDiskManager::Open(&data, &log).TakeValue();
+  storage::BufferPool pool(wal.get(), 4096);
+  sql::Catalog catalog(&pool);
+  auto db = crawl::CrawlDb::Open(&catalog, wal.get()).TakeValue();
+  ClassifierEvaluator evaluator(&system->classifier());
+  CrawlerOptions copts;
+  copts.max_fetches = 200;
+  copts.num_threads = 4;
+  copts.classify_batch_size = 8;
+  copts.distill_every = 64;
+  Crawler crawler(&system->web(), &evaluator, &db, &catalog, copts);
+  for (const std::string& url : system->web().KeywordSeeds(cycling, 8)) {
+    ASSERT_TRUE(crawler.AddSeed(url).ok());
+  }
+  ASSERT_TRUE(crawler.Crawl().ok());
+  EXPECT_EQ(crawler.visits().size(), 200u);
+  EXPECT_EQ(crawler.stats().distill_rounds, 3u);
+  // The raises reached the frontier and, through the final commit, CRAWL.
+  bool raised = false;
+  for (const crawl::FrontierEntry& e : crawler.frontier().Snapshot()) {
+    if (e.hub_score <= 0) continue;
+    raised = true;
+    auto rec = db.Lookup(e.oid);
+    ASSERT_TRUE(rec.ok() && rec.value().has_value());
+    EXPECT_GE(rec.value()->relevance, copts.hub_boost_relevance) << e.url;
+  }
+  EXPECT_TRUE(raised) << "no frontier entry carries a hub score";
+  // The boosts' HUBS live in the crawler's private catalog, not the
+  // store's.
+  ASSERT_NE(crawler.distill_tables().hubs, nullptr);
+  EXPECT_EQ(catalog.GetTable("HUBS"), nullptr);
+
+  // A second call on the same crawler: 80 revisits ranked by the last
+  // boost's hub scores cross the trigger at 256 and end before its apply
+  // point (288).
+  ASSERT_TRUE(crawler.ScheduleRevisits(crawler.distill_tables().hubs, 80)
+                  .ok());
+  ASSERT_TRUE(crawler.Crawl().ok());
+  EXPECT_EQ(crawler.visits().size(), 280u);
+  EXPECT_EQ(crawler.stats().distill_rounds, 4u);
+}
+
 TEST(CrawlPipelineTest, SingleThreadCrawlKeepsClassicOrderOnHostileWeb) {
   // A 1-thread crawl is one pipeline worker with batch size 1, so it must
   // keep the classic fetch-classify-expand order exactly: the same visit

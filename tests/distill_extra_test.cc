@@ -2,7 +2,9 @@
 // determinism, degenerate graphs, and dangling-edge tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <unordered_set>
 
@@ -457,6 +459,76 @@ TEST(JoinRecyclingTest, RepeatedRunsKeepStoreSizeAndResults) {
         EXPECT_EQ(HeapRows(tables.auth), auth) << "run " << run;
       }
     }
+  }
+}
+
+// Rewrites every row of `table` through `edit`, as the crawler's
+// relevance raises and edge-weight refreshes do between boosts.
+void RewriteRows(sql::Table* table,
+                 const std::function<void(sql::Tuple*)>& edit) {
+  std::vector<std::pair<storage::Rid, sql::Tuple>> rows;
+  auto it = table->Scan();
+  storage::Rid rid;
+  sql::Tuple row;
+  while (it.Next(&rid, &row)) rows.emplace_back(rid, row);
+  ASSERT_TRUE(it.status().ok()) << it.status();
+  for (auto& [r, t] : rows) {
+    edit(&t);
+    ASSERT_TRUE(table->Update(r, t).ok());
+  }
+}
+
+// The crawler's deferred boost: Initialize + Prepare under the crawl-state
+// lock, RunIterations later while the crawl keeps writing LINK and CRAWL.
+// Its HUBS/AUTH must be bit-identical to an inline Run on the graph as it
+// stood at Prepare (a second graph built from the same seed), and differ
+// from a Run on the graph as it stands afterwards.
+TEST(JoinSnapshotTest, DeferredIterationsSeeOnlyThePreparedGraph) {
+  const HitsOptions options{.iterations = 5, .rho = 0.2};
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    MiniGraph live;
+    FillRandomGraph(&live, seed);
+    JoinDistiller deferred(live.tables);
+    deferred.EnableResidualTracking(true);
+    ASSERT_TRUE(deferred.Initialize().ok());
+    ASSERT_TRUE(deferred.Prepare(options.rho).ok());
+
+    // The crawl moves on: new pages and citations, raised relevances and
+    // refreshed edge weights.
+    Rng rng(seed + 100);
+    for (int64_t oid = 91; oid <= 120; ++oid) live.AddPage(oid, 0.9);
+    for (int e = 0; e < 300; ++e) {
+      live.AddEdge(1 + static_cast<int64_t>(rng.Uniform(120)),
+                   91 + static_cast<int64_t>(rng.Uniform(30)),
+                   rng.NextDouble());
+    }
+    RewriteRows(live.tables.crawl, [](sql::Tuple* t) {
+      t->Mutable(1) = sql::Value::Double(
+          std::min(1.0, t->Get(1).AsDouble() + 0.5));
+    });
+    RewriteRows(live.tables.link, [](sql::Tuple* t) {
+      t->Mutable(4) = sql::Value::Double(t->Get(4).AsDouble() * 0.5 + 0.25);
+    });
+
+    ASSERT_TRUE(deferred.RunIterations(options).ok());
+    auto deferred_hubs = HeapRows(live.tables.hubs);
+    auto deferred_auth = HeapRows(live.tables.auth);
+
+    MiniGraph copy;
+    FillRandomGraph(&copy, seed);
+    JoinDistiller inline_run(copy.tables);
+    inline_run.EnableResidualTracking(true);
+    ASSERT_TRUE(inline_run.Run(options).ok());
+    ASSERT_FALSE(deferred_hubs.empty());
+    ASSERT_FALSE(deferred_auth.empty());
+    EXPECT_EQ(deferred_hubs, HeapRows(copy.tables.hubs)) << "seed " << seed;
+    EXPECT_EQ(deferred_auth, HeapRows(copy.tables.auth)) << "seed " << seed;
+    EXPECT_EQ(deferred.residuals(), inline_run.residuals());
+
+    // Not vacuous: the graph the crawl left behind distills differently.
+    JoinDistiller fresh(live.tables);
+    ASSERT_TRUE(fresh.Run(options).ok());
+    EXPECT_NE(HeapRows(live.tables.auth), deferred_auth) << "seed " << seed;
   }
 }
 
