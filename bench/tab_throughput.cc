@@ -63,7 +63,6 @@
 #include "crawl/metrics.h"
 #include "crawl/relevance_evaluator.h"
 #include "dist/dist_crawl.h"
-#include "crawl/monitor.h"
 #include "crawl/provenance.h"
 #include "obs/admin_server.h"
 #include "obs/event_log.h"
@@ -366,7 +365,11 @@ int Run(const Flags& flags) {
     std::printf("%d,%zu,%.2f,%.0f,%.1f,%.1f,%.1f\n", row.threads,
                 row.pages, row.wall_s, row.PerWallSecond(), row.virtual_s,
                 row.PerVirtualSecond(), row.batch_occupancy);
-    std::printf("%s", crawl::FormatStageMetrics(metrics).c_str());
+    std::printf("  stages: fetch=%.3fs classify=%.3fs expand=%.3fs "
+                "lock_wait=%.3fs\n",
+                metrics.fetch_micros / 1e6, metrics.classify_micros / 1e6,
+                metrics.expand_micros / 1e6,
+                metrics.lock_wait_micros / 1e6);
     row.pool = session->pool()->stats();
     std::printf("  pool: hit_ratio=%.4f readahead issued=%llu used=%llu\n",
                 row.pool.hit_ratio(),

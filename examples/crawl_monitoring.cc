@@ -12,8 +12,8 @@
 // category good recovers the harvest.
 //
 // Along the way this example doubles as the observability tour: the
-// pipeline stage report, the crawl's counters from the registry's
-// Prometheus exposition, the crawl event log with a provenance-path
+// crawl's stage and fault counters from the registry's Prometheus
+// exposition, the crawl event log with a provenance-path
 // reconstruction, EXPLAIN-ANALYZE plan reports for the Figure 3
 // classifier plan and a Figure 4 distillation iteration, and (with
 // --admin-port N) the live admin introspection server:
@@ -90,7 +90,7 @@ int Run(int admin_port, int admin_linger_s) {
   options.web.pages_per_topic = 500;
   options.web.background_pages = 30000;
   options.web.background_servers = 800;
-  // A mildly hostile web, so the stage report's fault line has content:
+  // A mildly hostile web, so the fault counters have content:
   // a few percent of fetches fail transiently, some pages are gone for
   // good, some transfers are cut short, and a sliver of servers is flaky.
   options.web.fetch_failure_prob = 0.04;
@@ -116,7 +116,7 @@ int Run(int admin_port, int admin_linger_s) {
   // --- the drooping crawl: good = {mutual_funds} only ---
   crawl::CrawlerOptions copts;
   copts.max_fetches = 1500;
-  copts.num_threads = 4;  // the pipeline, so the stage report has content
+  copts.num_threads = 4;  // the pipeline, so the stage counters have content
   copts.event_log = &event_log;
   auto session = system->NewCrawl(seeds, copts).TakeValue();
   crawl::RegisterCrawlAdminEndpoints(&admin, &session->crawler());
@@ -126,10 +126,6 @@ int Run(int admin_port, int admin_linger_s) {
               session->crawler().visits().size(),
               FinalHarvest(session->crawler().visits()));
 
-  std::printf("pipeline stage report for the drooping crawl:\n%s\n",
-              crawl::FormatStageMetrics(
-                  session->crawler().stage_metrics().Snapshot())
-                  .c_str());
   const crawl::CrawlStats& cstats = session->crawler().stats();
   std::printf("hostile-web accounting: %llu attempts = %zu visits + %llu "
               "retried failures + %llu dropped urls\n\n",

@@ -557,15 +557,9 @@ Status Crawler::ResumeFromDb() {
 Status Crawler::ScheduleRevisits(const sql::Table* hubs, int count) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   // Hub scores by oid, when a distillation round is available.
-  std::unordered_map<int64_t, double> hub_score;
+  std::unordered_map<uint64_t, double> hub_score;
   if (hubs != nullptr) {
-    auto it = hubs->Scan();
-    storage::Rid rid;
-    sql::Tuple row;
-    while (it.Next(&rid, &row)) {
-      hub_score[row.Get(0).AsInt64()] = row.Get(1).AsDouble();
-    }
-    FOCUS_RETURN_IF_ERROR(it.status());
+    FOCUS_ASSIGN_OR_RETURN(hub_score, distill::CollectScores(hubs));
   }
   // Collect visited pages, stalest first, best hubs first within a tie.
   std::vector<CrawlRecord> visited;
@@ -580,7 +574,7 @@ Status Crawler::ScheduleRevisits(const sql::Table* hubs, int count) {
     FOCUS_RETURN_IF_ERROR(it.status());
   }
   auto score_of = [&](const CrawlRecord& r) {
-    auto it = hub_score.find(static_cast<int64_t>(r.oid));
+    auto it = hub_score.find(r.oid);
     return it == hub_score.end() ? 0.0 : it->second;
   };
   std::sort(visited.begin(), visited.end(),

@@ -1,7 +1,6 @@
 #include "crawl/monitor.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_set>
 
 #include "sql/exec/aggregate.h"
@@ -9,7 +8,6 @@
 #include "sql/exec/operator.h"
 #include "sql/exec/scan.h"
 #include "sql/exec/sort.h"
-#include "util/string_util.h"
 
 namespace focus::crawl {
 
@@ -27,37 +25,6 @@ using sql::SortKey;
 using sql::Tuple;
 using sql::TypeId;
 using sql::Value;
-
-namespace {
-
-std::string Ms(uint64_t micros) {
-  return StrCat(micros / 1000, ".", (micros % 1000) / 100, "ms");
-}
-
-std::string Fixed(double v, int places) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.*f", places, v);
-  return buf;
-}
-
-}  // namespace
-
-std::string FormatStageMetrics(const StageMetricsSnapshot& s) {
-  std::string out;
-  out += StrCat("stage time   fetch=", Ms(s.fetch_micros),
-                " classify=", Ms(s.classify_micros),
-                " expand=", Ms(s.expand_micros),
-                " lock_wait=", Ms(s.lock_wait_micros), "\n");
-  out += StrCat("classify     batches=", s.batches,
-                " pages=", s.batched_pages,
-                " occupancy=", Fixed(s.AvgBatchOccupancy(), 2), "\n");
-  out += StrCat("frontier     pops=", s.frontier_pops, "\n");
-  out += StrCat("faults       failures=", s.fetch_failures,
-                " retries=", s.retries, " dropped=", s.dropped_urls,
-                " breaker_skips=", s.breaker_skips,
-                " breaker_opens=", s.breaker_opens, "\n");
-  return out;
-}
 
 Result<std::vector<CensusRow>> ClassCensus(const CrawlDb& db,
                                            const taxonomy::Taxonomy& tax) {

@@ -7,17 +7,11 @@
 #include <vector>
 
 #include "crawl/crawl_db.h"
-#include "crawl/metrics.h"
 #include "sql/table.h"
 #include "taxonomy/taxonomy.h"
 #include "util/status.h"
 
 namespace focus::crawl {
-
-// Human-readable report of the pipeline stage counters — per-stage wall
-// time, lock wait, batch occupancy, frontier pops and fault handling. One
-// line per counter group, suitable for the crawl-monitoring console.
-std::string FormatStageMetrics(const StageMetricsSnapshot& s);
 
 // One row of the stagnation-diagnosis census:
 //   with CENSUS(kcid, cnt) as

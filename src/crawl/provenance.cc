@@ -10,150 +10,8 @@
 #include "obs/admin_server.h"
 #include "obs/json_writer.h"
 #include "crawl/retry_policy.h"
-#include "sql/exec/basic.h"
-#include "sql/exec/batch_ops.h"
-#include "sql/exec/join.h"
-#include "sql/exec/scan.h"
-#include "sql/exec/sort.h"
 
 namespace focus::crawl {
-
-using sql::SortKey;
-using sql::TypeId;
-using sql::Value;
-
-sql::Schema EventsSchema() {
-  return sql::Schema({{"seq", TypeId::kInt64},
-                      {"type", TypeId::kInt32},
-                      {"oid", TypeId::kInt64},
-                      {"parent_oid", TypeId::kInt64},
-                      {"sid", TypeId::kInt32},
-                      {"virtual_us", TypeId::kInt64},
-                      {"value", TypeId::kDouble},
-                      {"aux", TypeId::kInt64}});
-}
-
-Result<sql::Table*> MaterializeEvents(const obs::EventLog& log,
-                                      sql::Catalog* catalog,
-                                      const std::string& name,
-                                      const obs::EventFilter& filter) {
-  std::vector<obs::CrawlEvent> events = log.Snapshot(filter);
-  if (catalog->GetTable(name) != nullptr) {
-    FOCUS_RETURN_IF_ERROR(catalog->DropTable(name));
-  }
-  FOCUS_ASSIGN_OR_RETURN(sql::Table * table,
-                         catalog->CreateTable(name, EventsSchema()));
-  for (const obs::CrawlEvent& e : events) {
-    FOCUS_RETURN_IF_ERROR(
-        table
-            ->Insert(sql::Tuple({Value::Int64(static_cast<int64_t>(e.seq)),
-                                 Value::Int32(static_cast<int32_t>(e.type)),
-                                 Value::Int64(e.oid), Value::Int64(e.parent_oid),
-                                 Value::Int32(e.sid), Value::Int64(e.virtual_us),
-                                 Value::Double(e.value), Value::Int64(e.aux)}))
-            .status());
-  }
-  return table;
-}
-
-namespace {
-
-// EVENTS column positions (EventsSchema order).
-constexpr int kColSeq = 0;
-constexpr int kColType = 1;
-constexpr int kColOid = 2;
-constexpr int kColParent = 3;
-constexpr int kColValue = 6;
-
-constexpr int32_t kAdmit =
-    static_cast<int32_t>(obs::CrawlEventType::kFrontierAdmit);
-
-Result<std::vector<sql::Tuple>> DiscoveryEdgesScalar(const sql::Table* events,
-                                                     const sql::Table* link) {
-  using namespace sql;
-  // Admit events that claim a discovering parent.
-  OperatorPtr admits = std::make_unique<Filter>(
-      std::make_unique<SeqScan>(events), [](const Tuple& t) {
-        // oids are full-range 64-bit hashes (negative as int64 is fine);
-        // only the exact sentinel -1 means "no parent".
-        return t.Get(kColType).AsInt32() == kAdmit &&
-               t.Get(kColParent).AsInt64() != -1;
-      });
-  OperatorPtr projected = Project::Columns(
-      std::move(admits), {kColSeq, kColOid, kColParent, kColValue});
-  // projected: 0 seq, 1 oid, 2 parent_oid, 3 value
-  OperatorPtr by_edge = std::make_unique<Sort>(
-      std::move(projected), std::vector<SortKey>{{2, false}, {1, false}});
-  OperatorPtr link_sorted = std::make_unique<Sort>(
-      std::make_unique<SeqScan>(link),
-      std::vector<SortKey>{{0, false}, {2, false}});
-  OperatorPtr joined = std::make_unique<MergeJoin>(
-      std::move(by_edge), std::move(link_sorted), std::vector<int>{2, 1},
-      std::vector<int>{0, 2});
-  // joined: 0 seq, 1 oid, 2 parent_oid, 3 value, 4.. LINK (wgt_fwd at 8)
-  OperatorPtr out = Project::Columns(std::move(joined), {0, 1, 2, 3, 8});
-  OperatorPtr by_seq =
-      std::make_unique<Sort>(std::move(out), std::vector<SortKey>{{0, false}});
-  return Collect(by_seq.get());
-}
-
-Result<std::vector<sql::Tuple>> DiscoveryEdgesVectorized(
-    const sql::Table* events, const sql::Table* link) {
-  using namespace sql;
-  // The URL strings never leave EVENTS/LINK, so only the joined numerics
-  // are read: 0 seq, 1 type, 2 oid, 3 parent_oid, 4 value.
-  BatchOperatorPtr scan = std::make_unique<BatchTableScan>(
-      events,
-      std::vector<int>{kColSeq, kColType, kColOid, kColParent, kColValue});
-  BatchOperatorPtr filtered = std::make_unique<BatchFilter>(
-      std::move(scan), [](const Batch& in, std::vector<int64_t>* sel) {
-        const auto& type = in.col(1).i32;
-        const auto& parent = in.col(3).i64;
-        for (size_t i = 0; i < type.size(); ++i) {
-          if (type[i] == kAdmit && parent[i] != -1) {
-            sel->push_back(static_cast<int64_t>(i));
-          }
-        }
-      });
-  BatchOperatorPtr projected = std::make_unique<BatchProject>(
-      std::move(filtered),
-      std::vector<BatchExpr>{
-          BatchExpr::Passthrough("seq", TypeId::kInt64, 0),
-          BatchExpr::Passthrough("oid", TypeId::kInt64, 2),
-          BatchExpr::Passthrough("parent_oid", TypeId::kInt64, 3),
-          BatchExpr::Passthrough("value", TypeId::kDouble, 4)});
-  BatchOperatorPtr by_edge = std::make_unique<BatchSort>(
-      std::move(projected), std::vector<SortKey>{{2, false}, {1, false}});
-  BatchOperatorPtr link_sorted = std::make_unique<BatchSort>(
-      std::make_unique<BatchTableScan>(link),
-      std::vector<SortKey>{{0, false}, {2, false}});
-  BatchOperatorPtr joined = std::make_unique<BatchMergeJoin>(
-      std::move(by_edge), std::move(link_sorted), std::vector<int>{2, 1},
-      std::vector<int>{0, 2});
-  // joined: 0 seq, 1 oid, 2 parent_oid, 3 value, 4.. LINK (wgt_fwd at 8)
-  BatchOperatorPtr out = std::make_unique<BatchProject>(
-      std::move(joined),
-      std::vector<BatchExpr>{
-          BatchExpr::Passthrough("seq", TypeId::kInt64, 0),
-          BatchExpr::Passthrough("oid", TypeId::kInt64, 1),
-          BatchExpr::Passthrough("parent_oid", TypeId::kInt64, 2),
-          BatchExpr::Passthrough("value", TypeId::kDouble, 3),
-          BatchExpr::Passthrough("wgt_fwd", TypeId::kDouble, 8)});
-  BatchOperatorPtr by_seq = std::make_unique<BatchSort>(
-      std::move(out), std::vector<SortKey>{{0, false}});
-  Devectorize tail(std::move(by_seq));
-  return Collect(&tail);
-}
-
-}  // namespace
-
-Result<std::vector<sql::Tuple>> DiscoveryEdges(const sql::Table* events,
-                                               const sql::Table* link,
-                                               sql::ExecEngine engine) {
-  return engine == sql::ExecEngine::kScalar
-             ? DiscoveryEdgesScalar(events, link)
-             : DiscoveryEdgesVectorized(events, link);
-}
 
 Result<std::vector<DiscoveryHop>> DiscoveryPath(const obs::EventLog& log,
                                                 const CrawlDb& db,

@@ -1,18 +1,7 @@
-// Crawl provenance: the event log as a relation, plus discovery-path
-// reconstruction.
+// Crawl provenance: discovery-path reconstruction from the event log.
 //
-// The paper's thesis is that a crawler should be "a database application";
-// this file extends that to the crawler's *history*. MaterializeEvents
-// turns the in-memory event ring into an EVENTS table
-//
-//   EVENTS(seq:int64, type:int32, oid:int64, parent_oid:int64, sid:int32,
-//          virtual_us:int64, value:double, aux:int64)
-//
-// queryable by both executor engines, and DiscoveryEdges is the
-// canned §3.7-style monitoring query over it: join frontier-admit events
-// with LINK to recover, for every URL, the edge that discovered it and
-// the priority it entered at. DiscoveryPath composes those facts into the
-// full seed → ... → URL story (attempts, fault classes, retries, breaker
+// DiscoveryPath composes the crawler's event history into the full
+// seed → ... → URL story (attempts, fault classes, retries, breaker
 // denials per hop) — including for crawls resumed after a crash, where
 // admits are reconciled from the WAL-recovered tables.
 #ifndef FOCUS_CRAWL_PROVENANCE_H_
@@ -24,8 +13,6 @@
 
 #include "crawl/crawl_db.h"
 #include "obs/event_log.h"
-#include "sql/catalog.h"
-#include "sql/exec/operator.h"
 #include "util/status.h"
 
 namespace focus::obs {
@@ -35,35 +22,6 @@ class AdminServer;
 namespace focus::crawl {
 
 class Crawler;
-
-// The EVENTS relation's schema (column order above).
-sql::Schema EventsSchema();
-
-// Materializes a snapshot of `log` into table `name` in `catalog`,
-// dropping any previous materialization. Rows are inserted in sequence
-// order, so a heap scan replays the crawl's history.
-Result<sql::Table*> MaterializeEvents(const obs::EventLog& log,
-                                      sql::Catalog* catalog,
-                                      const std::string& name = "EVENTS",
-                                      const obs::EventFilter& filter = {});
-
-// The canned provenance query, runnable on either engine (results are
-// bit-identical across kScalar / kVectorized):
-//
-//   select E.seq, E.oid, E.parent_oid, E.value, L.wgt_fwd
-//   from EVENTS E, LINK L
-//   where E.type = 0 /* frontier_admit */ and E.parent_oid <> -1
-//     and L.oid_src = E.parent_oid and L.oid_dst = E.oid
-//   order by E.seq
-//
-// (oids are full-range 64-bit hashes stored as int64, so "no parent" is
-// the exact sentinel -1, never a sign test.)
-//
-// Each row certifies one discovery: the admit event's claimed parent is
-// backed by a LINK edge.
-Result<std::vector<sql::Tuple>> DiscoveryEdges(const sql::Table* events,
-                                               const sql::Table* link,
-                                               sql::ExecEngine engine);
 
 // One hop of a discovery path, root (seed) first.
 struct DiscoveryHop {

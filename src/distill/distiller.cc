@@ -4,21 +4,16 @@
 
 namespace focus::distill {
 
-using sql::IndexSpec;
 using sql::Schema;
 using sql::Tuple;
 using sql::TypeId;
 
 Status CreateHubsAuthTables(sql::Catalog* catalog, DistillTables* tables) {
   Schema score_schema({{"oid", TypeId::kInt64}, {"score", TypeId::kDouble}});
-  FOCUS_ASSIGN_OR_RETURN(
-      tables->hubs,
-      catalog->CreateTable("HUBS", score_schema,
-                           {IndexSpec{"by_oid", {0}, {}}}));
-  FOCUS_ASSIGN_OR_RETURN(
-      tables->auth,
-      catalog->CreateTable("AUTH", score_schema,
-                           {IndexSpec{"by_oid", {0}, {}}}));
+  FOCUS_ASSIGN_OR_RETURN(tables->hubs,
+                         catalog->CreateTable("HUBS", score_schema));
+  FOCUS_ASSIGN_OR_RETURN(tables->auth,
+                         catalog->CreateTable("AUTH", score_schema));
   return Status::OK();
 }
 

@@ -1,8 +1,9 @@
 // DB-resident distillation (§2.2.3): shared table handles and interface.
 //
-// Two implementations run against the same LINK/HUBS/AUTH/CRAWL tables:
+// Two implementations run against the same LINK/CRAWL tables:
 //   * NaiveDistiller  — sequential LINK scan with per-edge index lookups
-//     and score updates (the pre-database, main-memory style);
+//     and score updates (the pre-database, main-memory style), on a
+//     HUBS/AUTH pair indexed by_oid;
 //   * JoinDistiller   — each update expressed as the Figure 4 join +
 //     group-by plan, with HUBS/AUTH bulk-replaced in sorted order.
 // Both reproduce HitsEngine's scores exactly (tested); Figure 8(d) measures
@@ -26,8 +27,10 @@ struct DistillTables {
   // LINK(oid_src:int64, sid_src:int32, oid_dst:int64, sid_dst:int32,
   //      wgt_fwd:double, wgt_rev:double), indexes by_src, by_dst.
   sql::Table* link = nullptr;
-  // HUBS/AUTH(oid:int64, score:double), index by_oid. Maintained in
-  // ascending-oid heap order by the join distiller.
+  // HUBS/AUTH(oid:int64, score:double), no index: the join distiller
+  // reads them only by scans and merge joins, and maintains them in
+  // ascending-oid heap order. NaiveDistiller brings its own pair with a
+  // by_oid index (CreateNaiveScoreTables).
   sql::Table* hubs = nullptr;
   sql::Table* auth = nullptr;
   // Any table with "oid" (int64) and "relevance" (double) columns and an
@@ -35,7 +38,8 @@ struct DistillTables {
   sql::Table* crawl = nullptr;
 };
 
-// Creates empty HUBS and AUTH tables in `catalog` (names "HUBS", "AUTH").
+// Creates empty, unindexed HUBS and AUTH tables in `catalog` (names
+// "HUBS", "AUTH").
 Status CreateHubsAuthTables(sql::Catalog* catalog, DistillTables* tables);
 
 class Distiller {

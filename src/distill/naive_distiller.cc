@@ -1,6 +1,7 @@
 #include "distill/naive_distiller.h"
 
 #include <set>
+#include <vector>
 
 #include "util/clock.h"
 #include "util/string_util.h"
@@ -10,7 +11,24 @@ namespace focus::distill {
 using sql::Tuple;
 using sql::Value;
 
+Status CreateNaiveScoreTables(sql::Catalog* catalog, DistillTables* tables) {
+  sql::Schema score_schema(
+      {{"oid", sql::TypeId::kInt64}, {"score", sql::TypeId::kDouble}});
+  std::vector<sql::IndexSpec> by_oid = {sql::IndexSpec{"by_oid", {0}, {}}};
+  FOCUS_ASSIGN_OR_RETURN(
+      tables->hubs, catalog->CreateTable("HUBS", score_schema, by_oid));
+  FOCUS_ASSIGN_OR_RETURN(
+      tables->auth, catalog->CreateTable("AUTH", score_schema, by_oid));
+  return Status::OK();
+}
+
 Status NaiveDistiller::Initialize() {
+  if (tables_.hubs->IndexId("by_oid") < 0 ||
+      tables_.auth->IndexId("by_oid") < 0) {
+    return Status::FailedPrecondition(
+        "naive distiller needs HUBS and AUTH indexed by_oid "
+        "(CreateNaiveScoreTables)");
+  }
   crawl_oid_col_ = tables_.crawl->schema().ColumnIndex("oid");
   crawl_rel_col_ = tables_.crawl->schema().ColumnIndex("relevance");
   if (crawl_oid_col_ < 0 || crawl_rel_col_ < 0) {

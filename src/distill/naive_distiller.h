@@ -7,10 +7,17 @@
 
 namespace focus::distill {
 
+// Creates empty HUBS and AUTH tables (names "HUBS", "AUTH") with the
+// by_oid index the naive distiller probes per edge. The join distiller
+// needs no index; production code uses CreateHubsAuthTables.
+Status CreateNaiveScoreTables(sql::Catalog* catalog, DistillTables* tables);
+
 class NaiveDistiller final : public Distiller {
  public:
   explicit NaiveDistiller(DistillTables tables) : Distiller(tables) {}
 
+  // FailedPrecondition, before any row is touched, when HUBS or AUTH has
+  // no by_oid index (e.g. tables from CreateHubsAuthTables).
   Status Initialize() override;
   Status RunIteration(double rho) override;
 

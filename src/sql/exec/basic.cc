@@ -40,12 +40,4 @@ OperatorPtr Project::Columns(OperatorPtr child, std::vector<int> cols) {
   return std::make_unique<Project>(std::move(child), std::move(exprs));
 }
 
-Result<bool> Limit::Next(Tuple* out) {
-  if (emitted_ >= limit_) return false;
-  FOCUS_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  ++emitted_;
-  return true;
-}
-
 }  // namespace focus::sql

@@ -1,4 +1,4 @@
-// Filter, Project and Limit operators.
+// Filter and Project operators.
 #ifndef FOCUS_SQL_EXEC_BASIC_H_
 #define FOCUS_SQL_EXEC_BASIC_H_
 
@@ -53,26 +53,6 @@ class Project final : public Operator {
   OperatorPtr child_;
   std::vector<ProjExpr> exprs_;
   Schema schema_;
-};
-
-// Emits at most `limit` tuples.
-class Limit final : public Operator {
- public:
-  Limit(OperatorPtr child, size_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-
-  Status Open() override {
-    emitted_ = 0;
-    return child_->Open();
-  }
-  Result<bool> Next(Tuple* out) override;
-  void Close() override { child_->Close(); }
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  OperatorPtr child_;
-  size_t limit_;
-  size_t emitted_ = 0;
 };
 
 }  // namespace focus::sql

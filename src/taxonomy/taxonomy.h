@@ -40,7 +40,6 @@ class Taxonomy {
     return nodes_[cid].children;
   }
   bool IsLeaf(Cid cid) const { return nodes_[cid].children.empty(); }
-  bool IsRoot(Cid cid) const { return cid == kRootCid; }
 
   // Cid by exact name, or NotFound.
   Result<Cid> FindByName(std::string_view name) const;
@@ -66,7 +65,6 @@ class Taxonomy {
   // Clears all marks back to kNull.
   void ClearMarks();
   Mark mark(Cid cid) const { return nodes_[cid].mark; }
-  bool IsGood(Cid cid) const { return nodes_[cid].mark == Mark::kGood; }
   // True if `cid` or any ancestor is good — pages classified here count as
   // relevant under the soft focus rule.
   bool IsGoodOrSubsumed(Cid cid) const;

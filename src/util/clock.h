@@ -12,12 +12,9 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Now()) {}
 
-  void Restart() { start_ = Now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Now() - start_).count();
   }
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
  private:

@@ -43,15 +43,6 @@ class Rng {
   // precomputed table owned by the caller (see ZipfTable).
   // (Use ZipfTable::Sample for repeated draws.)
 
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>* v) {
-    for (size_t i = v->size(); i > 1; --i) {
-      size_t j = Uniform(i);
-      std::swap((*v)[i - 1], (*v)[j]);
-    }
-  }
-
   // Samples k distinct indices from [0, n) (k <= n), in arbitrary order.
   std::vector<size_t> SampleIndices(size_t n, size_t k);
 

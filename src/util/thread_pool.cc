@@ -2,17 +2,11 @@
 
 namespace focus {
 
-namespace {
-thread_local int tls_worker_index = -1;
-}  // namespace
-
-int ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
-
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 1) num_threads = 1;
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -39,8 +33,7 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
-  tls_worker_index = worker_index;
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {

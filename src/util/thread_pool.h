@@ -28,14 +28,8 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Index (0-based, within its pool) of the worker running the calling
-  // task, or -1 when called off-pool. Lets tasks pick per-worker resources
-  // (e.g. a preferred frontier shard) without plumbing an id through every
-  // callback.
-  static int CurrentWorkerIndex();
-
  private:
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
 
   std::mutex mutex_;
   std::condition_variable work_available_;

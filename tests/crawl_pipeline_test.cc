@@ -20,7 +20,6 @@
 #include "core/sample_taxonomy.h"
 #include "crawl/batch_evaluator.h"
 #include "crawl/metrics.h"
-#include "crawl/monitor.h"
 #include "crawl/provenance.h"
 #include "obs/admin_server.h"
 #include "sql/catalog.h"
@@ -222,12 +221,6 @@ TEST(CrawlPipelineTest, EightThreadsVisitSamePagesAsOneThread) {
   EXPECT_GE(metrics.frontier_pops, pooled.size());
   EXPECT_GE(metrics.AvgBatchOccupancy(), 1.0);
   EXPECT_LE(metrics.AvgBatchOccupancy(), 32.0);
-  // The formatted report is for the monitoring console; just check it
-  // renders every counter group.
-  std::string report = crawl::FormatStageMetrics(metrics);
-  EXPECT_NE(report.find("classify"), std::string::npos);
-  EXPECT_NE(report.find("occupancy"), std::string::npos);
-  EXPECT_NE(report.find("pops="), std::string::npos);
 }
 
 TEST(CrawlPipelineTest, BatchSizeOneStillCompletes) {

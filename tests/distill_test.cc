@@ -99,7 +99,8 @@ class DistillerTest : public testing::Test {
  protected:
   DistillerTest() : pool_(&disk_, 1024), catalog_(&pool_) {}
 
-  // Builds LINK/CRAWL tables from edges and relevances.
+  // Builds LINK/CRAWL tables from edges and relevances, plus the naive
+  // distiller's indexed HUBS/AUTH pair (the join distiller runs on it too).
   void BuildTables(const std::vector<WeightedEdge>& edges,
                    const std::unordered_map<uint64_t, double>& relevance) {
     auto link = catalog_.CreateTable(
@@ -138,7 +139,7 @@ class DistillerTest : public testing::Test {
                                       Value::Double(r)}))
                       .ok());
     }
-    ASSERT_TRUE(CreateHubsAuthTables(&catalog_, &tables_).ok());
+    ASSERT_TRUE(CreateNaiveScoreTables(&catalog_, &tables_).ok());
   }
 
   storage::MemDiskManager disk_;
@@ -220,6 +221,31 @@ TEST_F(DistillerTest, StatsAreAccumulated) {
   JoinDistiller join(tables_);
   ASSERT_TRUE(join.Run({.iterations = 3, .rho = 0.0}).ok());
   EXPECT_GT(join.stats().join_seconds, 0.0);
+}
+
+TEST_F(DistillerTest, NaiveRejectsUnindexedScoreTablesUntouched) {
+  std::vector<WeightedEdge> edges = {Edge(1, 1, 2, 2), Edge(2, 2, 3, 3)};
+  std::unordered_map<uint64_t, double> rel = {{1, 1}, {2, 1}, {3, 1}};
+  AssignRelevanceWeights(rel, &edges);
+  BuildTables(edges, rel);
+  // The production pair, in a second catalog so its names do not clash.
+  sql::Catalog plain_catalog(&pool_);
+  DistillTables plain = tables_;
+  ASSERT_TRUE(CreateHubsAuthTables(&plain_catalog, &plain).ok());
+  ASSERT_TRUE(plain.hubs->Insert(Tuple({Value::Int64(7), Value::Double(0.5)}))
+                  .ok());
+  ASSERT_TRUE(
+      plain.auth->Insert(Tuple({Value::Int64(8), Value::Double(0.25)})).ok());
+
+  NaiveDistiller naive(plain);
+  Status status = naive.Initialize();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+  auto hubs = CollectScores(plain.hubs);
+  auto auth = CollectScores(plain.auth);
+  ASSERT_TRUE(hubs.ok());
+  ASSERT_TRUE(auth.ok());
+  EXPECT_EQ(hubs.value(), (std::unordered_map<uint64_t, double>{{7, 0.5}}));
+  EXPECT_EQ(auth.value(), (std::unordered_map<uint64_t, double>{{8, 0.25}}));
 }
 
 TEST(PageRankTest, UniformOnSymmetricCycle) {

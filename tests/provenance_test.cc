@@ -166,43 +166,6 @@ TEST(EventLogCrawlTest, LifecycleEventsCoverEveryVisit) {
   }
 }
 
-TEST(DiscoveryEdgesTest, BitIdenticalAcrossBothEngines) {
-  obs::EventLog log;
-  log.Enable();
-  auto fx = RunFaultyCrawl(&log, 150, 4);
-
-  // Materialize into a scratch catalog (EVENTS is a snapshot relation,
-  // independent of the crawl store).
-  MemDiskManager scratch_disk;
-  storage::BufferPool scratch_pool(&scratch_disk, 2048);
-  sql::Catalog scratch(&scratch_pool);
-  auto events = crawl::MaterializeEvents(log, &scratch);
-  ASSERT_TRUE(events.ok()) << events.status();
-  EXPECT_EQ(events.value()->num_rows(), log.Snapshot().size());
-
-  auto scalar = crawl::DiscoveryEdges(events.value(),
-                                      fx->db->link_table(),
-                                      sql::ExecEngine::kScalar);
-  ASSERT_TRUE(scalar.ok()) << scalar.status();
-  auto vectorized = crawl::DiscoveryEdges(events.value(),
-                                          fx->db->link_table(),
-                                          sql::ExecEngine::kVectorized);
-  ASSERT_TRUE(vectorized.ok()) << vectorized.status();
-
-  ASSERT_GT(scalar.value().size(), 0u);
-  ASSERT_EQ(scalar.value().size(), vectorized.value().size());
-  for (size_t i = 0; i < scalar.value().size(); ++i) {
-    EXPECT_EQ(scalar.value()[i].ToString(),
-              vectorized.value()[i].ToString())
-        << "row " << i;
-  }
-  // Every edge certifies a discovery: parent is real (never the -1
-  // sentinel) and the LINK row backs the admit's claim.
-  for (const sql::Tuple& row : scalar.value()) {
-    EXPECT_NE(row.Get(2).AsInt64(), -1);
-  }
-}
-
 TEST(DiscoveryPathTest, ReconstructsEveryVisitedUrlUnderFaults) {
   obs::EventLog log;
   log.Enable();

@@ -171,14 +171,6 @@ TEST(ProjectTest, ColumnsHelperPreservesNamesAndOrder) {
   EXPECT_EQ(out.value()[0].Get(1).AsInt32(), 7);
 }
 
-TEST(LimitTest, ZeroLimit) {
-  Limit limit(std::make_unique<MaterializedSource>(KV(), Rows({{1, 1}})),
-              0);
-  auto out = Collect(&limit);
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out.value().empty());
-}
-
 TEST(AggregateTest, SumOfDoublesStaysDouble) {
   Schema schema({{"g", TypeId::kInt32}, {"x", TypeId::kDouble}});
   std::vector<Tuple> rows = {

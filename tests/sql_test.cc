@@ -291,15 +291,6 @@ TEST_F(SqlTest, FilterAndProject) {
   EXPECT_EQ(rows.value()[1].Get(0).AsInt32(), 60);
 }
 
-TEST_F(SqlTest, LimitStopsEarly) {
-  auto src = SourceOf(TwoIntSchema(),
-                      IntRows({{1, 1}, {2, 2}, {3, 3}, {4, 4}}));
-  Limit limit(std::move(src), 2);
-  auto rows = Collect(&limit);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().size(), 2u);
-}
-
 TEST_F(SqlTest, SortAscendingAndDescending) {
   auto rows_in = IntRows({{3, 1}, {1, 2}, {2, 3}, {1, 1}});
   {
