@@ -90,11 +90,12 @@ int Run() {
     classify::BulkProbeClassifier bulk(&ref, &tables.value());
     FOCUS_CHECK(pool.EvictAll().ok());
     pool.ResetStats();
+    classify::BulkProbeClassifier::Stats stats;
     Stopwatch bulk_timer;
-    auto scores = bulk.ClassifyAll(document.value());
+    auto scores = bulk.ClassifyAll(document.value(), &stats);
     FOCUS_CHECK(scores.ok(), scores.status().ToString());
     double bulk_total = bulk_timer.ElapsedSeconds() / kBulkDocs;
-    double bulk_join = bulk.stats().join_seconds / kBulkDocs;
+    double bulk_join = stats.join_seconds / kBulkDocs;
     double bulk_misses =
         static_cast<double>(pool.stats().misses) / kBulkDocs;
 

@@ -55,13 +55,14 @@ void RunConfig(int categories, int leaves_per_category, int num_docs) {
   classify::BulkProbeClassifier bulk(&ref, &tables.value());
   FOCUS_CHECK(pool.EvictAll().ok());
   pool.ResetStats();
+  classify::BulkProbeClassifier::Stats stats;
   Stopwatch timer;
-  auto scores = bulk.ClassifyAll(document.value());
+  auto scores = bulk.ClassifyAll(document.value(), &stats);
   FOCUS_CHECK(scores.ok(), scores.status().ToString());
   double seconds = timer.ElapsedSeconds();
   std::printf("%dx%d,%d,%llu,%.4f\n", categories, leaves_per_category,
               num_docs,
-              static_cast<unsigned long long>(bulk.stats().output_rows),
+              static_cast<unsigned long long>(stats.output_rows),
               seconds);
 }
 

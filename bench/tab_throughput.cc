@@ -177,6 +177,7 @@ struct Row {
   double wall_s = 0;
   double virtual_s = 0;
   double batch_occupancy = 0;
+  double lock_held_s = 0;  // crawl-state lock held (the serial section)
   storage::WalStats wal;            // zero when running without --wal
   storage::BufferPool::Stats pool;  // the session's buffer-pool counters
 
@@ -187,6 +188,8 @@ struct Row {
   double PerCommit(uint64_t n) const {
     return wal.commits == 0 ? 0 : static_cast<double>(n) / wal.commits;
   }
+  // Share of wall time the crawl-state lock was held.
+  double LockHeldFrac() const { return wall_s == 0 ? 0 : lock_held_s / wall_s; }
   double ReadaheadUsedFrac() const {
     return pool.readahead_issued == 0
                ? 0
@@ -362,14 +365,16 @@ int Run(const Flags& flags) {
     const crawl::StageMetricsSnapshot metrics =
         session->crawler().stage_metrics().Snapshot();
     row.batch_occupancy = metrics.AvgBatchOccupancy();
+    row.lock_held_s = metrics.lock_held_micros / 1e6;
     std::printf("%d,%zu,%.2f,%.0f,%.1f,%.1f,%.1f\n", row.threads,
                 row.pages, row.wall_s, row.PerWallSecond(), row.virtual_s,
                 row.PerVirtualSecond(), row.batch_occupancy);
     std::printf("  stages: fetch=%.3fs classify=%.3fs expand=%.3fs "
-                "lock_wait=%.3fs\n",
+                "lock_wait=%.3fs lock_held=%.3fs (%.0f%% of wall)\n",
                 metrics.fetch_micros / 1e6, metrics.classify_micros / 1e6,
                 metrics.expand_micros / 1e6,
-                metrics.lock_wait_micros / 1e6);
+                metrics.lock_wait_micros / 1e6, row.lock_held_s,
+                100 * row.LockHeldFrac());
     row.pool = session->pool()->stats();
     std::printf("  pool: hit_ratio=%.4f readahead issued=%llu used=%llu\n",
                 row.pool.hit_ratio(),

@@ -36,7 +36,8 @@ using sql::Value;
 Status BulkProbeClassifier::BulkProbeNode(
     taxonomy::Cid c0, const sql::Schema& doc_schema,
     const std::vector<sql::Tuple>& doc_sorted,
-    std::unordered_map<uint64_t, std::vector<double>>* acc) const {
+    std::unordered_map<uint64_t, std::vector<double>>* acc,
+    Call* call) const {
   auto it = tables_->stat.find(c0);
   if (it == tables_->stat.end()) {
     return Status::Internal(StrCat("no STAT table for node ", c0));
@@ -53,30 +54,30 @@ Status BulkProbeClassifier::BulkProbeNode(
   // PARTIAL(did, kcid, lpr1): DOCUMENT ⋈_tid STAT_c0 ⋈_kcid TAXONOMY,
   // group by (did, kcid), sum(freq * (logtheta + logdenom)).
   OperatorPtr doc_by_tid = sql::Analyze(
-      plan_, "BorrowedSource DOCUMENT(sorted)",
+      call->plan, "BorrowedSource DOCUMENT(sorted)",
       std::make_unique<sql::BorrowedSource>(doc_schema, &doc_sorted));
   // STAT_c0's heap is already in (tid, kcid) order.
-  OperatorPtr stat_scan = sql::Analyze(plan_, "SeqScan STAT",
+  OperatorPtr stat_scan = sql::Analyze(call->plan, "SeqScan STAT",
                                        std::make_unique<SeqScan>(stat));
   OperatorPtr joined = sql::Analyze(
-      plan_, "MergeJoin DOCUMENT~STAT",
+      call->plan, "MergeJoin DOCUMENT~STAT",
       std::make_unique<MergeJoin>(std::move(doc_by_tid),
                                   std::move(stat_scan), std::vector<int>{1},
                                   std::vector<int>{1}));
   // joined: 0 did, 1 tid, 2 freq, 3 kcid, 4 tid, 5 logtheta
   OperatorPtr tax_children = sql::Analyze(
-      plan_, "IndexScanEq TAXONOMY by_pcid",
+      call->plan, "IndexScanEq TAXONOMY by_pcid",
       std::make_unique<sql::IndexScanEq>(
           tables_->taxonomy, tables_->taxonomy->IndexId("by_pcid"),
           std::vector<Value>{Value::Int32(c0)}));
   OperatorPtr with_denom = sql::Analyze(
-      plan_, "HashJoin TAXONOMY~joined",
+      call->plan, "HashJoin TAXONOMY~joined",
       std::make_unique<HashJoin>(std::move(tax_children), std::move(joined),
                                  std::vector<int>{1}, std::vector<int>{3}));
   // with_denom: 0 pcid, 1 kcid, 2 logprior, 3 logdenom, 4 type, 5 name,
   //             6 did, 7 tid, 8 freq, 9 kcid, 10 tid, 11 logtheta
   OperatorPtr contrib = sql::Analyze(
-      plan_, "Project did,kcid,contrib",
+      call->plan, "Project did,kcid,contrib",
       std::make_unique<Project>(
           std::move(with_denom),
           std::vector<ProjExpr>{
@@ -91,7 +92,7 @@ Status BulkProbeClassifier::BulkProbeNode(
                              (t.Get(11).AsDouble() + t.Get(3).AsDouble()));
                        }}}));
   OperatorPtr partial_op = sql::Analyze(
-      plan_, "HashAggregate PARTIAL(did,kcid)",
+      call->plan, "HashAggregate PARTIAL(did,kcid)",
       std::make_unique<HashAggregate>(
           std::move(contrib), std::vector<int>{0, 1},
           std::vector<AggSpec>{AggSpec{AggKind::kSum, 2, "lpr1"}}));
@@ -99,41 +100,41 @@ Status BulkProbeClassifier::BulkProbeNode(
 
   // DOCLEN(did, len): DOCUMENT restricted to F(c0), grouped by did.
   OperatorPtr features = sql::Analyze(
-      plan_, "HashAggregate features(tid)",
+      call->plan, "HashAggregate features(tid)",
       std::make_unique<HashAggregate>(
-          sql::Analyze(plan_, "SeqScan STAT",
+          sql::Analyze(call->plan, "SeqScan STAT",
                        std::make_unique<SeqScan>(stat)),
           std::vector<int>{1},
           std::vector<AggSpec>{AggSpec{AggKind::kCount, -1, "cnt"}}));
   OperatorPtr doc_by_tid2 = sql::Analyze(
-      plan_, "BorrowedSource DOCUMENT(sorted)",
+      call->plan, "BorrowedSource DOCUMENT(sorted)",
       std::make_unique<sql::BorrowedSource>(doc_schema, &doc_sorted));
   OperatorPtr doc_features = sql::Analyze(
-      plan_, "MergeJoin DOCUMENT~features",
+      call->plan, "MergeJoin DOCUMENT~features",
       std::make_unique<MergeJoin>(std::move(doc_by_tid2),
                                   std::move(features), std::vector<int>{1},
                                   std::vector<int>{0}));
   // doc_features: 0 did, 1 tid, 2 freq, 3 tid, 4 cnt
   OperatorPtr doclen_op = sql::Analyze(
-      plan_, "HashAggregate DOCLEN(did)",
+      call->plan, "HashAggregate DOCLEN(did)",
       std::make_unique<HashAggregate>(
           std::move(doc_features), std::vector<int>{0},
           std::vector<AggSpec>{AggSpec{AggKind::kSum, 2, "len"}}));
 
   // COMPLETE(did, kcid, lpr2): DOCLEN × children(c0), -len * logdenom.
   OperatorPtr tax_children2 = sql::Analyze(
-      plan_, "IndexScanEq TAXONOMY by_pcid",
+      call->plan, "IndexScanEq TAXONOMY by_pcid",
       std::make_unique<sql::IndexScanEq>(
           tables_->taxonomy, tables_->taxonomy->IndexId("by_pcid"),
           std::vector<Value>{Value::Int32(c0)}));
   OperatorPtr cross = sql::Analyze(
-      plan_, "NestedLoopJoin DOCLEN×children",
+      call->plan, "NestedLoopJoin DOCLEN×children",
       std::make_unique<NestedLoopJoin>(
           std::move(doclen_op), std::move(tax_children2),
           [](const Tuple&, const Tuple&) { return true; }));
   // cross: 0 did, 1 len, 2 pcid, 3 kcid, 4 logprior, 5 logdenom, ...
   OperatorPtr complete_op = sql::Analyze(
-      plan_, "Project COMPLETE",
+      call->plan, "Project COMPLETE",
       std::make_unique<Project>(
           std::move(cross),
           std::vector<ProjExpr>{
@@ -150,20 +151,21 @@ Status BulkProbeClassifier::BulkProbeNode(
   // TAXONOMY rows were inserted in cid order (they were), but sort
   // explicitly to keep the merge-join precondition independent of that.
   OperatorPtr complete_sorted = sql::Analyze(
-      plan_, "Sort COMPLETE (did,kcid)",
+      call->plan, "Sort COMPLETE (did,kcid)",
       std::make_unique<Sort>(std::move(complete_op),
                              std::vector<SortKey>{{0, false}, {1, false}}));
 
   // final: COMPLETE left outer join PARTIAL on (did, kcid).
   OperatorPtr final_join = sql::Analyze(
-      plan_, StrCat("BulkProbeNode c0=", c0, ": MergeJoin COMPLETE~PARTIAL"),
+      call->plan,
+      StrCat("BulkProbeNode c0=", c0, ": MergeJoin COMPLETE~PARTIAL"),
       std::make_unique<MergeJoin>(std::move(complete_sorted),
                                   std::move(partial_op),
                                   std::vector<int>{0, 1},
                                   std::vector<int>{0, 1},
                                   /*left_outer=*/true));
   FOCUS_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Collect(final_join.get()));
-  stats_.join_seconds += join_timer.ElapsedSeconds();
+  call->stats.join_seconds += join_timer.ElapsedSeconds();
 
   Stopwatch finalize_timer;
   // rows: 0 did, 1 kcid, 2 lpr2, 3 did, 4 kcid, 5 lpr1(or NULL)
@@ -172,19 +174,20 @@ Status BulkProbeClassifier::BulkProbeNode(
     taxonomy::Cid kcid = static_cast<taxonomy::Cid>(row.Get(1).AsInt32());
     double lpr = row.Get(2).AsDouble() +
                  (row.Get(5).is_null() ? 0.0 : row.Get(5).AsDouble());
-    if (!row.Get(5).is_null()) ++stats_.partial_rows;
+    if (!row.Get(5).is_null()) ++call->stats.partial_rows;
     auto [entry, inserted] = acc->try_emplace(did);
     if (inserted) entry->second.assign(children.size(), 0.0);
     entry->second[child_index.at(kcid)] = lpr;
   }
-  stats_.output_rows += rows.size();
-  stats_.finalize_seconds += finalize_timer.ElapsedSeconds();
+  call->stats.output_rows += rows.size();
+  call->stats.finalize_seconds += finalize_timer.ElapsedSeconds();
   return Status::OK();
 }
 
 Status BulkProbeClassifier::BulkProbeNodeVec(
     taxonomy::Cid c0, const sql::ColumnSet& doc_sorted,
-    std::unordered_map<uint64_t, std::vector<double>>* acc) const {
+    std::unordered_map<uint64_t, std::vector<double>>* acc,
+    Call* call) const {
   auto it = tables_->stat.find(c0);
   if (it == tables_->stat.end()) {
     return Status::Internal(StrCat("no STAT table for node ", c0));
@@ -220,26 +223,26 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
   sql::ColumnSet stat_cols;
   {
     sql::BatchOperatorPtr scan_once =
-        sql::AnalyzeBatch(plan_, "BatchTableScan STAT",
+        sql::AnalyzeBatch(call->plan, "BatchTableScan STAT",
                           std::make_unique<sql::BatchTableScan>(stat));
     FOCUS_RETURN_IF_ERROR(sql::CollectInto(scan_once.get(), &stat_cols));
   }
 
   sql::BatchOperatorPtr doc_src = sql::AnalyzeBatch(
-      plan_, "BatchSource DOCUMENT(sorted)",
+      call->plan, "BatchSource DOCUMENT(sorted)",
       std::make_unique<sql::BatchSource>(&doc_sorted));
   sql::BatchOperatorPtr stat_scan = sql::AnalyzeBatch(
-      plan_, "BatchSource STAT",
+      call->plan, "BatchSource STAT",
       std::make_unique<sql::BatchSource>(&stat_cols));
   // STAT_c0's heap is already in (tid, kcid) order.
   sql::BatchOperatorPtr joined = sql::AnalyzeBatch(
-      plan_, "BatchMergeJoin DOCUMENT~STAT",
+      call->plan, "BatchMergeJoin DOCUMENT~STAT",
       std::make_unique<sql::BatchMergeJoin>(
           std::move(doc_src), std::move(stat_scan), std::vector<int>{1},
           std::vector<int>{1}));
   // joined: 0 did, 1 tid, 2 freq, 3 kcid, 4 tid, 5 logtheta
   sql::BatchOperatorPtr contrib = sql::AnalyzeBatch(
-      plan_, "BatchProject did,kcid,contrib",
+      call->plan, "BatchProject did,kcid,contrib",
       std::make_unique<sql::BatchProject>(
           std::move(joined),
           std::vector<sql::BatchExpr>{
@@ -260,7 +263,7 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
                     return out;
                   }}}));
   sql::BatchOperatorPtr partial_op = sql::AnalyzeBatch(
-      plan_, "BatchSortAggregate PARTIAL(did,kcid)",
+      call->plan, "BatchSortAggregate PARTIAL(did,kcid)",
       std::make_unique<sql::BatchSortAggregate>(
           std::move(contrib),
           std::vector<SortKey>{{0, false}, {1, false}},
@@ -270,24 +273,24 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
   // DOCLEN(did, len): DOCUMENT restricted to F(c0), grouped by did. The
   // pre-sorted STAT streams through BatchSortedAggregate.
   sql::BatchOperatorPtr features_src = sql::AnalyzeBatch(
-      plan_, "BatchSource STAT",
+      call->plan, "BatchSource STAT",
       std::make_unique<sql::BatchSource>(&stat_cols));
   sql::BatchOperatorPtr features = sql::AnalyzeBatch(
-      plan_, "BatchSortedAggregate features(tid)",
+      call->plan, "BatchSortedAggregate features(tid)",
       std::make_unique<sql::BatchSortedAggregate>(
           std::move(features_src), std::vector<int>{1},
           std::vector<AggSpec>{AggSpec{AggKind::kCount, -1, "cnt"}}));
   sql::BatchOperatorPtr doc_src2 = sql::AnalyzeBatch(
-      plan_, "BatchSource DOCUMENT(sorted)",
+      call->plan, "BatchSource DOCUMENT(sorted)",
       std::make_unique<sql::BatchSource>(&doc_sorted));
   sql::BatchOperatorPtr doc_features = sql::AnalyzeBatch(
-      plan_, "BatchMergeJoin DOCUMENT~features",
+      call->plan, "BatchMergeJoin DOCUMENT~features",
       std::make_unique<sql::BatchMergeJoin>(
           std::move(doc_src2), std::move(features), std::vector<int>{1},
           std::vector<int>{0}));
   // doc_features: 0 did, 1 tid, 2 freq, 3 tid, 4 cnt
   sql::BatchOperatorPtr doclen_op = sql::AnalyzeBatch(
-      plan_, "BatchSortAggregate DOCLEN(did)",
+      call->plan, "BatchSortAggregate DOCLEN(did)",
       std::make_unique<sql::BatchSortAggregate>(
           std::move(doc_features), std::vector<SortKey>{{0, false}},
           std::vector<int>{0},
@@ -297,10 +300,10 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
   // The children side runs the scalar index scan through the Vectorize
   // adapter — scalar and batch operators composing in one plan.
   sql::BatchOperatorPtr tax_children = sql::AnalyzeBatch(
-      plan_, "BatchProject kcid,logdenom",
+      call->plan, "BatchProject kcid,logdenom",
       std::make_unique<sql::BatchProject>(
           sql::AnalyzeBatch(
-              plan_, "Vectorize IndexScanEq TAXONOMY by_pcid",
+              call->plan, "Vectorize IndexScanEq TAXONOMY by_pcid",
               std::make_unique<sql::Vectorize>(
                   std::make_unique<sql::IndexScanEq>(
                       tables_->taxonomy,
@@ -310,12 +313,12 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
               sql::BatchExpr::Passthrough("kcid", TypeId::kInt32, 1),
               sql::BatchExpr::Passthrough("logdenom", TypeId::kDouble, 3)}));
   sql::BatchOperatorPtr cross = sql::AnalyzeBatch(
-      plan_, "BatchCrossJoin DOCLEN×children",
+      call->plan, "BatchCrossJoin DOCLEN×children",
       std::make_unique<sql::BatchCrossJoin>(std::move(doclen_op),
                                             std::move(tax_children)));
   // cross: 0 did, 1 len, 2 kcid, 3 logdenom
   sql::BatchOperatorPtr complete_op = sql::AnalyzeBatch(
-      plan_, "BatchProject COMPLETE",
+      call->plan, "BatchProject COMPLETE",
       std::make_unique<sql::BatchProject>(
           std::move(cross),
           std::vector<sql::BatchExpr>{
@@ -334,14 +337,14 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
                                return out;
                              }}}));
   sql::BatchOperatorPtr complete_sorted = sql::AnalyzeBatch(
-      plan_, "BatchSort COMPLETE (did,kcid)",
+      call->plan, "BatchSort COMPLETE (did,kcid)",
       std::make_unique<sql::BatchSort>(
           std::move(complete_op),
           std::vector<SortKey>{{0, false}, {1, false}}));
 
   // final: COMPLETE left outer join PARTIAL on (did, kcid).
   sql::BatchOperatorPtr final_join = sql::AnalyzeBatch(
-      plan_,
+      call->plan,
       StrCat("BulkProbeNode c0=", c0, ": BatchMergeJoin COMPLETE~PARTIAL"),
       std::make_unique<sql::BatchMergeJoin>(
           std::move(complete_sorted), std::move(partial_op),
@@ -360,12 +363,12 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
     const auto& kcid_col = batch.col(1).i32;
     const auto& lpr2_col = batch.col(2).f64;
     const sql::ColumnData& lpr1 = batch.col(5);
-    stats_.output_rows += n;
+    call->stats.output_rows += n;
     for (size_t i = 0; i < n; ++i) {
       double lpr = lpr2_col[i];
       if (!lpr1.IsNull(i)) {
         lpr += lpr1.f64[i];
-        ++stats_.partial_rows;
+        ++call->stats.partial_rows;
       }
       auto [entry, inserted] =
           acc->try_emplace(static_cast<uint64_t>(did_col[i]));
@@ -374,7 +377,7 @@ Status BulkProbeClassifier::BulkProbeNodeVec(
     }
   }
   final_join->Close();
-  stats_.join_seconds += join_timer.ElapsedSeconds();
+  call->stats.join_seconds += join_timer.ElapsedSeconds();
   return Status::OK();
 }
 
@@ -383,7 +386,8 @@ BulkProbeClassifier::Finalize(
     const std::vector<uint64_t>& dids,
     std::unordered_map<taxonomy::Cid,
                        std::unordered_map<uint64_t, std::vector<double>>>*
-        node_acc) const {
+        node_acc,
+    Call* call) const {
   Stopwatch finalize_timer;
   std::unordered_map<uint64_t, ClassScores> out;
   out.reserve(dids.size());
@@ -402,25 +406,26 @@ BulkProbeClassifier::Finalize(
     }
     out.emplace(did, ref_->PropagateScores(child_ll));
   }
-  stats_.finalize_seconds += finalize_timer.ElapsedSeconds();
+  call->stats.finalize_seconds += finalize_timer.ElapsedSeconds();
   return out;
 }
 
 Result<std::unordered_map<uint64_t, ClassScores>>
-BulkProbeClassifier::ClassifyAllScalar(const sql::Table* document) const {
+BulkProbeClassifier::ClassifyAllScalar(const sql::Table* document,
+                                       Call* call) const {
   // One sequential pass sorts DOCUMENT by tid into a temp reused by every
   // node's merge joins (as a clustered sort temp would be in DB2).
   Stopwatch sort_timer;
   OperatorPtr doc_sort = sql::Analyze(
-      plan_, "Sort DOCUMENT by tid",
+      call->plan, "Sort DOCUMENT by tid",
       std::make_unique<Sort>(
-          sql::Analyze(plan_, "SeqScan DOCUMENT",
+          sql::Analyze(call->plan, "SeqScan DOCUMENT",
                        std::make_unique<SeqScan>(document)),
           std::vector<SortKey>{{1, false}}));
   FOCUS_ASSIGN_OR_RETURN(
       std::vector<Tuple> doc_sorted,
       sql::Collect(doc_sort.get(), document->num_rows()));
-  stats_.join_seconds += sort_timer.ElapsedSeconds();
+  call->stats.join_seconds += sort_timer.ElapsedSeconds();
 
   // Distinct document ids (docs with no feature terms anywhere still get
   // scores — priors only).
@@ -437,28 +442,28 @@ BulkProbeClassifier::ClassifyAllScalar(const sql::Table* document) const {
       node_acc;
   for (taxonomy::Cid c0 : ref_->tax().InternalPreorder()) {
     FOCUS_RETURN_IF_ERROR(BulkProbeNode(c0, document->schema(), doc_sorted,
-                                        &node_acc[c0]));
+                                        &node_acc[c0], call));
   }
-  return Finalize(dids, &node_acc);
+  return Finalize(dids, &node_acc, call);
 }
 
 Result<std::unordered_map<uint64_t, ClassScores>>
-BulkProbeClassifier::ClassifyAllVectorized(
-    const sql::Table* document) const {
+BulkProbeClassifier::ClassifyAllVectorized(const sql::Table* document,
+                                           Call* call) const {
   // One batch pass sorts DOCUMENT by tid into a columnar temp shared
   // (zero-copy for small batches) by every node's merge joins.
   Stopwatch sort_timer;
   sql::BatchOperatorPtr doc_scan =
-      sql::AnalyzeBatch(plan_, "BatchTableScan DOCUMENT",
+      sql::AnalyzeBatch(call->plan, "BatchTableScan DOCUMENT",
                         std::make_unique<sql::BatchTableScan>(document));
   sql::BatchOperatorPtr doc_sort = sql::AnalyzeBatch(
-      plan_, "BatchSort DOCUMENT by tid",
+      call->plan, "BatchSort DOCUMENT by tid",
       std::make_unique<sql::BatchSort>(std::move(doc_scan),
                                        std::vector<SortKey>{{1, false}}));
   sql::ColumnSet doc_sorted;
   FOCUS_RETURN_IF_ERROR(sql::CollectInto(doc_sort.get(), &doc_sorted));
 
-  stats_.join_seconds += sort_timer.ElapsedSeconds();
+  call->stats.join_seconds += sort_timer.ElapsedSeconds();
 
   std::unordered_set<uint64_t> seen;
   std::vector<uint64_t> dids;
@@ -473,23 +478,27 @@ BulkProbeClassifier::ClassifyAllVectorized(
       node_acc;
   for (taxonomy::Cid c0 : ref_->tax().InternalPreorder()) {
     FOCUS_RETURN_IF_ERROR(
-        BulkProbeNodeVec(c0, doc_sorted, &node_acc[c0]));
+        BulkProbeNodeVec(c0, doc_sorted, &node_acc[c0], call));
   }
-  return Finalize(dids, &node_acc);
+  return Finalize(dids, &node_acc, call);
 }
 
 Result<std::unordered_map<uint64_t, ClassScores>>
-BulkProbeClassifier::ClassifyAll(const sql::Table* document) const {
-  return engine_ == sql::ExecEngine::kScalar ? ClassifyAllScalar(document)
-                                             : ClassifyAllVectorized(document);
+BulkProbeClassifier::ClassifyAll(const sql::Table* document,
+                                 Stats* stats) const {
+  return ClassifyWithPlan(document, nullptr, stats);
 }
 
 Result<std::unordered_map<uint64_t, ClassScores>>
 BulkProbeClassifier::ClassifyWithPlan(const sql::Table* document,
-                                      sql::PlanStats* plan) const {
-  plan_ = plan;
-  auto result = ClassifyAll(document);
-  plan_ = nullptr;
+                                      sql::PlanStats* plan,
+                                      Stats* stats) const {
+  Call call;
+  call.plan = plan;
+  auto result = engine_ == sql::ExecEngine::kScalar
+                    ? ClassifyAllScalar(document, &call)
+                    : ClassifyAllVectorized(document, &call);
+  if (stats != nullptr) *stats = call.stats;
   return result;
 }
 

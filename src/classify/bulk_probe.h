@@ -44,56 +44,63 @@ class BulkProbeClassifier {
   sql::ExecEngine engine() const { return engine_; }
 
   // Classifies every document materialized in `document` (did, tid, freq).
-  // Returns scores keyed by did.
+  // Returns scores keyed by did. `stats`, when given, receives this
+  // call's statistics.
   //
-  // Not safe for concurrent calls: the plan reads shared catalog tables
-  // and accumulates into the mutable `stats_`. Callers that serve multiple
-  // threads (crawl::BatchRelevanceEvaluator) must serialize externally.
+  // Reentrant: the plan only reads the shared classifier tables, and the
+  // plan recorder and statistics belong to the call, so threads may
+  // classify their own DOCUMENT tables at once
+  // (crawl::BatchRelevanceEvaluator does).
   Result<std::unordered_map<uint64_t, ClassScores>> ClassifyAll(
-      const sql::Table* document) const;
+      const sql::Table* document, Stats* stats = nullptr) const;
 
   // Like ClassifyAll, but records every operator of every per-node Figure 3
   // plan into `plan` (EXPLAIN ANALYZE). `plan` may be null, in which case
   // this is exactly ClassifyAll.
   Result<std::unordered_map<uint64_t, ClassScores>> ClassifyWithPlan(
-      const sql::Table* document, sql::PlanStats* plan) const;
-
-  const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
+      const sql::Table* document, sql::PlanStats* plan,
+      Stats* stats = nullptr) const;
 
  private:
+  // One call's state: its plan recorder (null unless ClassifyWithPlan was
+  // given one) and its statistics.
+  struct Call {
+    sql::PlanStats* plan = nullptr;
+    Stats stats;
+  };
+
   // Runs the Figure 3 plan at `c0` over the sorted-DOCUMENT temp,
   // accumulating per-document child log-likelihood vectors into `acc`
   // (keyed by did, indexed like tax.Children(c0)).
   Status BulkProbeNode(
       taxonomy::Cid c0, const sql::Schema& doc_schema,
       const std::vector<sql::Tuple>& doc_sorted,
-      std::unordered_map<uint64_t, std::vector<double>>* acc) const;
+      std::unordered_map<uint64_t, std::vector<double>>* acc,
+      Call* call) const;
 
   // The same plan on the vectorized engine, over the columnar
   // sorted-DOCUMENT temp.
   Status BulkProbeNodeVec(
       taxonomy::Cid c0, const sql::ColumnSet& doc_sorted,
-      std::unordered_map<uint64_t, std::vector<double>>* acc) const;
+      std::unordered_map<uint64_t, std::vector<double>>* acc,
+      Call* call) const;
 
   Result<std::unordered_map<uint64_t, ClassScores>> ClassifyAllScalar(
-      const sql::Table* document) const;
+      const sql::Table* document, Call* call) const;
   Result<std::unordered_map<uint64_t, ClassScores>> ClassifyAllVectorized(
-      const sql::Table* document) const;
+      const sql::Table* document, Call* call) const;
 
   // Shared finalize: priors + score propagation per distinct did.
   Result<std::unordered_map<uint64_t, ClassScores>> Finalize(
       const std::vector<uint64_t>& dids,
       std::unordered_map<taxonomy::Cid,
                          std::unordered_map<uint64_t, std::vector<double>>>*
-          node_acc) const;
+          node_acc,
+      Call* call) const;
 
   const HierarchicalClassifier* ref_;
   const ClassifierTables* tables_;
   sql::ExecEngine engine_ = sql::ExecEngine::kVectorized;
-  mutable Stats stats_;
-  // Non-null only inside ClassifyWithPlan.
-  mutable sql::PlanStats* plan_ = nullptr;
 };
 
 }  // namespace focus::classify

@@ -118,26 +118,38 @@ Result<ClassifierTables> BuildClassifierTables(sql::Catalog* catalog,
   return tables;
 }
 
+namespace {
+Schema DocumentSchema() {
+  return Schema({{"did", TypeId::kInt64},
+                 {"tid", TypeId::kInt64},
+                 {"freq", TypeId::kInt32}});
+}
+std::vector<IndexSpec> DocumentIndexes() {
+  return {IndexSpec{"by_did", {0}, {}}};
+}
+}  // namespace
+
 Result<sql::Table*> CreateDocumentTable(sql::Catalog* catalog,
                                         const std::string& name) {
-  return catalog->CreateTable(name,
-                              Schema({{"did", TypeId::kInt64},
-                                      {"tid", TypeId::kInt64},
-                                      {"freq", TypeId::kInt32}}),
-                              {IndexSpec{"by_did", {0}, {}}});
+  return catalog->CreateTable(name, DocumentSchema(), DocumentIndexes());
+}
+
+Result<std::unique_ptr<sql::Table>> NewDocumentTable(
+    storage::BufferPool* pool) {
+  // BulkProbe reads DOCUMENT only by scans, so this one has no by_did.
+  return sql::Table::Create(pool, "DOCUMENT", DocumentSchema(), {});
 }
 
 Status InsertDocument(sql::Table* document, uint64_t did,
                       const text::TermVector& terms) {
+  std::vector<Tuple> rows;
+  rows.reserve(terms.size());
   for (const auto& tf : terms) {
-    FOCUS_RETURN_IF_ERROR(
-        document
-            ->Insert(Tuple({Value::Int64(static_cast<int64_t>(did)),
-                            Value::Int64(static_cast<int64_t>(tf.tid)),
-                            Value::Int32(tf.freq)}))
-            .status());
+    rows.push_back(Tuple({Value::Int64(static_cast<int64_t>(did)),
+                          Value::Int64(static_cast<int64_t>(tf.tid)),
+                          Value::Int32(tf.freq)}));
   }
-  return Status::OK();
+  return document->InsertAll(rows);
 }
 
 Result<text::TermVector> FetchDocument(const sql::Table* document,

@@ -9,12 +9,14 @@
 //   BLOB(pcid:int32, tid:int64, payload:string) index: by_pcid_tid(16+32)
 //     payload = repeated {kcid:u16, logtheta:f64} records
 //   DOCUMENT(did:int64, tid:int64, freq:int32)  index: by_did(did)
+//            (none on a NewDocumentTable, which BulkProbe only scans)
 //
 // tid is the 32-bit term hash stored in an int64 column (tids exceed
 // INT32_MAX); index keys use 32-bit fields, matching the paper's layout.
 #ifndef FOCUS_CLASSIFY_DB_TABLES_H_
 #define FOCUS_CLASSIFY_DB_TABLES_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,7 +48,14 @@ Result<std::vector<ChildStat>> DecodeBlobPayload(std::string_view payload);
 Result<sql::Table*> CreateDocumentTable(sql::Catalog* catalog,
                                         const std::string& name);
 
-// Appends one document's (did, tid, freq) rows.
+// An empty DOCUMENT table on `pool` that no catalog knows of, without the
+// by_did index (BulkProbe only scans DOCUMENT): the caller owns it and
+// returns its pages with Table::ReleaseStorage. Threads that share a pool
+// can each build one at the same time.
+Result<std::unique_ptr<sql::Table>> NewDocumentTable(
+    storage::BufferPool* pool);
+
+// Appends one document's (did, tid, freq) rows, a heap page at a time.
 Status InsertDocument(sql::Table* document, uint64_t did,
                       const text::TermVector& terms);
 

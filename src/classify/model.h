@@ -41,8 +41,6 @@ struct NodeModel {
   // Keys are exactly the effective feature set F(c0): every stored feature
   // has at least one child record.
   std::unordered_map<uint32_t, std::vector<ChildStat>> stats;
-
-  bool IsFeature(uint32_t tid) const { return stats.contains(tid); }
 };
 
 struct ClassifierModel {

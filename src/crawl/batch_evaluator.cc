@@ -1,7 +1,6 @@
 #include "crawl/batch_evaluator.h"
 
 #include "classify/db_tables.h"
-#include "util/string_util.h"
 
 namespace focus::crawl {
 
@@ -40,38 +39,33 @@ Result<std::vector<PageJudgment>> BatchRelevanceEvaluator::JudgeBatchImpl(
     return std::vector<PageJudgment>{j};
   }
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string table_name = StrCat("DOCUMENT_BATCH_", next_batch_++);
-  FOCUS_ASSIGN_OR_RETURN(sql::Table * document,
-                         classify::CreateDocumentTable(scratch_, table_name));
-  Status status = Status::OK();
+  FOCUS_ASSIGN_OR_RETURN(
+      std::unique_ptr<sql::Table> document,
+      classify::NewDocumentTable(scratch_->buffer_pool()));
+  auto judged = ScoreThrough(document.get(), docs, plan);
+  // The table's pages go back to the pool's free list even on failure.
+  document->ReleaseStorage();
+  return judged;
+}
+
+Result<std::vector<PageJudgment>> BatchRelevanceEvaluator::ScoreThrough(
+    sql::Table* document, const std::vector<text::TermVector>& docs,
+    sql::PlanStats* plan) const {
   // dids are 1-based batch positions, so scores map back by index.
-  for (size_t i = 0; i < docs.size() && status.ok(); ++i) {
-    status = classify::InsertDocument(document, i + 1, docs[i]);
+  for (size_t i = 0; i < docs.size(); ++i) {
+    FOCUS_RETURN_IF_ERROR(classify::InsertDocument(document, i + 1, docs[i]));
   }
+  FOCUS_ASSIGN_OR_RETURN(auto scored, bulk_->ClassifyWithPlan(document, plan));
   std::vector<PageJudgment> out;
-  if (status.ok()) {
-    auto scored = plan == nullptr ? bulk_->ClassifyAll(document)
-                                  : bulk_->ClassifyWithPlan(document, plan);
-    if (scored.ok()) {
-      out.reserve(docs.size());
-      for (size_t i = 0; i < docs.size(); ++i) {
-        auto it = scored.value().find(i + 1);
-        // An empty term vector materializes no DOCUMENT rows, so the plan
-        // never sees its did; the in-memory path scores it identically
-        // (priors only).
-        out.push_back(it == scored.value().end()
-                          ? FromScores(ref_->Classify(docs[i]))
-                          : FromScores(it->second));
-      }
-    } else {
-      status = scored.status();
-    }
+  out.reserve(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    auto it = scored.find(i + 1);
+    // An empty term vector materializes no DOCUMENT rows, so the plan
+    // never sees its did; the in-memory path scores it identically
+    // (priors only).
+    out.push_back(it == scored.end() ? FromScores(ref_->Classify(docs[i]))
+                                     : FromScores(it->second));
   }
-  // Drop the scratch table even on failure.
-  Status drop = scratch_->DropTable(table_name);
-  FOCUS_RETURN_IF_ERROR(status);
-  FOCUS_RETURN_IF_ERROR(drop);
   return out;
 }
 

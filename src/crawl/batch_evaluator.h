@@ -4,8 +4,6 @@
 #ifndef FOCUS_CRAWL_BATCH_EVALUATOR_H_
 #define FOCUS_CRAWL_BATCH_EVALUATOR_H_
 
-#include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "classify/bulk_probe.h"
@@ -24,12 +22,16 @@ namespace focus::crawl {
 // passes only pay off once several documents share them; the scores are
 // identical either way (asserted by crawl_pipeline_test to 1e-9).
 //
-// Thread-safe: concurrent JudgeBatch calls are serialized internally, so
-// one evaluator can serve every fetch worker of a crawl pipeline.
+// Thread-safe without a lock of its own: each JudgeBatch call builds its
+// own DOCUMENT table, registered in no catalog, on the scratch catalog's
+// buffer pool (which has its own latch) and frees its pages before it
+// returns, on every path. The classifier tables are only read, and
+// BulkProbeClassifier keeps its per-call state in the call, so every
+// fetch worker of a crawl pipeline classifies its batch at the same time.
 class BatchRelevanceEvaluator final : public RelevanceEvaluator {
  public:
-  // `scratch` hosts the per-batch DOCUMENT tables (created and dropped per
-  // call); all pointers must outlive the evaluator.
+  // `scratch`'s buffer pool hosts the per-batch DOCUMENT tables; all
+  // pointers must outlive the evaluator.
   BatchRelevanceEvaluator(const classify::BulkProbeClassifier* bulk,
                           const classify::HierarchicalClassifier* ref,
                           sql::Catalog* scratch)
@@ -49,12 +51,14 @@ class BatchRelevanceEvaluator final : public RelevanceEvaluator {
   PageJudgment FromScores(const classify::ClassScores& scores) const;
   Result<std::vector<PageJudgment>> JudgeBatchImpl(
       const std::vector<text::TermVector>& docs, sql::PlanStats* plan);
+  // Scores `docs` through `document`, which holds nothing yet.
+  Result<std::vector<PageJudgment>> ScoreThrough(
+      sql::Table* document, const std::vector<text::TermVector>& docs,
+      sql::PlanStats* plan) const;
 
   const classify::BulkProbeClassifier* bulk_;
   const classify::HierarchicalClassifier* ref_;
   sql::Catalog* scratch_;
-  std::mutex mutex_;  // serializes scratch-table use across fetch workers
-  uint64_t next_batch_ = 0;
 };
 
 }  // namespace focus::crawl

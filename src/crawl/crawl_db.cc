@@ -38,6 +38,16 @@ std::string TruncateToHostRoot(std::string_view url) {
 }
 
 namespace {
+// CRAWL's columns, for the in-place point writes.
+enum CrawlCol : int {
+  kNumtries = 3,
+  kRelevance = 4,
+  kLastvisited = 6,
+  kKcid = 7,
+  kVisited = 8,
+  kNextretry = 9,
+};
+
 // Schema declarations shared by Create (fresh tables) and Open (reattach
 // after recovery): the layout blob persists storage positions only, the
 // application re-declares shapes.
@@ -65,7 +75,7 @@ Schema LinkSchema() {
                  {"wgt_rev", TypeId::kDouble}});
 }
 std::vector<IndexSpec> LinkIndexes() {
-  return {IndexSpec{"by_src", {0}, {}}, IndexSpec{"by_dst", {2}, {}}};
+  return {IndexSpec{"by_src", {0}, {}}};
 }
 Schema BreakerSchema() {
   return Schema({{"sid", TypeId::kInt32},
@@ -288,12 +298,15 @@ Result<storage::Rid> CrawlDb::RidOf(uint64_t oid) const {
 Status CrawlDb::AddUrl(std::string_view url, double relevance_estimate,
                        int32_t serverload) {
   uint64_t oid = UrlOid(url);
-  std::vector<storage::Rid> rids;
-  FOCUS_RETURN_IF_ERROR(crawl_->IndexLookup(
-      0, {Value::Int64(static_cast<int64_t>(oid))}, &rids));
-  if (!rids.empty()) {
+  FOCUS_ASSIGN_OR_RETURN(std::optional<UrlProbe> known, Probe(oid));
+  if (known.has_value()) {
     return Status::AlreadyExists(StrCat("url ", url));
   }
+  return InsertUrl(oid, url, relevance_estimate, serverload);
+}
+
+Status CrawlDb::InsertUrl(uint64_t oid, std::string_view url,
+                          double relevance_estimate, int32_t serverload) {
   return crawl_
       ->Insert(Tuple({Value::Int64(static_cast<int64_t>(oid)),
                       Value::Str(std::string(url)),
@@ -304,45 +317,65 @@ Status CrawlDb::AddUrl(std::string_view url, double relevance_estimate,
       .status();
 }
 
+Result<std::optional<UrlProbe>> CrawlDb::Probe(uint64_t oid) const {
+  std::vector<storage::Rid> rids;
+  FOCUS_RETURN_IF_ERROR(crawl_->IndexLookup(
+      0, {Value::Int64(static_cast<int64_t>(oid))}, &rids));
+  if (rids.empty()) return std::optional<UrlProbe>{};
+  UrlProbe probe;
+  probe.rid = rids[0];
+  FOCUS_RETURN_IF_ERROR(
+      crawl_->VisitAt(probe.rid, [&probe](const sql::RecordView& row) {
+        probe.visited = row.GetInt32(kVisited) != 0;
+        probe.relevance = row.GetDouble(kRelevance);
+        return Status::OK();
+      }));
+  return std::optional<UrlProbe>(probe);
+}
+
 Status CrawlDb::RecordAttempt(uint64_t oid) {
   FOCUS_ASSIGN_OR_RETURN(storage::Rid rid, RidOf(oid));
-  Tuple row;
-  FOCUS_RETURN_IF_ERROR(crawl_->Get(rid, &row));
-  row.Mutable(3) = Value::Int32(row.Get(3).AsInt32() + 1);
-  return crawl_->Update(rid, row);
+  return crawl_->UpdateInPlaceAt(rid, [](sql::MutableRecordView* row) {
+    return row->Set(kNumtries,
+                    Value::Int32(row->GetInt32(kNumtries) + 1));
+  });
 }
 
 Status CrawlDb::RecordFailure(uint64_t oid, int32_t cost,
                               int64_t next_retry_us) {
   FOCUS_ASSIGN_OR_RETURN(storage::Rid rid, RidOf(oid));
-  Tuple row;
-  FOCUS_RETURN_IF_ERROR(crawl_->Get(rid, &row));
-  row.Mutable(3) = Value::Int32(row.Get(3).AsInt32() + cost);
-  row.Mutable(9) = Value::Int64(next_retry_us);
-  return crawl_->Update(rid, row);
+  return crawl_->UpdateInPlaceAt(rid, [&](sql::MutableRecordView* row) {
+    FOCUS_RETURN_IF_ERROR(row->Set(
+        kNumtries, Value::Int32(row->GetInt32(kNumtries) + cost)));
+    return row->Set(kNextretry, Value::Int64(next_retry_us));
+  });
 }
 
 Status CrawlDb::RecordVisit(uint64_t oid, double relevance, int32_t kcid,
                             int64_t lastvisited) {
   FOCUS_ASSIGN_OR_RETURN(storage::Rid rid, RidOf(oid));
-  Tuple row;
-  FOCUS_RETURN_IF_ERROR(crawl_->Get(rid, &row));
-  row.Mutable(4) = Value::Double(relevance);
-  row.Mutable(6) = Value::Int64(lastvisited);
-  row.Mutable(7) = Value::Int32(kcid);
-  row.Mutable(8) = Value::Int32(1);
-  row.Mutable(9) = Value::Int64(0);  // visit clears any pending retry
-  return crawl_->Update(rid, row);
+  return crawl_->UpdateInPlaceAt(rid, [&](sql::MutableRecordView* row) {
+    FOCUS_RETURN_IF_ERROR(row->Set(kRelevance, Value::Double(relevance)));
+    FOCUS_RETURN_IF_ERROR(
+        row->Set(kLastvisited, Value::Int64(lastvisited)));
+    FOCUS_RETURN_IF_ERROR(row->Set(kKcid, Value::Int32(kcid)));
+    FOCUS_RETURN_IF_ERROR(row->Set(kVisited, Value::Int32(1)));
+    // A visit clears any pending retry.
+    return row->Set(kNextretry, Value::Int64(0));
+  });
 }
 
 Status CrawlDb::RaiseRelevance(uint64_t oid, double relevance) {
   FOCUS_ASSIGN_OR_RETURN(storage::Rid rid, RidOf(oid));
-  Tuple row;
-  FOCUS_RETURN_IF_ERROR(crawl_->Get(rid, &row));
-  if (row.Get(8).AsInt32() != 0) return Status::OK();  // already visited
-  if (row.Get(4).AsDouble() >= relevance) return Status::OK();
-  row.Mutable(4) = Value::Double(relevance);
-  return crawl_->Update(rid, row);
+  return RaiseRelevance(rid, relevance);
+}
+
+Status CrawlDb::RaiseRelevance(const storage::Rid& rid, double relevance) {
+  return crawl_->UpdateInPlaceAt(rid, [relevance](sql::MutableRecordView* row) {
+    if (row->GetInt32(kVisited) != 0) return Status::OK();
+    if (row->GetDouble(kRelevance) >= relevance) return Status::OK();
+    return row->Set(kRelevance, Value::Double(relevance));
+  });
 }
 
 Status CrawlDb::AddLink(std::string_view src_url, std::string_view dst_url) {

@@ -5,7 +5,7 @@
 //         kcid:int32, visited:int32,
 //         nextretry:int64)                  index by_oid
 //   LINK(oid_src:int64, sid_src:int32, oid_dst:int64, sid_dst:int32,
-//        wgt_fwd:double, wgt_rev:double)    indexes by_src, by_dst
+//        wgt_fwd:double, wgt_rev:double)    index by_src
 //   BREAKER(sid:int32, state:int32, failures:int32, open_until:int64,
 //           cooldown:double)                index by_sid
 //
@@ -28,6 +28,11 @@
 // host — standing in for the paper's resolved IP). For unvisited pages,
 // `relevance` holds the inherited priority estimate (best citing page's
 // R); after a visit it holds the page's own R(d).
+//
+// LINK is indexed only by its source, the one lookup the crawler makes
+// (a boost's top hubs). Its destination index was write-only and is gone;
+// a store written while LINK still had it does not reopen (Open returns
+// InvalidArgument from Table::Attach) and is not migrated.
 #ifndef FOCUS_CRAWL_CRAWL_DB_H_
 #define FOCUS_CRAWL_CRAWL_DB_H_
 
@@ -63,6 +68,14 @@ struct ExchangeLink {
   // a known unvisited row), false = admit-if-unknown (truncated host
   // roots and backlink citers never raise existing rows).
   bool raise_if_known = true;
+};
+
+// What link admission reads of a known URL: one by_oid probe, its
+// fixed-width columns viewed in place (no tuple decode, no URL copy).
+struct UrlProbe {
+  storage::Rid rid;  // for RaiseRelevance(rid, ...)
+  bool visited = false;
+  double relevance = 0;
 };
 
 struct CrawlRecord {
@@ -117,6 +130,13 @@ class CrawlDb {
   // Inserts a new URL row (visited = 0). AlreadyExists if the oid is known.
   Status AddUrl(std::string_view url, double relevance_estimate,
                 int32_t serverload);
+  // AddUrl for an oid (UrlOid(url)) whose Probe just missed: inserts
+  // without probing again.
+  Status InsertUrl(uint64_t oid, std::string_view url,
+                   double relevance_estimate, int32_t serverload);
+
+  // One by_oid probe; nullopt when the oid has no CRAWL row.
+  Result<std::optional<UrlProbe>> Probe(uint64_t oid) const;
 
   // Fetch-attempt bookkeeping: numtries += 1.
   Status RecordAttempt(uint64_t oid);
@@ -132,7 +152,9 @@ class CrawlDb {
 
   // Raises the stored relevance estimate of an *unvisited* row to
   // `relevance` if higher (used for hub boosts and better citations).
+  // Writes the row in place; the rid form skips the by_oid probe.
   Status RaiseRelevance(uint64_t oid, double relevance);
+  Status RaiseRelevance(const storage::Rid& rid, double relevance);
 
   // Appends a LINK row; edge weights start at 0 (assigned by
   // RefreshEdgeWeights once endpoint relevances are known).

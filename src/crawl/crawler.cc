@@ -304,10 +304,9 @@ Status Crawler::AdmitLink(std::string_view url, double relevance,
   uint64_t oid = UrlOid(url);
   int32_t sid = ServerIdOf(url);
   int32_t load = server_fetches_[sid];
-  FOCUS_ASSIGN_OR_RETURN(std::optional<CrawlRecord> existing,
-                         db_->Lookup(oid));
-  if (!existing.has_value()) {
-    FOCUS_RETURN_IF_ERROR(db_->AddUrl(url, relevance, load));
+  FOCUS_ASSIGN_OR_RETURN(std::optional<UrlProbe> known, db_->Probe(oid));
+  if (!known.has_value()) {
+    FOCUS_RETURN_IF_ERROR(db_->InsertUrl(oid, url, relevance, load));
     FrontierEntry entry;
     entry.oid = oid;
     entry.url = std::string(url);
@@ -324,21 +323,18 @@ Status Crawler::AdmitLink(std::string_view url, double relevance,
     }
     return Status::OK();
   }
-  if (!raise_if_known || existing->visited) return Status::OK();
+  if (!raise_if_known || known->visited) return Status::OK();
   // A better citation raises the unvisited page's priority; every citation
   // raises its backlink count (Cho ordering signal).
   int32_t backlinks = ++backlink_counts_[oid];
-  if (relevance > existing->relevance) {
-    FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(oid, relevance));
+  if (relevance > known->relevance) {
+    FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(known->rid, relevance));
   }
-  if (const FrontierEntry* in_frontier = frontier_.Peek(oid);
-      in_frontier != nullptr) {
-    FrontierEntry updated = *in_frontier;
-    updated.relevance = std::max(updated.relevance, relevance);
-    updated.serverload = load;
-    updated.backlinks = backlinks;
-    frontier_.AddOrUpdate(updated);
-  }
+  frontier_.Rerank(oid, [&](FrontierEntry* entry) {
+    entry->relevance = std::max(entry->relevance, relevance);
+    entry->serverload = load;
+    entry->backlinks = backlinks;
+  });
   return Status::OK();
 }
 
@@ -403,23 +399,26 @@ Status Crawler::ApplyBoost() {
   // "possibly missed neighbors of great hubs").
   sql::Table* link = db_->link_table();
   int by_src = link->IndexId("by_src");
+  const double boost_to = options_.hub_boost_relevance;
   for (const auto& [hub_oid, score] : boost->top_hubs) {
     std::vector<storage::Rid> rids;
     FOCUS_RETURN_IF_ERROR(link->IndexLookup(
         by_src, {sql::Value::Int64(static_cast<int64_t>(hub_oid))}, &rids));
-    sql::Tuple row;
     for (const auto& rid : rids) {
-      FOCUS_RETURN_IF_ERROR(link->Get(rid, &row));
-      uint64_t dst_oid = static_cast<uint64_t>(row.Get(2).AsInt64());
-      const FrontierEntry* entry = frontier_.Peek(dst_oid);
-      if (entry == nullptr) continue;
+      uint64_t dst_oid = 0;
       FOCUS_RETURN_IF_ERROR(
-          db_->RaiseRelevance(dst_oid, options_.hub_boost_relevance));
-      FrontierEntry boosted = *entry;
-      boosted.relevance =
-          std::max(boosted.relevance, options_.hub_boost_relevance);
-      boosted.hub_score = score;
-      frontier_.AddOrUpdate(boosted);
+          link->VisitAt(rid, [&dst_oid](const sql::RecordView& row) {
+            dst_oid = static_cast<uint64_t>(row.GetInt64(2));
+            return Status::OK();
+          }));
+      const double hub_score = score;
+      bool in_frontier = frontier_.Rerank(dst_oid, [&](FrontierEntry* e) {
+        e->relevance = std::max(e->relevance, boost_to);
+        e->hub_score = hub_score;
+      });
+      if (in_frontier) {
+        FOCUS_RETURN_IF_ERROR(db_->RaiseRelevance(dst_oid, boost_to));
+      }
     }
   }
   return Status::OK();
@@ -611,6 +610,7 @@ std::vector<FrontierEntry> Crawler::GatherBatch(VirtualClock* worker_clock) {
   // globally best ready entries (§3.2's CRAWL checkout order), re-parking
   // those whose server's breaker is open.
   std::lock_guard<std::mutex> lock(state_mutex_);
+  Stopwatch held;
   while (static_cast<int>(batch.size()) < options_.classify_batch_size &&
          static_cast<int>(visits_.size()) + in_flight_.load() <
              options_.max_fetches) {
@@ -639,6 +639,8 @@ std::vector<FrontierEntry> Crawler::GatherBatch(VirtualClock* worker_clock) {
     stage_metrics_->RecordPop();
     batch.push_back(std::move(*entry));
   }
+  stage_metrics_->AddLockHeldMicros(
+      static_cast<uint64_t>(held.ElapsedMicros()));
   return batch;
 }
 
@@ -649,6 +651,7 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
   std::unique_lock<std::mutex> lock(state_mutex_);
   stage_metrics_->AddLockWaitMicros(
       static_cast<uint64_t>(lock_wait.ElapsedMicros()));
+  Stopwatch held;
   Stopwatch expand_timer;
   for (size_t i = 0; i < pages->size(); ++i) {
     FetchedPage& page = (*pages)[i];
@@ -710,6 +713,8 @@ Status Crawler::RecordBatch(std::vector<FetchedPage>* pages,
   // whose state it read.
   Result<storage::CommitTicket> staged = StageBatchCommit();
   stage_metrics_->SetFrontierDepth(static_cast<double>(frontier_.size()));
+  stage_metrics_->AddLockHeldMicros(
+      static_cast<uint64_t>(held.ElapsedMicros()));
   lock.unlock();
   work_cv_.notify_all();
   // The log write and sync run off the lock: peers record and stage
@@ -826,6 +831,7 @@ Status Crawler::PipelineWorker(VirtualClock* worker_clock) {
     {
       // Attempt/failure bookkeeping in one short critical section.
       std::lock_guard<std::mutex> lock(state_mutex_);
+      Stopwatch held;
       stats_.attempts += batch.size();
       for (const FailedFetch& failure : failures) {
         FOCUS_RETURN_IF_ERROR(
@@ -840,6 +846,8 @@ Status Crawler::PipelineWorker(VirtualClock* worker_clock) {
       if (fetched.empty()) {
         FOCUS_ASSIGN_OR_RETURN(failures_ticket, StageBatchCommit());
       }
+      stage_metrics_->AddLockHeldMicros(
+          static_cast<uint64_t>(held.ElapsedMicros()));
     }
     if (!failures.empty()) work_cv_.notify_all();
     if (fetched.empty()) {

@@ -29,8 +29,8 @@ const char* PolicyName(PriorityPolicy policy) {
 // priority). Ties always break on seq then oid for determinism.
 bool Frontier::HeapLess::operator()(const HeapItem& a,
                                     const HeapItem& b) const {
-  const FrontierEntry& x = a.entry;
-  const FrontierEntry& y = b.entry;
+  const HeapItem& x = a;
+  const HeapItem& y = b;
   auto tie = [&] {
     if (x.seq != y.seq) return x.seq > y.seq;
     return x.oid > y.oid;
@@ -77,22 +77,29 @@ bool Frontier::HeapLess::operator()(const HeapItem& a,
 }
 
 void Frontier::AddOrUpdate(const FrontierEntry& entry) {
-  FrontierEntry e = entry;
-  auto it = live_.find(e.oid);
-  if (it != live_.end()) {
-    e.seq = it->second.second.seq;  // preserve insertion order
-  } else if (e.seq == 0) {
-    e.seq = next_seq_++;
+  auto [it, inserted] = live_.try_emplace(entry.oid);
+  uint64_t seq = entry.seq;
+  if (!inserted) {
+    seq = it->second.second.seq;  // preserve insertion order
+  } else if (seq == 0) {
+    seq = next_seq_++;
   } else {
-    next_seq_ = std::max(next_seq_, e.seq + 1);
+    next_seq_ = std::max(next_seq_, seq + 1);
   }
-  uint64_t version = next_version_++;
-  live_[e.oid] = {version, e};
+  it->second.second = entry;
+  it->second.second.seq = seq;
+  Push(&it->second);
+}
+
+void Frontier::Push(std::pair<uint64_t, FrontierEntry>* versioned) {
+  const uint64_t version = next_version_++;
+  versioned->first = version;
+  const FrontierEntry& e = versioned->second;
   if (e.ready_at_us > 0) {
     parked_.push_back(ParkedItem{e.oid, version, e.ready_at_us});
     std::push_heap(parked_.begin(), parked_.end(), ParkedLater{});
   } else {
-    heap_.push_back(HeapItem{e.oid, version, e});
+    heap_.push_back(ItemOf(e.oid, version, e));
     std::push_heap(heap_.begin(), heap_.end(), HeapLess{policy_});
   }
 }
@@ -101,13 +108,13 @@ std::optional<FrontierEntry> Frontier::PopBest(int64_t now_us) {
   Promote(now_us);
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), HeapLess{policy_});
-    HeapItem item = std::move(heap_.back());
+    const HeapItem item = heap_.back();
     heap_.pop_back();
     auto it = live_.find(item.oid);
     if (it == live_.end() || it->second.first != item.version) {
       continue;  // stale
     }
-    FrontierEntry entry = it->second.second;
+    FrontierEntry entry = std::move(it->second.second);
     live_.erase(it);
     return entry;
   }
@@ -136,7 +143,7 @@ void Frontier::Promote(int64_t now_us) {
     // The entry is ready now; clear the gate so later re-ranks (which copy
     // the live entry) don't re-park it.
     it->second.second.ready_at_us = 0;
-    heap_.push_back(HeapItem{item.oid, item.version, it->second.second});
+    heap_.push_back(ItemOf(item.oid, item.version, it->second.second));
     std::push_heap(heap_.begin(), heap_.end(), HeapLess{policy_});
     if (event_log_ != nullptr) {
       // now_us = the pop deadline that surfaced the entry; aux = the
@@ -198,7 +205,7 @@ void Frontier::RebuildHeap() {
       parked_.push_back(
           ParkedItem{oid, versioned.first, versioned.second.ready_at_us});
     } else {
-      heap_.push_back(HeapItem{oid, versioned.first, versioned.second});
+      heap_.push_back(ItemOf(oid, versioned.first, versioned.second));
     }
   }
   std::make_heap(heap_.begin(), heap_.end(), HeapLess{policy_});

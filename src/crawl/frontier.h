@@ -86,6 +86,20 @@ class Frontier {
   // ready_at_us go to the parked queue.
   void AddOrUpdate(const FrontierEntry& entry);
 
+  // Re-ranks the live entry `oid` in place: `edit(FrontierEntry*)` changes
+  // its ranking fields (never oid or seq), and the entry is pushed again
+  // under a new version, exactly as AddOrUpdate with the edited copy
+  // would, without copying its URL. Returns false, and does not call
+  // `edit`, when `oid` is not live.
+  template <typename Edit>
+  bool Rerank(uint64_t oid, Edit&& edit) {
+    auto it = live_.find(oid);
+    if (it == live_.end()) return false;
+    edit(&it->second.second);
+    Push(&it->second);
+    return true;
+  }
+
   // Removes and returns the best entry whose ready_at_us <= now_us, or
   // nullopt when none qualifies.
   std::optional<FrontierEntry> PopBest(int64_t now_us = kNoTimeGate);
@@ -98,7 +112,6 @@ class Frontier {
   // Removes `oid` from the frontier (e.g. once visited).
   void Erase(uint64_t oid);
 
-  bool Contains(uint64_t oid) const { return live_.contains(oid); }
   const FrontierEntry* Peek(uint64_t oid) const;
 
   // Copies of every live entry (used to refresh ordering signals in bulk).
@@ -120,11 +133,25 @@ class Frontier {
   FrontierCensus Census() const;
 
  private:
+  // A heap item carries only the fields HeapLess ranks by; the URL and
+  // the rest of the entry stay in live_.
   struct HeapItem {
     uint64_t oid;
     uint64_t version;
-    FrontierEntry entry;
+    uint64_t seq;
+    double relevance;
+    double hub_score;
+    int64_t lastvisited;
+    int32_t numtries;
+    int32_t serverload;
+    int32_t backlinks;
   };
+  static HeapItem ItemOf(uint64_t oid, uint64_t version,
+                         const FrontierEntry& e) {
+    return HeapItem{oid,          version,     e.seq,
+                    e.relevance,  e.hub_score, e.lastvisited,
+                    e.numtries,   e.serverload, e.backlinks};
+  }
   struct HeapLess {
     PriorityPolicy policy;
     bool operator()(const HeapItem& a, const HeapItem& b) const;
@@ -144,6 +171,9 @@ class Frontier {
     }
   };
 
+  // Gives a live (version, entry) a new version and queues it: parked
+  // while its ready_at_us lies ahead, else in the main heap.
+  void Push(std::pair<uint64_t, FrontierEntry>* versioned);
   void RebuildHeap();
   // Moves parked entries whose ready time has arrived into the main heap.
   void Promote(int64_t now_us);

@@ -18,6 +18,7 @@ StageMetrics::StageMetrics(obs::MetricsRegistry* registry) {
   classify_micros_ = stage("classify");
   expand_micros_ = stage("expand");
   lock_wait_micros_ = stage("lock_wait");
+  lock_held_micros_ = stage("lock_held");
   batches_ = r->GetCounter("focus_crawl_classify_batches_total");
   batched_pages_ = r->GetCounter("focus_crawl_classify_pages_total");
   frontier_pops_ = r->GetCounter("focus_crawl_frontier_pops_total");
@@ -80,6 +81,7 @@ StageMetricsSnapshot StageMetrics::Raw() const {
   s.classify_micros = classify_micros_->Value();
   s.expand_micros = expand_micros_->Value();
   s.lock_wait_micros = lock_wait_micros_->Value();
+  s.lock_held_micros = lock_held_micros_->Value();
   s.batches = batches_->Value();
   s.batched_pages = batched_pages_->Value();
   s.frontier_pops = frontier_pops_->Value();
@@ -100,6 +102,7 @@ StageMetricsSnapshot StageMetrics::Snapshot() const {
   s.classify_micros -= baseline_.classify_micros;
   s.expand_micros -= baseline_.expand_micros;
   s.lock_wait_micros -= baseline_.lock_wait_micros;
+  s.lock_held_micros -= baseline_.lock_held_micros;
   s.batches -= baseline_.batches;
   s.batched_pages -= baseline_.batched_pages;
   s.frontier_pops -= baseline_.frontier_pops;

@@ -24,6 +24,9 @@ struct StageMetricsSnapshot {
   uint64_t classify_micros = 0;   // wall time inside the classify stage
   uint64_t expand_micros = 0;     // wall time recording visits + expanding
   uint64_t lock_wait_micros = 0;  // time blocked on the crawl-state lock
+  // Time the crawl-state lock was held by the gather, record and
+  // fetch-failure sections: the crawl's serial section.
+  uint64_t lock_held_micros = 0;
   uint64_t batches = 0;           // classify batches submitted
   uint64_t batched_pages = 0;     // pages across those batches
   uint64_t frontier_pops = 0;     // successful frontier pops
@@ -60,6 +63,7 @@ class StageMetrics {
   void AddClassifyMicros(uint64_t us) { classify_micros_->Add(us); }
   void AddExpandMicros(uint64_t us) { expand_micros_->Add(us); }
   void AddLockWaitMicros(uint64_t us) { lock_wait_micros_->Add(us); }
+  void AddLockHeldMicros(uint64_t us) { lock_held_micros_->Add(us); }
   void RecordBatch(uint64_t pages) {
     batches_->Inc();
     batched_pages_->Add(pages);
@@ -118,6 +122,7 @@ class StageMetrics {
   obs::Counter* classify_micros_;
   obs::Counter* expand_micros_;
   obs::Counter* lock_wait_micros_;
+  obs::Counter* lock_held_micros_;
   obs::Counter* batches_;
   obs::Counter* batched_pages_;
   obs::Counter* frontier_pops_;

@@ -25,7 +25,8 @@ namespace focus::distill {
 
 struct DistillTables {
   // LINK(oid_src:int64, sid_src:int32, oid_dst:int64, sid_dst:int32,
-  //      wgt_fwd:double, wgt_rev:double), indexes by_src, by_dst.
+  //      wgt_fwd:double, wgt_rev:double), index by_src. The distillers
+  //      read LINK only by scans; the crawler's boosts probe by_src.
   sql::Table* link = nullptr;
   // HUBS/AUTH(oid:int64, score:double), no index: the join distiller
   // reads them only by scans and merge joins, and maintains them in

@@ -180,6 +180,35 @@ Result<storage::Rid> Table::Insert(const Tuple& tuple) {
   return rid;
 }
 
+Status Table::InsertAll(std::span<const Tuple> tuples) {
+  std::string bytes;
+  std::vector<size_t> ends;
+  ends.reserve(tuples.size());
+  for (const Tuple& tuple : tuples) {
+    if (tuple.size() != schema_.num_columns()) {
+      return Status::InvalidArgument(
+          StrCat("tuple arity ", tuple.size(), " vs schema ",
+                 schema_.num_columns()));
+    }
+    tuple.SerializeTo(schema_, &bytes);
+    ends.push_back(bytes.size());
+  }
+  std::vector<std::string_view> records;
+  records.reserve(tuples.size());
+  for (size_t i = 0, begin = 0; i < ends.size(); begin = ends[i++]) {
+    records.emplace_back(bytes.data() + begin, ends[i] - begin);
+  }
+  std::vector<storage::Rid> rids(indexes_.empty() ? 0 : tuples.size());
+  FOCUS_RETURN_IF_ERROR(heap_->InsertAll(records, rids));
+  for (auto& index : indexes_) {
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      FOCUS_ASSIGN_OR_RETURN(uint64_t key, PackKeyFromTuple(index, tuples[i]));
+      FOCUS_RETURN_IF_ERROR(index.tree.Insert(key, rids[i].Pack()));
+    }
+  }
+  return Status::OK();
+}
+
 Status Table::Update(const storage::Rid& rid, const Tuple& tuple) {
   Tuple old;
   FOCUS_RETURN_IF_ERROR(Get(rid, &old));
@@ -208,10 +237,10 @@ Status Table::Delete(const storage::Rid& rid) {
 }
 
 Status Table::Get(const storage::Rid& rid, Tuple* out) const {
-  std::string record;
-  FOCUS_RETURN_IF_ERROR(heap_->Get(rid, &record));
-  FOCUS_ASSIGN_OR_RETURN(*out, Tuple::Deserialize(schema_, record));
-  return Status::OK();
+  return VisitAt(rid, [out](const RecordView& row) {
+    *out = row.ToTuple();
+    return Status::OK();
+  });
 }
 
 void Table::ReleaseStorage() {
@@ -234,18 +263,44 @@ Status Table::Clear() {
   return Status::OK();
 }
 
-Status Table::UpdateInPlace(
-    const std::function<Status(MutableRecordView*)>& fn) {
+MutableRecordView Table::KeyFrozenView() const {
   std::vector<bool> key_cols(schema_.num_columns(), false);
   for (const Index& index : indexes_) {
     for (int col : index.spec.key_cols) key_cols[col] = true;
   }
-  MutableRecordView row(&schema_, std::move(key_cols));
+  return MutableRecordView(&schema_, std::move(key_cols));
+}
+
+Status Table::UpdateInPlace(
+    const std::function<Status(MutableRecordView*)>& fn) {
+  MutableRecordView row = KeyFrozenView();
   return heap_->RewriteInPlace([&](std::span<char> bytes, bool* rewrote) {
     FOCUS_RETURN_IF_ERROR(row.Reset(bytes));
     Status status = fn(&row);
     if (row.changed()) *rewrote = true;
     return status;
+  });
+}
+
+Status Table::UpdateInPlaceAt(
+    const storage::Rid& rid,
+    const std::function<Status(MutableRecordView*)>& fn) {
+  MutableRecordView row = KeyFrozenView();
+  return heap_->RewriteAt(rid, [&](std::span<char> bytes, bool* rewrote) {
+    FOCUS_RETURN_IF_ERROR(row.Reset(bytes));
+    Status status = fn(&row);
+    if (row.changed()) *rewrote = true;
+    return status;
+  });
+}
+
+Status Table::VisitAt(
+    const storage::Rid& rid,
+    const std::function<Status(const RecordView&)>& fn) const {
+  RecordView row(&schema_);
+  return heap_->ViewAt(rid, [&](std::string_view bytes) {
+    FOCUS_RETURN_IF_ERROR(row.Reset(bytes));
+    return fn(row);
   });
 }
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,9 @@ class Table {
   storage::BufferPool* buffer_pool() const { return pool_; }
 
   Result<storage::Rid> Insert(const Tuple& tuple);
+  // Insert of every tuple in order, with the heap appended a page at a
+  // time (HeapFile::InsertAll): one pin per page instead of one per row.
+  Status InsertAll(std::span<const Tuple> tuples);
   Status Update(const storage::Rid& rid, const Tuple& tuple);
   Status Delete(const storage::Rid& rid);
   Status Get(const storage::Rid& rid, Tuple* out) const;
@@ -94,6 +98,15 @@ class Table {
   // row whose bytes do not change is not written back, so a pass that
   // changes nothing dirties no page.
   Status UpdateInPlace(const std::function<Status(MutableRecordView*)>& fn);
+
+  // Point twins of UpdateInPlace and Iterator::Visit: the row at `rid` is
+  // viewed in its pinned frame, with no tuple decode and no copy. The
+  // same Set rules apply, and an unchanged row dirties no page. A
+  // tombstoned or out-of-range rid is NotFound and `fn` is not called.
+  Status UpdateInPlaceAt(const storage::Rid& rid,
+                         const std::function<Status(MutableRecordView*)>& fn);
+  Status VisitAt(const storage::Rid& rid,
+                 const std::function<Status(const RecordView&)>& fn) const;
 
   // Equality lookup on index `index_idx`; appends matching RIDs to `out`.
   Status IndexLookup(int index_idx, const std::vector<Value>& key,
@@ -143,6 +156,8 @@ class Table {
 
   Result<uint64_t> PackKeyFromTuple(const Index& index,
                                     const Tuple& tuple) const;
+  // A view whose Set refuses this table's index-key columns.
+  MutableRecordView KeyFrozenView() const;
 
   storage::BufferPool* pool_;
   std::string name_;

@@ -50,10 +50,6 @@ class Value {
   double AsDouble() const { return std::get<double>(repr_); }
   const std::string& AsString() const { return std::get<std::string>(repr_); }
 
-  // Widening numeric read: int32/int64 as int64.
-  int64_t AsIntAny() const {
-    return type_ == TypeId::kInt32 ? AsInt32() : AsInt64();
-  }
   // Numeric read as double (int32/int64/double).
   double AsNumeric() const;
 

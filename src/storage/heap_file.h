@@ -53,12 +53,32 @@ class HeapFile {
   // Inserts a record; fails if the record cannot fit in a fresh page.
   Result<Rid> Insert(std::string_view record);
 
+  // Appends `records` in order, placed exactly as one Insert each would
+  // place them, but a page at a time: each page is pinned once and takes
+  // as many records as fit before the next is chained. `rids`, unless
+  // empty, has one slot per record and receives its rid. A record too
+  // large for a fresh page fails the call before anything is written.
+  Status InsertAll(std::span<const std::string_view> records,
+                   std::span<Rid> rids = {});
+
   // Reads the record at `rid` into `out`.
   Status Get(const Rid& rid, std::string* out) const;
 
   // Overwrites the record at `rid` in place. The new record must have
   // exactly the original length (all mutated focus rows are fixed-width).
   Status Update(const Rid& rid, std::string_view record);
+
+  // Point twins of Iterator::Visit and RewriteInPlace: pin the page of
+  // `rid` once and hand its live record to `fn` as a view into the frame,
+  // valid only during the call. A slot past the directory or a tombstone
+  // is NotFound, a slot outside the page IOError, and `fn` is not called.
+  // RewriteAt's `fn(bytes, &rewrote)` may overwrite the bytes (their
+  // length is fixed) and sets `rewrote` when it did, also when it then
+  // fails; only then is the page marked dirty.
+  Status ViewAt(const Rid& rid,
+                const std::function<Status(std::string_view)>& fn) const;
+  Status RewriteAt(const Rid& rid,
+                   const std::function<Status(std::span<char>, bool*)>& fn);
 
   // Tombstones the record at `rid`. Space within the page is not compacted.
   Status Delete(const Rid& rid);

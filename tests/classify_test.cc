@@ -199,7 +199,8 @@ TEST_P(ProbeEquivalenceTest, AllFourClassifiersAgree) {
     ASSERT_TRUE(InsertDocument(doc_table.value(), i + 1, docs.back()).ok());
   }
 
-  auto bulk_scores = bulk.ClassifyAll(doc_table.value());
+  BulkProbeClassifier::Stats bulk_stats;
+  auto bulk_scores = bulk.ClassifyAll(doc_table.value(), &bulk_stats);
   ASSERT_TRUE(bulk_scores.ok()) << bulk_scores.status();
   ASSERT_EQ(bulk_scores.value().size(), docs.size());
 
@@ -221,7 +222,7 @@ TEST_P(ProbeEquivalenceTest, AllFourClassifiersAgree) {
   }
   EXPECT_GT(sql_probe.stats().probes, 0u);
   EXPECT_GT(blob_probe.stats().probes, 0u);
-  EXPECT_GT(bulk.stats().output_rows, 0u);
+  EXPECT_GT(bulk_stats.output_rows, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProbeEquivalenceTest, testing::Range(1, 6));

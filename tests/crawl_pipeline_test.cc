@@ -166,6 +166,68 @@ TEST(BatchRelevanceEvaluatorTest, ReusableAcrossBatches) {
   }
 }
 
+TEST(BatchRelevanceEvaluatorTest, ConcurrentBatchesMatchInMemory) {
+  // Four fetch workers judge through one evaluator at once, as a 4-thread
+  // crawl does (the TSan job runs this test). Each batch builds its own
+  // DOCUMENT table on the shared scratch pool, so concurrent batches
+  // neither mix their scores nor leave pages behind.
+  auto system = TrainedSystem(13);
+  std::vector<text::TermVector> pages = SamplePages(system.get(), 24);
+  pages.push_back(text::TermVector{});
+
+  storage::MemDiskManager disk;
+  storage::BufferPool pool(&disk, 4096);
+  sql::Catalog catalog(&pool);
+  auto tables =
+      classify::BuildClassifierTables(&catalog, system->tax(),
+                                      system->model());
+  ASSERT_TRUE(tables.ok()) << tables.status();
+  classify::BulkProbeClassifier bulk(&system->classifier(),
+                                     &tables.value());
+  BatchRelevanceEvaluator batch_eval(&bulk, &system->classifier(),
+                                     &catalog);
+  ClassifierEvaluator ref_eval(&system->classifier());
+
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 12;
+  constexpr size_t kBatchSize = 8;
+  std::vector<std::vector<text::TermVector>> batches(kBatches);
+  for (int b = 0; b < kBatches; ++b) {
+    for (size_t i = 0; i < kBatchSize; ++i) {
+      batches[b].push_back(pages[(b * 5 + i) % pages.size()]);
+    }
+  }
+  const uint64_t pages_before = pool.pages_in_use();
+  std::vector<Status> statuses(kBatches);
+  std::vector<std::vector<PageJudgment>> judged(kBatches);
+  std::atomic<int> next{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      for (int b = next++; b < kBatches; b = next++) {
+        auto result = batch_eval.JudgeBatch(batches[b]);
+        statuses[b] = result.status();
+        if (result.ok()) judged[b] = result.TakeValue();
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  for (int b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE(statuses[b].ok()) << "batch " << b << ": " << statuses[b];
+    ASSERT_EQ(judged[b].size(), kBatchSize) << "batch " << b;
+    for (size_t i = 0; i < kBatchSize; ++i) {
+      auto expected = ref_eval.Judge(batches[b][i]);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_NEAR(judged[b][i].relevance, expected.value().relevance, 1e-9)
+          << "batch " << b << " doc " << i;
+      EXPECT_EQ(judged[b][i].best_leaf, expected.value().best_leaf)
+          << "batch " << b << " doc " << i;
+    }
+  }
+  EXPECT_EQ(pool.pages_in_use(), pages_before);
+}
+
 // A crawl run to frontier exhaustion, with its owning system kept alive.
 struct ExhaustedCrawl {
   std::unique_ptr<FocusSystem> system;

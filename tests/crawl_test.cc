@@ -91,7 +91,7 @@ TEST(FrontierTest, EraseAndPeek) {
   EXPECT_DOUBLE_EQ(f.Peek(7)->relevance, 0.5);
   EXPECT_EQ(f.Peek(8), nullptr);
   f.Erase(7);
-  EXPECT_FALSE(f.Contains(7));
+  EXPECT_EQ(f.Peek(7), nullptr);
   EXPECT_FALSE(f.PopBest().has_value());
 
   // Snapshot copies every live entry once, and none that was erased.

@@ -227,8 +227,8 @@ TEST(ValueEdgeTest, EmptyAndLongStrings) {
 }
 
 TEST(ValueEdgeTest, NumericWideningReads) {
-  EXPECT_EQ(Value::Int32(-3).AsIntAny(), -3);
-  EXPECT_EQ(Value::Int64(1LL << 40).AsIntAny(), 1LL << 40);
+  EXPECT_EQ(Value::Int32(-3).AsInt32(), -3);
+  EXPECT_EQ(Value::Int64(1LL << 40).AsInt64(), 1LL << 40);
   EXPECT_DOUBLE_EQ(Value::Int32(2).AsNumeric(), 2.0);
   EXPECT_DOUBLE_EQ(Value::Double(2.5).AsNumeric(), 2.5);
 }

@@ -621,5 +621,100 @@ TEST(TableUpdateInPlaceTest, WritesOnlyChangedRowsAndGuardsKeysAndWidth) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(TablePointOpTest, ViewsAndWritesOneRowInPlace) {
+  storage::MemDiskManager disk;
+  storage::BufferPool pool(&disk, 64);
+  Catalog catalog(&pool);
+  Table* table =
+      catalog
+          .CreateTable("T",
+                       Schema({{"k", TypeId::kInt64},
+                               {"v", TypeId::kDouble},
+                               {"s", TypeId::kString}}),
+                       {IndexSpec{"by_k", {0}, {}}})
+          .TakeValue();
+  storage::Rid kept =
+      table->Insert(Tuple({Value::Int64(1), Value::Double(1.0),
+                           Value::Str("one")}))
+          .TakeValue();
+  storage::Rid gone =
+      table->Insert(Tuple({Value::Int64(2), Value::Double(2.0),
+                           Value::Str("two")}))
+          .TakeValue();
+  ASSERT_TRUE(table->Delete(gone).ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  uint64_t writes = disk.stats().writes;
+
+  // A write that changes no byte dirties no page.
+  ASSERT_TRUE(table
+                  ->UpdateInPlaceAt(kept,
+                                    [](MutableRecordView* row) {
+                                      return row->Set(1, Value::Double(1.0));
+                                    })
+                  .ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(disk.stats().writes, writes);
+
+  // A changed column reaches the page and reads back in place.
+  ASSERT_TRUE(table
+                  ->UpdateInPlaceAt(kept,
+                                    [](MutableRecordView* row) {
+                                      return row->Set(1, Value::Double(3.5));
+                                    })
+                  .ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(disk.stats().writes, writes + 1);
+  double v = 0;
+  std::string s;
+  ASSERT_TRUE(table
+                  ->VisitAt(kept,
+                            [&](const RecordView& row) {
+                              v = row.GetDouble(1);
+                              s = std::string(row.GetString(2));
+                              return Status::OK();
+                            })
+                  .ok());
+  EXPECT_EQ(v, 3.5);
+  EXPECT_EQ(s, "one");
+
+  // Index keys and variable-width columns cannot be set.
+  EXPECT_EQ(table
+                ->UpdateInPlaceAt(kept,
+                                  [](MutableRecordView* row) {
+                                    return row->Set(0, Value::Int64(9));
+                                  })
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table
+                ->UpdateInPlaceAt(kept,
+                                  [](MutableRecordView* row) {
+                                    return row->Set(2, Value::Str("uno"));
+                                  })
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // A tombstoned rid is NotFound, and the callback never runs.
+  bool called = false;
+  EXPECT_EQ(table
+                ->VisitAt(gone,
+                          [&](const RecordView&) {
+                            called = true;
+                            return Status::OK();
+                          })
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(table
+                ->UpdateInPlaceAt(gone,
+                                  [&](MutableRecordView*) {
+                                    called = true;
+                                    return Status::OK();
+                                  })
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(called);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(disk.stats().writes, writes + 1);
+}
+
 }  // namespace
 }  // namespace focus::sql

@@ -232,6 +232,39 @@ TEST(WalBasicsTest, CheckpointFoldsLogIntoDataDevice) {
   EXPECT_EQ(std::memcmp(got.data, img.data, kPageSize), 0);
 }
 
+TEST(WalBasicsTest, StoreWithRetiredLinkIndexDoesNotReopen) {
+  // LINK once carried a by_dst index beside by_src. A store checkpointed
+  // with that layout is not migrated: Open refuses it with Table::Attach's
+  // InvalidArgument before it reads a page.
+  MemDiskManager data, log;
+  {
+    auto wal = WalDiskManager::Open(&data, &log).TakeValue();
+    storage::BufferPool pool(wal.get(), 64);
+    sql::Catalog catalog(&pool);
+    auto db = crawl::CrawlDb::Create(&catalog).TakeValue();
+    sql::Schema link_schema = db.link_table()->schema();
+    ASSERT_TRUE(catalog.DropTable("LINK").ok());
+    ASSERT_TRUE(catalog
+                    .CreateTable("LINK", link_schema,
+                                 {sql::IndexSpec{"by_src", {0}, {}},
+                                  sql::IndexSpec{"by_dst", {2}, {}}})
+                    .ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE(wal->Checkpoint(catalog.SerializeLayouts()).ok());
+  }
+  auto wal = WalDiskManager::Open(&data, &log).TakeValue();
+  storage::BufferPool pool(wal.get(), 64);
+  sql::Catalog catalog(&pool);
+  auto db = crawl::CrawlDb::Open(&catalog, wal.get());
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(db.status().message().find(
+                "layout has 2 indexes, declaration has 1"),
+            std::string::npos)
+      << db.status();
+  EXPECT_EQ(pool.stats().fetches, 0u);
+}
+
 TEST(WalBasicsTest, CheckpointCyclesKeepLogSegmentBounded) {
   // Twelve commit+checkpoint cycles of the same-size batch: the log
   // segment must not grow — every checkpoint folds the tail back to the
