@@ -142,14 +142,15 @@ Result<std::unique_ptr<sql::Table>> NewDocumentTable(
 
 Status InsertDocument(sql::Table* document, uint64_t did,
                       const text::TermVector& terms) {
-  std::vector<Tuple> rows;
-  rows.reserve(terms.size());
   for (const auto& tf : terms) {
-    rows.push_back(Tuple({Value::Int64(static_cast<int64_t>(did)),
-                          Value::Int64(static_cast<int64_t>(tf.tid)),
-                          Value::Int32(tf.freq)}));
+    FOCUS_RETURN_IF_ERROR(
+        document
+            ->Insert(Tuple({Value::Int64(static_cast<int64_t>(did)),
+                            Value::Int64(static_cast<int64_t>(tf.tid)),
+                            Value::Int32(tf.freq)}))
+            .status());
   }
-  return document->InsertAll(rows);
+  return Status::OK();
 }
 
 Result<text::TermVector> FetchDocument(const sql::Table* document,

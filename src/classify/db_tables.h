@@ -55,7 +55,7 @@ Result<sql::Table*> CreateDocumentTable(sql::Catalog* catalog,
 Result<std::unique_ptr<sql::Table>> NewDocumentTable(
     storage::BufferPool* pool);
 
-// Appends one document's (did, tid, freq) rows, a heap page at a time.
+// Appends one document's (did, tid, freq) rows.
 Status InsertDocument(sql::Table* document, uint64_t did,
                       const text::TermVector& terms);
 

@@ -45,8 +45,7 @@ class Catalog {
   Table* GetTable(std::string_view name) const;
 
   // Removes the table and returns its pages to the pool's free-page list
-  // (Table::ReleaseStorage), so scratch tables created and dropped per
-  // batch reuse the same pages.
+  // (Table::ReleaseStorage), so tables created later reuse them.
   Status DropTable(std::string_view name);
 
   storage::BufferPool* buffer_pool() const { return pool_; }

@@ -180,35 +180,6 @@ Result<storage::Rid> Table::Insert(const Tuple& tuple) {
   return rid;
 }
 
-Status Table::InsertAll(std::span<const Tuple> tuples) {
-  std::string bytes;
-  std::vector<size_t> ends;
-  ends.reserve(tuples.size());
-  for (const Tuple& tuple : tuples) {
-    if (tuple.size() != schema_.num_columns()) {
-      return Status::InvalidArgument(
-          StrCat("tuple arity ", tuple.size(), " vs schema ",
-                 schema_.num_columns()));
-    }
-    tuple.SerializeTo(schema_, &bytes);
-    ends.push_back(bytes.size());
-  }
-  std::vector<std::string_view> records;
-  records.reserve(tuples.size());
-  for (size_t i = 0, begin = 0; i < ends.size(); begin = ends[i++]) {
-    records.emplace_back(bytes.data() + begin, ends[i] - begin);
-  }
-  std::vector<storage::Rid> rids(indexes_.empty() ? 0 : tuples.size());
-  FOCUS_RETURN_IF_ERROR(heap_->InsertAll(records, rids));
-  for (auto& index : indexes_) {
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      FOCUS_ASSIGN_OR_RETURN(uint64_t key, PackKeyFromTuple(index, tuples[i]));
-      FOCUS_RETURN_IF_ERROR(index.tree.Insert(key, rids[i].Pack()));
-    }
-  }
-  return Status::OK();
-}
-
 Status Table::Update(const storage::Rid& rid, const Tuple& tuple) {
   Tuple old;
   FOCUS_RETURN_IF_ERROR(Get(rid, &old));

@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -74,9 +73,6 @@ class Table {
   storage::BufferPool* buffer_pool() const { return pool_; }
 
   Result<storage::Rid> Insert(const Tuple& tuple);
-  // Insert of every tuple in order, with the heap appended a page at a
-  // time (HeapFile::InsertAll): one pin per page instead of one per row.
-  Status InsertAll(std::span<const Tuple> tuples);
   Status Update(const storage::Rid& rid, const Tuple& tuple);
   Status Delete(const storage::Rid& rid);
   Status Get(const storage::Rid& rid, Tuple* out) const;

@@ -400,11 +400,6 @@ Status BufferPool::EvictAll() {
   return Status::OK();
 }
 
-uint64_t BufferPool::pages_in_use() const {
-  std::lock_guard<std::mutex> lock(latch_);
-  return disk_->NumPages() - free_pages_.size();
-}
-
 BufferPool::Stats BufferPool::stats() const {
   std::lock_guard<std::mutex> lock(latch_);
   return stats_;

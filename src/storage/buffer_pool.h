@@ -183,10 +183,6 @@ class BufferPool {
   Status EvictAll();
 
   size_t num_frames() const { return num_frames_; }
-  // Device pages holding live content: those allocated, less those on the
-  // free-page list. Building a table and releasing its storage leaves it
-  // unchanged.
-  uint64_t pages_in_use() const;
   uint32_t readahead_window() const { return options_.readahead_window; }
   // A point-in-time snapshot, not a reference.
   Stats stats() const;

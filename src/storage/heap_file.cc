@@ -112,50 +112,21 @@ HeapFile HeapFile::Attach(BufferPool* pool, PageId first_page_id,
 }
 
 Result<Rid> HeapFile::Insert(std::string_view record) {
-  Rid rid;
-  FOCUS_RETURN_IF_ERROR(InsertAll({&record, 1}, {&rid, 1}));
-  return rid;
-}
-
-Status HeapFile::InsertAll(std::span<const std::string_view> records,
-                           std::span<Rid> rids) {
-  for (std::string_view record : records) {
-    if (record.size() + 4 > kPageSize - kSlotDirStart) {
-      return Status::InvalidArgument(StrCat(
-          "record of ", record.size(), " bytes exceeds page capacity"));
-    }
+  if (record.size() + 4 > kPageSize - kSlotDirStart) {
+    return Status::InvalidArgument(
+        StrCat("record of ", record.size(), " bytes exceeds page capacity"));
   }
-  size_t next = 0;
-  while (next < records.size()) {
-    PageGuard guard(pool_, last_page_id_);
-    if (!guard.ok()) return guard.status();
-    Page* page = guard.page();
-    uint16_t slot_count = 0;
-    FOCUS_RETURN_IF_ERROR(
-        CheckedSlotCount(*page, last_page_id_, &slot_count));
-    if (page->Read<uint16_t>(kOffFreeEnd) > kPageSize) {
-      return Status::IOError(StrCat("heap page ", last_page_id_,
-                                    ": free space end past the page"));
-    }
-    for (; next < records.size() &&
-           FreeSpace(*page) >= records[next].size() + 4;
-         ++next, ++slot_count) {
-      std::string_view record = records[next];
-      uint16_t free_end = page->Read<uint16_t>(kOffFreeEnd);
-      uint16_t offset = static_cast<uint16_t>(free_end - record.size());
-      std::memcpy(page->data + offset, record.data(), record.size());
-      page->Write<uint16_t>(SlotEntryOffset(slot_count), offset);
-      page->Write<uint16_t>(SlotEntryOffset(slot_count) + 2,
-                            static_cast<uint16_t>(record.size()));
-      page->Write<uint16_t>(kOffSlotCount,
-                            static_cast<uint16_t>(slot_count + 1));
-      page->Write<uint16_t>(kOffFreeEnd, offset);
-      guard.MarkDirty();
-      ++num_records_;
-      if (!rids.empty()) rids[next] = Rid{last_page_id_, slot_count};
-    }
-    if (next == records.size()) break;
-    // Chain a fresh page for the records that did not fit.
+  PageGuard guard(pool_, last_page_id_);
+  if (!guard.ok()) return guard.status();
+  Page* page = guard.page();
+  uint16_t slot_count = 0;
+  FOCUS_RETURN_IF_ERROR(CheckedSlotCount(*page, last_page_id_, &slot_count));
+  if (page->Read<uint16_t>(kOffFreeEnd) > kPageSize) {
+    return Status::IOError(
+        StrCat("heap page ", last_page_id_, ": free space end past the page"));
+  }
+  if (FreeSpace(*page) < record.size() + 4) {
+    // Chain a fresh page.
     PageId new_id;
     FOCUS_ASSIGN_OR_RETURN(Page * new_page, pool_->NewPage(&new_id));
     InitPage(new_page);
@@ -165,8 +136,19 @@ Status HeapFile::InsertAll(std::span<const std::string_view> records,
     pool_->UnpinPage(new_id, /*dirty=*/true);
     last_page_id_ = new_id;
     if (!pages_.empty()) pages_.push_back(new_id);
+    return Insert(record);
   }
-  return Status::OK();
+  uint16_t free_end = page->Read<uint16_t>(kOffFreeEnd);
+  uint16_t offset = static_cast<uint16_t>(free_end - record.size());
+  std::memcpy(page->data + offset, record.data(), record.size());
+  page->Write<uint16_t>(SlotEntryOffset(slot_count), offset);
+  page->Write<uint16_t>(SlotEntryOffset(slot_count) + 2,
+                        static_cast<uint16_t>(record.size()));
+  page->Write<uint16_t>(kOffSlotCount, static_cast<uint16_t>(slot_count + 1));
+  page->Write<uint16_t>(kOffFreeEnd, offset);
+  guard.MarkDirty();
+  ++num_records_;
+  return Rid{last_page_id_, slot_count};
 }
 
 Status HeapFile::Get(const Rid& rid, std::string* out) const {

@@ -53,14 +53,6 @@ class HeapFile {
   // Inserts a record; fails if the record cannot fit in a fresh page.
   Result<Rid> Insert(std::string_view record);
 
-  // Appends `records` in order, placed exactly as one Insert each would
-  // place them, but a page at a time: each page is pinned once and takes
-  // as many records as fit before the next is chained. `rids`, unless
-  // empty, has one slot per record and receives its rid. A record too
-  // large for a fresh page fails the call before anything is written.
-  Status InsertAll(std::span<const std::string_view> records,
-                   std::span<Rid> rids = {});
-
   // Reads the record at `rid` into `out`.
   Status Get(const Rid& rid, std::string* out) const;
 

@@ -197,7 +197,8 @@ TEST(BatchRelevanceEvaluatorTest, ConcurrentBatchesMatchInMemory) {
       batches[b].push_back(pages[(b * 5 + i) % pages.size()]);
     }
   }
-  const uint64_t pages_before = pool.pages_in_use();
+  // Nothing has been freed yet, so the free-page list starts empty.
+  const uint32_t pages_before = disk.NumPages();
   std::vector<Status> statuses(kBatches);
   std::vector<std::vector<PageJudgment>> judged(kBatches);
   std::atomic<int> next{0};
@@ -225,7 +226,15 @@ TEST(BatchRelevanceEvaluatorTest, ConcurrentBatchesMatchInMemory) {
           << "batch " << b << " doc " << i;
     }
   }
-  EXPECT_EQ(pool.pages_in_use(), pages_before);
+  // Every page the batches grew the device by is back on the free-page
+  // list: handing out that many fresh pages grows the device no further.
+  const uint32_t pages_after = disk.NumPages();
+  for (uint32_t i = pages_before; i < pages_after; ++i) {
+    storage::PageId id;
+    ASSERT_TRUE(pool.NewPage(&id).ok());
+    pool.UnpinPage(id, /*dirty=*/false);
+  }
+  EXPECT_EQ(disk.NumPages(), pages_after);
 }
 
 // A crawl run to frontier exhaustion, with its owning system kept alive.
